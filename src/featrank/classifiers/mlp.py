@@ -9,11 +9,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from .linear import _sigmoid
+
 _P_EPS = 1e-12
-
-
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-np.clip(z, -36.0, 36.0)))
 
 
 def _loss_and_grads(params, x_mat, y):

@@ -6,6 +6,19 @@ criterion used here equals Gini impurity up to a constant factor of 2, so
 the same split scan serves classification trees and the boosted regression
 trees. Split ties break toward the earlier feature and then the smaller
 threshold, which makes training row-order independent.
+
+Split search is exact and greedy (as in XGBoost's exact mode) and scans all
+candidate features of a node at once. Each fit first maps every design-matrix
+column to integer codes of its sorted distinct values (`_CodedMatrix`); GBT
+reuses that view for all rounds and the random forest for all bootstrap
+trees. At a node, one stable argsort per feature row orders the node's codes,
+one cumsum per row accumulates the target and its square, and one argmax
+picks the best (feature, cut) pair. The result is bit-identical to sorting
+each feature's float values on its own: equal values share a code, so the
+stable sort keeps the same (value, position in the node) order and the
+cumsums add the same numbers in the same sequence; the flat argmax returns
+the first maximum in (feature, position) order, which is the tie-break
+above; and the threshold is the midpoint of the same two float values.
 """
 
 from __future__ import annotations
@@ -16,55 +29,72 @@ import random
 import numpy as np
 
 from ..seeding import derive_seed
+from .linear import _sigmoid
 
 _MIN_GAIN = 1e-12
 _MAX_LEAF_STEP = 10.0
 
 
-def _sigmoid(raw: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-np.clip(raw, -36.0, 36.0)))
+class _CodedMatrix:
+    """A design matrix plus, per column, its sorted distinct values and row codes.
+
+    `codes[j, i]` indexes `values[j]` at the value of row i in column j. Codes
+    are int16 while they fit, because numpy's stable sort of 16-bit integers
+    is a radix sort.
+    """
+
+    def __init__(self, x_mat):
+        n, p = x_mat.shape
+        self.x = x_mat
+        self.codes = np.empty((p, n), dtype=np.int16 if n < 2**15 else np.intp)
+        self.values = []
+        for j in range(p):
+            values, codes = np.unique(x_mat[:, j], return_inverse=True)
+            self.codes[j] = codes
+            self.values.append(values)
 
 
-def _best_split(x_mat, idx, t, min_leaf, feature_ids):
+def _best_split(data, idx, t, min_leaf, feature_ids):
     """Highest variance-reduction split over the given features, or None."""
     n = idx.size
     tt = t[idx]
     total = tt.sum()
     total_sq = (tt * tt).sum()
     parent_sse = total_sq - total * total / n
-    best_gain = _MIN_GAIN
-    best = None
-    for j in feature_ids:
-        xs = x_mat[idx, j]
-        order = np.argsort(xs, kind="stable")
-        sx = xs[order]
-        st = tt[order]
-        cut = np.nonzero(sx[:-1] < sx[1:])[0]  # split after position i
-        if cut.size == 0:
-            continue
-        left_n = cut + 1
-        right_n = n - left_n
-        valid = (left_n >= min_leaf) & (right_n >= min_leaf)
-        if not valid.any():
-            continue
-        cut = cut[valid]
-        left_n = left_n[valid]
-        right_n = right_n[valid]
-        csum = np.cumsum(st)[cut]
-        csq = np.cumsum(st * st)[cut]
-        left_sse = csq - csum * csum / left_n
-        right_sum = total - csum
-        right_sse = (total_sq - csq) - right_sum * right_sum / right_n
-        gain = (parent_sse - left_sse - right_sse) / n
-        k = int(np.argmax(gain))  # first max -> smallest threshold
-        if gain[k] > best_gain:
-            best_gain = float(gain[k])
-            pos = int(cut[k])
-            best = (j, (sx[pos] + sx[pos + 1]) / 2.0)
-    return best
+    node_codes = data.codes.take(feature_ids, axis=0).take(idx, axis=1)
+    order = node_codes.argsort(axis=1, kind="stable")
+    row_starts = np.arange(0, node_codes.size, n)[:, None]
+    sorted_codes = node_codes.ravel().take(order + row_starts)
+    # A cut after sorted position pos leaves pos + 1 rows on the left. Cuts at
+    # pos < width leave at least min_leaf rows on the right; the first
+    # min_leaf - 1 positions leave too few on the left. Every cut leaves at
+    # least one row on each side, so min_leaf below 1 acts as 1.
+    min_leaf = max(min_leaf, 1)
+    width = n - min_leaf
+    is_cut = sorted_codes[:, :width] != sorted_codes[:, 1 : width + 1]
+    is_cut[:, : min_leaf - 1] = False
+    cand = is_cut.ravel().nonzero()[0]  # row-major: feature, then position
+    if cand.size == 0:
+        return None
+    left_n = cand % width + 1
+    right_n = n - left_n
+    st = tt.take(order[:, :width])
+    csum = st.cumsum(axis=1).ravel().take(cand)
+    csq = (st * st).cumsum(axis=1).ravel().take(cand)
+    left_sse = csq - csum * csum / left_n
+    right_sum = total - csum
+    right_sse = (total_sq - csq) - right_sum * right_sum / right_n
+    gain = (parent_sse - left_sse - right_sse) / n
+    k = int(np.argmax(gain))  # first max -> earlier feature, then smaller threshold
+    if not gain[k] > _MIN_GAIN:
+        return None
+    r, c = divmod(int(cand[k]), width)
+    j = int(feature_ids[r])
+    values = data.values[j]
+    return j, (values[sorted_codes[r, c]] + values[sorted_codes[r, c + 1]]) / 2.0
 
 
-def _grow(x_mat, t, idx, depth, max_depth, min_leaf, sample_features, leaf_value):
+def _grow(data, t, idx, depth, max_depth, min_leaf, sample_features, leaf_value):
     """Recursive tree construction returning nested {"f","t","l","r"} / {"v"} dicts."""
     n = idx.size
     if depth >= max_depth or n < 2 * min_leaf:
@@ -72,17 +102,16 @@ def _grow(x_mat, t, idx, depth, max_depth, min_leaf, sample_features, leaf_value
     tt = t[idx]
     if tt.max() - tt.min() == 0.0:  # pure node
         return {"v": leaf_value(idx)}
-    split = _best_split(x_mat, idx, t, min_leaf, sample_features())
+    split = _best_split(data, idx, t, min_leaf, sample_features())
     if split is None:
         return {"v": leaf_value(idx)}
     j, thr = split
-    left = idx[x_mat[idx, j] <= thr]
-    right = idx[x_mat[idx, j] > thr]
+    go_left = data.x[idx, j] <= thr
     return {
-        "f": int(j),
+        "f": j,
         "t": float(thr),
-        "l": _grow(x_mat, t, left, depth + 1, max_depth, min_leaf, sample_features, leaf_value),
-        "r": _grow(x_mat, t, right, depth + 1, max_depth, min_leaf, sample_features, leaf_value),
+        "l": _grow(data, t, idx[go_left], depth + 1, max_depth, min_leaf, sample_features, leaf_value),
+        "r": _grow(data, t, idx[~go_left], depth + 1, max_depth, min_leaf, sample_features, leaf_value),
     }
 
 
@@ -112,14 +141,15 @@ class DecisionTree:
         del seed
         t = np.asarray(y, dtype=float)
         idx = np.arange(len(t))
+        all_features = np.arange(x_mat.shape[1])
         self.root = _grow(
-            x_mat,
+            _CodedMatrix(x_mat),
             t,
             idx,
             0,
             self.max_depth,
             self.min_leaf,
-            lambda: range(x_mat.shape[1]),
+            lambda: all_features,
             lambda leaf_idx: float(t[leaf_idx].mean()),
         )
         return self
@@ -154,13 +184,14 @@ class RandomForest:
         t = np.asarray(y, dtype=float)
         n, p = x_mat.shape
         m = max(1, math.isqrt(p))
+        data = _CodedMatrix(x_mat)
         self.roots = []
         for tree_i in range(self.n_trees):
             rng = random.Random(derive_seed(seed, "tree", tree_i))
             boot = np.asarray([rng.randrange(n) for _ in range(n)])
             sampler = lambda r=rng: sorted(r.sample(range(p), m))
             root = _grow(
-                x_mat,
+                data,
                 t,
                 boot,
                 0,
@@ -218,6 +249,8 @@ class GradientBoostedTrees:
         self.prior_log_odds = float(math.log(pos / (n - pos)))
         raw = np.full(n, self.prior_log_odds)
         idx = np.arange(n)
+        data = _CodedMatrix(x_mat)
+        all_features = np.arange(x_mat.shape[1])
         self.roots = []
         for _ in range(self.n_rounds):
             p = _sigmoid(raw)
@@ -229,13 +262,13 @@ class GradientBoostedTrees:
                 return float(np.clip(step, -_MAX_LEAF_STEP, _MAX_LEAF_STEP))
 
             root = _grow(
-                x_mat,
+                data,
                 residual,
                 idx,
                 0,
                 self.max_depth,
                 self.min_leaf,
-                lambda: range(x_mat.shape[1]),
+                lambda: all_features,
                 leaf_value,
             )
             self.roots.append(root)

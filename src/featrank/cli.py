@@ -157,10 +157,11 @@ def _smote_config(args) -> SmoteConfig | None:
     )
 
 
-def _emit(out_dir: Path, stem: str, rows, fmt: str) -> Path:
-    path = out_dir / f"{stem}.{'md' if fmt == 'md' else 'csv'}"
-    write_rows(path, rows, markdown=fmt == "md")
-    return path
+def _emit(out_dir: Path, stem: str, rows, fmt: str) -> None:
+    """Write one report as CSV, plus its Markdown rendering under --format md."""
+    write_rows(out_dir / f"{stem}.csv", rows)
+    if fmt == "md":
+        write_rows(out_dir / f"{stem}.md", rows, markdown=True)
 
 
 def cmd_weigh(args) -> int:
@@ -172,8 +173,6 @@ def cmd_weigh(args) -> int:
             table, n_bins=args.bins, relief_k=args.relief_k, seed=derive_seed(args.seed, "weigh")
         )
         _emit(out_dir, "weights", weight_matrix_rows(matrix), args.format)
-        if args.format == "md":
-            _emit(out_dir, "weights", weight_matrix_rows(matrix), "csv")
 
     _phase_compute(compute)
     print(f"wrote weight report for {len(table.feature_names())} attributes to {out_dir}")
@@ -196,8 +195,6 @@ def cmd_ablate(args) -> int:
             ("delta", delta_rows(report)),
         ):
             _emit(out_dir, stem, rows, args.format)
-            if args.format == "md":
-                _emit(out_dir, stem, rows, "csv")
         if args.save_model:
             model_dir = out_dir / "models"
             model_dir.mkdir(exist_ok=True)
@@ -238,21 +235,12 @@ def cmd_groups(args) -> int:
                 smote_cfg=_smote_config(args),
             )
         everyone = observed_groups(table)
-        _emit(
-            out_dir,
-            "group_rankings",
-            group_ranking_rows(rankings, [g for g in everyone if g not in rankings]),
-            args.format,
-        )
-        _emit(
-            out_dir,
-            "group_winners",
-            group_winner_rows(winners, [g for g in everyone if g not in winners]),
-            args.format,
-        )
-        if args.format == "md":
-            _emit(out_dir, "group_rankings", group_ranking_rows(rankings, [g for g in everyone if g not in rankings]), "csv")
-            _emit(out_dir, "group_winners", group_winner_rows(winners, [g for g in everyone if g not in winners]), "csv")
+        for stem, to_rows, results in (
+            ("group_rankings", group_ranking_rows, rankings),
+            ("group_winners", group_winner_rows, winners),
+        ):
+            skipped = [g for g in everyone if g not in results]
+            _emit(out_dir, stem, to_rows(results, skipped), args.format)
         return rankings, winners
 
     rankings, winners = _phase_compute(compute)
@@ -270,7 +258,11 @@ def cmd_synth(args) -> int:
         if args.seed:
             spec = synth.with_seed(spec, args.seed)
     else:
-        spec = synth.default_cohort_spec(n_rows=args.rows or 1000, seed=args.seed)
+        rows = 1000 if args.rows is None else args.rows
+        try:
+            spec = synth.default_cohort_spec(n_rows=rows, seed=args.seed)
+        except ValueError as exc:
+            raise ConfigError(f"--rows {rows}: {exc}") from exc
     out_dir = _ensure_out(args.out)
 
     def compute():

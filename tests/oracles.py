@@ -1,13 +1,16 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here is written as directly as possible: explicit loops over
-contingency dicts, O(n^2) scans, no numpy. Speed is irrelevant; obviousness
-is the point. The production code must agree with these references to the
+contingency dicts, O(n^2) scans, one feature at a time, and numpy only where
+the production code's floating-point summation order must be reproduced
+exactly. Speed is irrelevant; obviousness is the point. The production code must agree with these references to the
 tolerances asserted in the test suite.
 """
 
 import math
 import random
+
+import numpy as np
 
 
 # --- contingency-table weighters -------------------------------------------
@@ -155,6 +158,55 @@ def oracle_relief(features, y, k):
             miss_sum = sum(diff(kind, arr[i], arr[j]) for j in misses)
             weights[name] += (miss_sum - hit_sum) / denom
     return weights
+
+
+# --- tree split search -----------------------------------------------------
+
+
+def oracle_best_split(x_mat, idx, t, min_leaf, feature_ids, min_gain=1e-12):
+    """Highest variance-reduction split of the rows `idx`, or None.
+
+    Scans one feature at a time: a stable sort of the feature's float values,
+    a cut wherever the sorted value changes, and the gain of each cut that
+    leaves at least `min_leaf` rows on both sides. Returns (feature,
+    threshold) with the threshold at the midpoint of the two values around
+    the cut. Ties break toward the earlier feature, then the smaller
+    threshold. The sums run in the same order as the production scan, so the
+    two must agree exactly.
+    """
+    n = idx.size
+    tt = t[idx]
+    total = tt.sum()
+    total_sq = (tt * tt).sum()
+    parent_sse = total_sq - total * total / n
+    best_gain = min_gain
+    best = None
+    for j in feature_ids:
+        xs = x_mat[idx, j]
+        order = np.argsort(xs, kind="stable")
+        sx = xs[order]
+        st = tt[order]
+        cut = np.nonzero(sx[:-1] < sx[1:])[0]  # split after position i
+        left_n = cut + 1
+        right_n = n - left_n
+        valid = (left_n >= min_leaf) & (right_n >= min_leaf)
+        if not valid.any():
+            continue
+        cut = cut[valid]
+        left_n = left_n[valid]
+        right_n = right_n[valid]
+        csum = np.cumsum(st)[cut]
+        csq = np.cumsum(st * st)[cut]
+        left_sse = csq - csum * csum / left_n
+        right_sum = total - csum
+        right_sse = (total_sq - csq) - right_sum * right_sum / right_n
+        gain = (parent_sse - left_sse - right_sse) / n
+        k = int(np.argmax(gain))  # first max -> smallest threshold
+        if gain[k] > best_gain:
+            best_gain = float(gain[k])
+            pos = int(cut[k])
+            best = (j, (sx[pos] + sx[pos + 1]) / 2.0)
+    return best
 
 
 # --- pairwise AUC ------------------------------------------------------------

@@ -9,8 +9,15 @@ import pytest
 import featrank as fr
 from featrank.classifiers import CLASSIFIERS, ClassifierSpec, default_specs
 from featrank.classifiers.mlp import _loss_and_grads
-from featrank.classifiers.trees import _sigmoid, _tree_apply
+from featrank.classifiers.trees import (
+    DecisionTree,
+    _best_split,
+    _CodedMatrix,
+    _sigmoid,
+    _tree_apply,
+)
 from helpers import make_table
+from oracles import oracle_best_split
 
 
 def toy_table(n=60, seed=0, with_cat=True):
@@ -228,6 +235,93 @@ class TestKindSpecifics:
         a = fr.predict_scores(fr.fit(ClassifierSpec(kind="glm"), t), t)
         b = fr.predict_scores(fr.fit(ClassifierSpec(kind="glm"), scaled), scaled)
         assert max(abs(x - y) for x, y in zip(a, b)) < 1e-6
+
+
+def tie_heavy_matrix(rng, n):
+    """One-hot 0/1 columns (two of them exact complements) and rounded numerics."""
+    onehot = (rng.random(n) < 0.35).astype(float)
+    return np.column_stack([
+        onehot,
+        np.round(rng.normal(size=n), 1),
+        1.0 - onehot,
+        (rng.random(n) < 0.5).astype(float),
+        np.round(rng.normal(size=n) * 3.0),
+        rng.normal(size=n),
+    ])
+
+
+def assert_splits_match_oracle(node, x_mat, t, idx, min_leaf, features) -> int:
+    """Check every internal node's split against the oracle; return the node count."""
+    if "v" in node:
+        return 0
+    assert (node["f"], node["t"]) == oracle_best_split(x_mat, idx, t, min_leaf, features)
+    left = x_mat[idx, node["f"]] <= node["t"]
+    return (
+        1
+        + assert_splits_match_oracle(node["l"], x_mat, t, idx[left], min_leaf, features)
+        + assert_splits_match_oracle(node["r"], x_mat, t, idx[~left], min_leaf, features)
+    )
+
+
+class TestSplitSearch:
+    """The coded all-features scan picks exactly the split of the per-feature oracle."""
+
+    @pytest.mark.parametrize("min_leaf", range(0, 9))
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_oracle(self, min_leaf, seed):
+        rng = np.random.default_rng(seed)
+        n = 150
+        x_mat = tie_heavy_matrix(rng, n)
+        p = x_mat.shape[1]
+        data = _CodedMatrix(x_mat)
+        y01 = (rng.random(n) < 0.4 + 0.3 * x_mat[:, 0]).astype(float)
+        residual = y01 - np.round(rng.random(n), 2)  # GBT-style float targets with ties
+        bootstrap = rng.integers(0, n, n)  # duplicates, not ascending
+        cases = [
+            (np.arange(n), y01, np.arange(p)),
+            (np.arange(n), residual, np.arange(p)),
+            (bootstrap, y01, np.arange(p)),
+            (bootstrap, residual, np.asarray([0, 2, 4])),
+            (rng.permutation(n)[:45], residual, np.asarray([1, 2, 5])),
+            (bootstrap[:30], y01, np.asarray([2])),
+        ]
+        found = 0
+        for idx, t, features in cases:
+            got = _best_split(data, idx, t, min_leaf, features)
+            assert got == oracle_best_split(x_mat, idx, t, min_leaf, features)
+            found += got is not None
+        assert found >= 3
+
+    def test_complement_columns_tie_toward_earlier_feature(self):
+        rng = np.random.default_rng(5)
+        x_mat = tie_heavy_matrix(rng, 80)
+        t = x_mat[:, 0].copy()  # columns 0 and 2 give the same perfect split
+        split = _best_split(_CodedMatrix(x_mat), np.arange(80), t, 1, np.arange(6))
+        assert split == (0, 0.5)
+        assert _best_split(_CodedMatrix(x_mat), np.arange(80), t, 1, np.arange(2, 6)) == (2, 0.5)
+
+    @pytest.mark.parametrize("min_leaf", [1, 3, 8])
+    def test_decision_tree_splits_match_oracle(self, min_leaf):
+        rng = np.random.default_rng(min_leaf)
+        x_mat = tie_heavy_matrix(rng, 200)
+        t = (rng.random(200) < 0.3 + 0.4 * x_mat[:, 3]).astype(float)
+        tree = DecisionTree(max_depth=6, min_leaf=min_leaf).fit(x_mat, t)
+        nodes = assert_splits_match_oracle(
+            tree.root, x_mat, t, np.arange(200), min_leaf, range(x_mat.shape[1])
+        )
+        assert nodes >= 5
+
+    def test_codes_wider_than_int16(self):
+        # more distinct values than int16 holds; wrapped codes would sort the
+        # largest values first and corrupt every split without an error
+        n = 2**15 + 700
+        rng = np.random.default_rng(0)
+        rank = rng.permutation(n)
+        x_mat = (rank / 7.0)[:, None]
+        t = ((rank >= n - 500) ^ (rank % 97 == 0)).astype(float)
+        assert _CodedMatrix(x_mat).codes.max() == n - 1
+        tree = DecisionTree(max_depth=2, min_leaf=5).fit(x_mat, t)
+        assert assert_splits_match_oracle(tree.root, x_mat, t, np.arange(n), 5, [0]) == 3
 
 
 class TestGradientCheck:

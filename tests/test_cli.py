@@ -55,6 +55,13 @@ class TestSynth:
         assert run("synth", "--spec", str(bad), "--out", str(tmp_path / "o")) == 1
         assert "invalid synth spec" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rows", ["-5", "0", "99"])
+    def test_too_few_rows_is_config_error(self, tmp_path, capsys, rows):
+        assert run("synth", "--rows", rows, "--out", str(tmp_path / "o")) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "at least 100" in err
+        assert not (tmp_path / "o").exists()
+
 
 class TestWeigh:
     def test_csv_report(self, cohort, tmp_path, capsys):

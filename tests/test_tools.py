@@ -1,0 +1,35 @@
+"""The report-diff tool that backs "same results" claims."""
+
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TOOL = ROOT / "tools" / "compare_reports.py"
+
+
+def compare(old_src, new_src, tmp_path):
+    # the warm-up cohort alone: one 100-row ablate job per tree
+    return subprocess.run(
+        [sys.executable, str(TOOL), str(old_src), str(new_src), "--workloads", "ablate",
+         "--seeds", "1", "--cohorts", "0", "--work", str(tmp_path / "work")],
+        capture_output=True, text=True, timeout=300,
+    )
+
+
+def test_same_tree_reports_identical(tmp_path):
+    result = compare(ROOT / "src", ROOT / "src", tmp_path)
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert "ablate seed 1:" in result.stdout and "identical" in result.stdout
+
+
+def test_changed_report_bytes_are_listed(tmp_path):
+    changed = tmp_path / "src"
+    shutil.copytree(ROOT / "src", changed, ignore=shutil.ignore_patterns("__pycache__"))
+    with open(changed / "featrank" / "reporting.py", "a", encoding="utf-8") as fh:
+        fh.write("\n_plain_csv = rows_to_csv\nrows_to_csv = lambda rows: _plain_csv(rows) + '\\n'\n")
+    result = compare(ROOT / "src", changed, tmp_path)
+    assert result.returncode == 1
+    assert "differs: reports/warmup/delta.csv" in result.stdout
+    assert "differs: cohorts/warmup/cohort.csv" not in result.stdout

@@ -1,0 +1,138 @@
+#!/usr/bin/env python3
+"""Diff what two featrank source trees write for the benchmark's cohorts.
+
+    python3 tools/compare_reports.py OLD_SRC NEW_SRC [--workloads rank ablate groups]
+        [--seeds 1 7919] [--cohorts N] [--work DIR]
+
+OLD_SRC and NEW_SRC are `src/` directories. For every workload and seed, each
+tree generates the benchmark's cohorts with `featrank synth --spec` (the recipe,
+seeds and sizes are read from perfbench/workloads.py) and runs the workload's
+command on each of them, in a fresh process per tree. The script then lists
+every cohort or report file whose bytes differ between the trees. Exit code 0
+means every file matched, 1 that some differ or a command failed.
+
+A change that claims the same results runs this against the tree it started
+from, for example a `git archive` of the parent commit.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
+
+
+def _workloads():
+    sys.dont_write_bytecode = True  # leave no bytecode cache inside perfbench/
+    sys.path.insert(0, str(PERFBENCH))
+    import workloads
+
+    return workloads
+
+
+def _quiet_main(cli, argv) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return cli.main(argv)
+
+
+def run_tree(src: Path, out: Path, workload_name: str, seed: int, count: int | None) -> int:
+    """Generate one workload's cohorts and run its command on each, with the program at src."""
+    sys.path.insert(0, str(src))
+    import featrank
+    import featrank.cli as cli
+
+    wl = _workloads()
+    workload = wl.WORKLOADS[workload_name]
+    jobs = [("warmup", wl.WARMUP_ROWS)] + [(i, workload.rows) for i in range(workload.pool)]
+    failed = 0
+    for index, rows in jobs[: None if count is None else count + 1]:
+        name = index if index == "warmup" else f"{index:03d}"
+        cohort = out / "cohorts" / name
+        cohort.mkdir(parents=True)
+        spec = wl.spec_json(featrank, workload, rows, wl.cohort_seed(seed, workload.name, index))
+        (cohort / "spec.json").write_text(json.dumps(spec), encoding="utf-8")
+        for argv in (
+            ["synth", "--spec", str(cohort / "spec.json"), "--out", str(cohort)],
+            workload.job_args(cohort, out / "reports" / name),
+        ):
+            rc = _quiet_main(cli, argv)
+            if rc != 0:
+                print(f"{src}: featrank {argv[0]} exited with code {rc} on cohort {name}")
+                failed += 1
+                break
+    return 1 if failed else 0
+
+
+def differing_files(a: Path, b: Path) -> list[str]:
+    files_a = {p.relative_to(a) for p in a.rglob("*") if p.is_file()}
+    files_b = {p.relative_to(b) for p in b.rglob("*") if p.is_file()}
+    out = [f"only under {a.name}: {p}" for p in sorted(files_a - files_b)]
+    out += [f"only under {b.name}: {p}" for p in sorted(files_b - files_a)]
+    out += [
+        f"differs: {p}"
+        for p in sorted(files_a & files_b)
+        if (a / p).read_bytes() != (b / p).read_bytes()
+    ]
+    return out
+
+
+def compare(args, work: Path) -> int:
+    status = 0
+    for workload in args.workloads:
+        for seed in args.seeds:
+            dirs = []
+            for tag, src in (("old", args.old_src), ("new", args.new_src)):
+                out = work / f"{workload}-seed{seed}" / tag
+                shutil.rmtree(out, ignore_errors=True)
+                cmd = [sys.executable, __file__, "--run", str(src), str(out), workload, str(seed)]
+                if args.cohorts is not None:
+                    cmd.append(str(args.cohorts))
+                if subprocess.run(cmd).returncode != 0:
+                    status = 1
+                dirs.append(out)
+            diffs = differing_files(*dirs)
+            n_files = sum(1 for p in dirs[0].rglob("*") if p.is_file())
+            verdict = "identical" if not diffs else f"{len(diffs)} differ"
+            print(f"{workload} seed {seed}: {n_files} files, {verdict}")
+            for line in diffs:
+                print(f"  {line}")
+            status |= bool(diffs)
+    return status
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if argv[:1] == ["--run"]:
+        src, out, workload, seed, *count = argv[1:]
+        return run_tree(Path(src), Path(out), workload, int(seed), int(count[0]) if count else None)
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("old_src", type=Path, help="src/ directory of the reference tree")
+    parser.add_argument("new_src", type=Path, help="src/ directory of the changed tree")
+    parser.add_argument("--workloads", nargs="+", default=["rank", "ablate", "groups"])
+    parser.add_argument("--seeds", nargs="+", type=int, default=[1, 7919])
+    parser.add_argument(
+        "--cohorts", type=int, help="timed cohorts per workload and seed (default: the whole pool)"
+    )
+    parser.add_argument("--work", type=Path, help="keep the outputs here (default: a temporary directory)")
+    args = parser.parse_args(argv)
+    for src in (args.old_src, args.new_src):
+        if not (src / "featrank" / "__init__.py").is_file():
+            parser.error(f"{src} is not a src/ directory holding the featrank package")
+    args.old_src, args.new_src = args.old_src.resolve(), args.new_src.resolve()
+    if args.work is not None:
+        return compare(args, args.work.resolve())
+    with tempfile.TemporaryDirectory(prefix="compare_reports-") as tmp:
+        return compare(args, Path(tmp))
+
+
+if __name__ == "__main__":
+    sys.exit(main())
