@@ -1,12 +1,12 @@
 """Minority oversampling with mixed numeric/categorical interpolation.
 
-Synthetic rows are built from a minority anchor and one of its k nearest
-minority neighbors: numeric cells move a shared uniform random fraction of
-the way to the neighbor, categorical cells take the majority value among the
-k neighbors (anchor's value on ties). Anchors are visited round-robin in a
-seeded shuffled order until the minority class reaches the requested size.
-Every synthetic row's (anchor, neighbor) pair is recorded on the output table
-so resampling can be audited against evaluation splits.
+Synthetic rows are built from a minority anchor and one of its k nearest minority
+neighbors under the distance defined in `neighbors.py`: numeric cells move a shared
+uniform random fraction of the way to the neighbor, categorical cells take the majority
+value among the k neighbors (anchor's value on ties). Anchors are visited round-robin
+in a seeded shuffled order until the minority class reaches the requested size. Every
+synthetic row's (anchor, neighbor) pair is recorded on the output table so resampling
+can be audited against evaluation splits.
 """
 
 from __future__ import annotations
@@ -15,9 +15,8 @@ import math
 import random
 from dataclasses import dataclass
 
-import numpy as np
-
 from .dataio import NUMERIC, ROLE_LABEL, Table
+from .neighbors import encode, k_nearest
 
 
 @dataclass(frozen=True)
@@ -40,53 +39,22 @@ class SmoteConfig:
             raise ValueError("target_ratio must be in (0, 1]")
 
 
-def _minority_info(table: Table) -> tuple[int, list[int]]:
-    """Minority label (0/1, ties to the positive class) and its row indices."""
+def _minority_rows(table: Table, k: int) -> list[int]:
+    """Row indices of the minority label (the positive class unless it is the
+    strict majority); errors unless each has k other minority rows."""
     y = table.label01()
-    n_pos = sum(y)
-    minority_label = 1 if n_pos * 2 <= len(y) else 0
-    return minority_label, [i for i, v in enumerate(y) if v == minority_label]
-
-
-def _minority_distance_matrix(table: Table, minority_idx: list[int]) -> np.ndarray:
-    """Pairwise distances among minority rows.
-
-    Numerics are min-max normalized over the full table before the absolute
-    difference; categoricals contribute 0/1 mismatch. Matches the Relief
-    distance so neighbor structure is consistent across the package.
-    """
-    m = len(minority_idx)
-    dist = np.zeros((m, m))
-    sel = np.asarray(minority_idx)
-    for name in table.feature_names():
-        col = table.column(name)
-        if table.column_schema(name).kind == NUMERIC:
-            arr = np.asarray(col, dtype=float)
-            span = arr.max() - arr.min()
-            arr = (arr - arr.min()) / span if span > 0 else np.zeros_like(arr)
-            sub = arr[sel]
-            dist += np.abs(sub[:, None] - sub[None, :])
-        else:
-            uniq = {v: i for i, v in enumerate(sorted(set(col)))}
-            codes = np.asarray([uniq[v] for v in col], dtype=np.int64)[sel]
-            dist += (codes[:, None] != codes[None, :]).astype(float)
-    return dist
+    minority_label = 1 if sum(y) * 2 <= len(y) else 0
+    rows = [i for i, v in enumerate(y) if v == minority_label]
+    if len(rows) <= k:
+        raise ValueError(f"minority class has {len(rows)} rows; k={k} needs at least {k + 1}")
+    return rows
 
 
 def _all_minority_neighbors(table: Table, k: int) -> dict[int, list[int]]:
     """Every minority row's k nearest minority rows, as original row indices."""
-    minority_label, minority_idx = _minority_info(table)
-    del minority_label
-    if len(minority_idx) <= k:
-        raise ValueError(
-            f"minority class has {len(minority_idx)} rows; k={k} needs at least {k + 1}"
-        )
-    dist = _minority_distance_matrix(table, minority_idx)
-    out: dict[int, list[int]] = {}
-    for local, row in enumerate(minority_idx):
-        order = np.argsort(dist[local], kind="stable")  # stable -> index tie-break
-        out[row] = [minority_idx[j] for j in order if j != local][:k]
-    return out
+    minority_idx = _minority_rows(table, k)
+    nearest = k_nearest(encode(table), minority_idx, minority_idx, k)
+    return dict(zip(minority_idx, nearest.tolist()))
 
 
 def minority_neighbors(table: Table, row: int, k: int) -> list[int]:
@@ -97,10 +65,29 @@ def minority_neighbors(table: Table, row: int, k: int) -> list[int]:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    _, minority_idx = _minority_info(table)
+    minority_idx = _minority_rows(table, k)
     if row not in minority_idx:
         raise ValueError(f"row {row} is not a minority-class row")
-    return _all_minority_neighbors(table, k)[row]
+    return k_nearest(encode(table), [row], minority_idx, k)[0].tolist()
+
+
+def _anchor_cells(table: Table, anchor: int, neighbors: list[int]) -> list:
+    """The cells every synthetic row from this anchor shares: its label, and per
+    categorical column the majority value among its neighbors (the anchor's own
+    value on ties). Numeric cells are None, to be interpolated per row."""
+    a_row = table.rows[anchor]
+    cells = []
+    for j, col in enumerate(table.schema):
+        if col.role == ROLE_LABEL:
+            cells.append(a_row[j])
+        elif col.kind == NUMERIC:
+            cells.append(None)
+        else:
+            votes = [table.rows[i][j] for i in neighbors]
+            top = max(map(votes.count, votes))
+            winners = [v for v in dict.fromkeys(votes) if votes.count(v) == top]
+            cells.append(winners[0] if len(winners) == 1 else a_row[j])
+    return cells
 
 
 def smote(table: Table, config: SmoteConfig) -> Table:
@@ -113,8 +100,7 @@ def smote(table: Table, config: SmoteConfig) -> Table:
     y = table.label01()
     if len(set(y)) < 2:
         raise ValueError("cannot oversample a single-class table")
-    minority_label, minority_idx = _minority_info(table)
-    n_minority = len(minority_idx)
+    n_minority = len(_minority_rows(table, 0))
     n_majority = len(y) - n_minority
     target = math.ceil(config.target_ratio * n_majority)
     need = target - n_minority
@@ -124,10 +110,11 @@ def smote(table: Table, config: SmoteConfig) -> Table:
     neighbors = _all_minority_neighbors(table, config.k_neighbors)
 
     rng = random.Random(config.seed)
-    anchors = list(minority_idx)
+    anchors = list(neighbors)  # the minority rows, ascending
     rng.shuffle(anchors)
+    fixed = {a: _anchor_cells(table, a, neighbors[a]) for a in anchors[:need]}  # the anchors to be used
 
-    schema = table.schema
+    numeric = [j for j, col in enumerate(table.schema) if col.role != ROLE_LABEL and col.kind == NUMERIC]
     new_rows = []
     pairs = []
     for t in range(need):
@@ -135,27 +122,16 @@ def smote(table: Table, config: SmoteConfig) -> Table:
         neigh_list = neighbors[anchor]
         neighbor = neigh_list[rng.randrange(len(neigh_list))]
         u = rng.random()  # one interpolation fraction shared by all numerics
+        cells = list(fixed[anchor])
         a_row = table.rows[anchor]
         n_row = table.rows[neighbor]
-        cells = []
-        for j, col in enumerate(schema):
-            if col.role == ROLE_LABEL:
-                cells.append(a_row[j])
-            elif col.kind == NUMERIC:
-                cells.append(a_row[j] + u * (n_row[j] - a_row[j]))
-            else:
-                votes: dict = {}
-                for idx in neigh_list:
-                    v = table.rows[idx][j]
-                    votes[v] = votes.get(v, 0) + 1
-                best = max(votes.values())
-                winners = [v for v, c in votes.items() if c == best]
-                cells.append(winners[0] if len(winners) == 1 else a_row[j])
+        for j in numeric:
+            cells[j] = a_row[j] + u * (n_row[j] - a_row[j])
         new_rows.append(tuple(cells))
         pairs.append((anchor, neighbor))
 
     return Table(
-        schema=schema,
+        schema=table.schema,
         rows=table.rows + tuple(new_rows),
         imputations=table.imputations,
         smote_pairs=table.smote_pairs + tuple(pairs),

@@ -2,8 +2,8 @@
 
 The entropy/impurity/chi-squared/rule weighters operate on discrete attribute
 values; numeric attributes are discretized first with equal-frequency bin
-edges. Relief works on raw values (min-max normalized numerics, 0/1 mismatch
-for categoricals) and scores all attributes in one pass over the instances.
+edges. Relief works on raw values with the row distance defined in
+`neighbors.py` and scores all attributes in one pass over the instances.
 All entropies are in bits.
 """
 
@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataio import CATEGORICAL, NUMERIC, ROLE_LABEL, Table
+from .neighbors import diff, encode, k_nearest
 from .seeding import derive_seed
 
 ALGORITHMS = ("information_gain", "gini_index", "rule", "uncertainty", "relief", "chi_squared")
@@ -61,11 +62,9 @@ def equal_frequency_edges(column: str, values, n_bins: int) -> BinEdges:
     arr = np.asarray(list(values), dtype=float)
     if arr.size == 0:
         raise ValueError(f"no values to bin for column {column!r}")
-    qs = [np.quantile(arr, i / n_bins) for i in range(1, n_bins)]
     lo, hi = float(arr.min()), float(arr.max())
     edges = []
-    for q in qs:
-        q = float(q)
+    for q in np.quantile(arr, [i / n_bins for i in range(1, n_bins)]).tolist():
         if lo < q < hi and (not edges or q > edges[-1]):
             edges.append(q)
     return BinEdges(column=column, edges=tuple(edges))
@@ -108,7 +107,7 @@ def _gini(counts) -> float:
 
 
 def _contingency(values, labels01):
-    """Per-attribute-value [negatives, positives] counts, plus totals."""
+    """Per-attribute-value [negatives, positives] counts, in first-seen value order."""
     by_value: dict = {}
     for v, y in zip(values, labels01):
         cell = by_value.setdefault(v, [0, 0])
@@ -116,62 +115,57 @@ def _contingency(values, labels01):
     return by_value
 
 
+def _attribute_contingency(table: Table, attribute: str, bins: BinEdges | None) -> dict:
+    return _contingency(_discrete_values(table, attribute, bins), table.label01())
+
+
+def _discrete_scores(by_value: dict) -> dict[str, float]:
+    """The five contingency-table weights of one attribute, by algorithm name."""
+    labels = [sum(c[0] for c in by_value.values()), sum(c[1] for c in by_value.values())]
+    n = sum(labels)
+    majority = 1 if labels[1] > labels[0] else 0  # exact tie -> negative class
+    h_cond = g_cond = chi = 0.0
+    correct = 0
+    for counts in by_value.values():
+        row_total = sum(counts)
+        h_cond += (row_total / n) * entropy(counts)
+        g_cond += (row_total / n) * _gini(counts)
+        for j in (0, 1):
+            expected = row_total * labels[j] / n
+            if expected > 0:
+                chi += (counts[j] - expected) ** 2 / expected
+        # OneR: each value predicts its majority label; a tied value predicts the global one
+        correct += max(counts) if counts[0] != counts[1] else counts[majority]
+    ig = max(0.0, entropy(labels) - h_cond)
+    h_attr, h_label = entropy([sum(c) for c in by_value.values()]), entropy(labels)
+    su = 0.0 if h_attr == 0.0 or h_label == 0.0 else min(1.0, max(0.0, 2.0 * ig / (h_attr + h_label)))
+    return {
+        "information_gain": ig,
+        "gini_index": max(0.0, _gini(labels) - g_cond),
+        "rule": correct / n,
+        "uncertainty": su,
+        "chi_squared": chi,
+    }
+
+
 def weight_information_gain(table: Table, attribute: str, bins: BinEdges | None = None) -> float:
     """H(label) - sum_v p(v) H(label | v) over discretized attribute values."""
-    values = _discrete_values(table, attribute, bins)
-    y = table.label01()
-    n = len(y)
-    h_label = entropy([y.count(0), y.count(1)])
-    cond = 0.0
-    for counts in _contingency(values, y).values():
-        cond += (sum(counts) / n) * entropy(counts)
-    return max(0.0, h_label - cond)
+    return _discrete_scores(_attribute_contingency(table, attribute, bins))["information_gain"]
 
 
 def weight_gini_index(table: Table, attribute: str, bins: BinEdges | None = None) -> float:
     """Gini impurity of the label minus its attribute-conditional impurity."""
-    values = _discrete_values(table, attribute, bins)
-    y = table.label01()
-    n = len(y)
-    g_label = _gini([y.count(0), y.count(1)])
-    cond = 0.0
-    for counts in _contingency(values, y).values():
-        cond += (sum(counts) / n) * _gini(counts)
-    return max(0.0, g_label - cond)
+    return _discrete_scores(_attribute_contingency(table, attribute, bins))["gini_index"]
 
 
 def weight_uncertainty(table: Table, attribute: str, bins: BinEdges | None = None) -> float:
     """Symmetrical uncertainty 2*IG / (H(attribute) + H(label)), 0 for constants."""
-    values = _discrete_values(table, attribute, bins)
-    y = table.label01()
-    value_counts: dict = {}
-    for v in values:
-        value_counts[v] = value_counts.get(v, 0) + 1
-    h_attr = entropy(list(value_counts.values()))
-    if h_attr == 0.0:
-        return 0.0
-    h_label = entropy([y.count(0), y.count(1)])
-    if h_label == 0.0:
-        return 0.0
-    ig = weight_information_gain(table, attribute, bins)
-    return min(1.0, max(0.0, 2.0 * ig / (h_attr + h_label)))
+    return _discrete_scores(_attribute_contingency(table, attribute, bins))["uncertainty"]
 
 
 def weight_chi_squared(table: Table, attribute: str, bins: BinEdges | None = None) -> float:
     """Pearson chi-squared statistic of the attribute x label contingency table."""
-    values = _discrete_values(table, attribute, bins)
-    y = table.label01()
-    n = len(y)
-    by_value = _contingency(values, y)
-    col_totals = [sum(c[0] for c in by_value.values()), sum(c[1] for c in by_value.values())]
-    stat = 0.0
-    for counts in by_value.values():
-        row_total = sum(counts)
-        for j in (0, 1):
-            expected = row_total * col_totals[j] / n
-            if expected > 0:
-                stat += (counts[j] - expected) ** 2 / expected
-    return stat
+    return _discrete_scores(_attribute_contingency(table, attribute, bins))["chi_squared"]
 
 
 def weight_rule(table: Table, attribute: str, bins: BinEdges | None = None) -> float:
@@ -181,51 +175,17 @@ def weight_rule(table: Table, attribute: str, bins: BinEdges | None = None) -> f
     fall back to the global majority. The result is never below the
     majority-class proportion.
     """
-    values = _discrete_values(table, attribute, bins)
-    y = table.label01()
-    n = len(y)
-    n_pos = sum(y)
-    global_majority = 1 if n_pos * 2 > n else 0  # exact tie -> negative class
-    correct = 0
-    for counts in _contingency(values, y).values():
-        if counts[1] > counts[0]:
-            correct += counts[1]
-        elif counts[0] > counts[1]:
-            correct += counts[0]
-        else:
-            correct += counts[global_majority]
-    return correct / n
-
-
-def _relief_feature_arrays(table: Table):
-    """Per-feature arrays for Relief: normalized floats or category codes."""
-    arrays = []
-    for name in table.feature_names():
-        col = table.column(name)
-        if table.column_schema(name).kind == NUMERIC:
-            arr = np.asarray(col, dtype=float)
-            span = arr.max() - arr.min()
-            if span > 0:
-                arr = (arr - arr.min()) / span
-            else:
-                arr = np.zeros_like(arr)
-            arrays.append((name, "num", arr))
-        else:
-            uniq = {v: i for i, v in enumerate(sorted(set(col)))}
-            codes = np.asarray([uniq[v] for v in col], dtype=np.int64)
-            arrays.append((name, "cat", codes))
-    return arrays
+    return _discrete_scores(_attribute_contingency(table, attribute, bins))["rule"]
 
 
 def weight_relief(table: Table, k_neighbors: int, seed: int = 0) -> dict[str, float]:
     """ReliefF weights over all feature columns.
 
     Every instance serves as an anchor; its k nearest same-class hits and k
-    nearest other-class misses (distance = summed per-feature diff, ties by
-    ascending row index) push each attribute's weight by diff/(n*k), up for
-    misses and down for hits. Weights land in [-1, 1]. The seed is accepted
-    for interface symmetry; with all instances used the result is
-    seed-independent.
+    nearest other-class misses (distance and tie-break from `neighbors`) push
+    each attribute's weight by diff/(n*k), up for misses and down for hits,
+    summed in anchor order. Weights land in [-1, 1]. The seed is accepted for
+    interface symmetry; with all instances used the result is seed-independent.
     """
     del seed
     if k_neighbors < 1:
@@ -239,34 +199,20 @@ def weight_relief(table: Table, k_neighbors: int, seed: int = 0) -> dict[str, fl
                 f"class {cls} has {size} rows; Relief with k={k_neighbors} needs at least {k_neighbors + 1}"
             )
 
-    arrays = _relief_feature_arrays(table)
-    weights = {name: 0.0 for name, _, _ in arrays}
+    features = encode(table)
+    terms = np.empty((n, len(features)))  # one term per anchor and feature
     denom = float(n * k_neighbors)
-
-    block = 512
-    for start in range(0, n, block):
-        stop = min(start + block, n)
-        dist = np.zeros((stop - start, n))
-        for _, kind, arr in arrays:
-            if kind == "num":
-                dist += np.abs(arr[start:stop, None] - arr[None, :])
-            else:
-                dist += (arr[start:stop, None] != arr[None, :]).astype(float)
-        for local, i in enumerate(range(start, stop)):
-            order = np.argsort(dist[local], kind="stable")  # stable -> index tie-break
-            same = y[order] == y[i]
-            hit_order = order[same]
-            hit_order = hit_order[hit_order != i][:k_neighbors]
-            miss_order = order[~same][:k_neighbors]
-            for name, kind, arr in arrays:
-                if kind == "num":
-                    hit_diff = float(np.abs(arr[i] - arr[hit_order]).sum())
-                    miss_diff = float(np.abs(arr[i] - arr[miss_order]).sum())
-                else:
-                    hit_diff = float((arr[i] != arr[hit_order]).sum())
-                    miss_diff = float((arr[i] != arr[miss_order]).sum())
-                weights[name] += (miss_diff - hit_diff) / denom
-    return weights
+    for cls in (0, 1):
+        anchors = np.flatnonzero(y == cls)
+        hits = k_nearest(features, anchors, anchors, k_neighbors)
+        misses = k_nearest(features, anchors, np.flatnonzero(y != cls), k_neighbors)
+        for f, (_, arr) in enumerate(features):
+            own = arr[anchors, None]
+            hit_diff = diff(own, arr[hits]).sum(axis=1)
+            miss_diff = diff(own, arr[misses]).sum(axis=1)
+            terms[anchors, f] = (miss_diff - hit_diff) / denom
+    total = np.cumsum(terms, axis=0)[-1]  # sequential, in anchor order
+    return {name: float(w) for (name, _), w in zip(features, total)}
 
 
 def rank_attributes(weights: dict[str, float]) -> dict[str, int]:
@@ -322,15 +268,11 @@ def weigh_all(table: Table, n_bins: int = 10, relief_k: int = 10, seed: int = 0)
             bins[name] = equal_frequency_edges(name, table.column(name), n_bins)
 
     relief = weight_relief(table, relief_k, derive_seed(seed, "relief"))
-    weight: dict[str, dict[str, float]] = {a: {} for a in attrs}
+    y = table.label01()
+    weight: dict[str, dict[str, float]] = {}
     for a in attrs:
-        b = bins.get(a)
-        weight[a]["information_gain"] = weight_information_gain(table, a, b)
-        weight[a]["gini_index"] = weight_gini_index(table, a, b)
-        weight[a]["rule"] = weight_rule(table, a, b)
-        weight[a]["uncertainty"] = weight_uncertainty(table, a, b)
-        weight[a]["relief"] = relief[a]
-        weight[a]["chi_squared"] = weight_chi_squared(table, a, b)
+        scores = _discrete_scores(_contingency(_discrete_values(table, a, bins.get(a)), y))
+        weight[a] = {alg: relief[a] if alg == "relief" else scores[alg] for alg in ALGORITHMS}
 
     rank: dict[str, dict[str, int]] = {a: {} for a in attrs}
     for alg in ALGORITHMS:

@@ -160,6 +160,77 @@ def oracle_relief(features, y, k):
     return weights
 
 
+def _relief_encoding(table):
+    """(name, is_numeric, array) per feature: min-max normalized floats or sorted-category codes."""
+    arrays = []
+    for name in table.feature_names():
+        col = table.column(name)
+        if table.column_schema(name).kind == "numeric":
+            arr = np.asarray(col, dtype=float)
+            span = arr.max() - arr.min()
+            arr = (arr - arr.min()) / span if span > 0 else np.zeros_like(arr)
+            arrays.append((name, True, arr))
+        else:
+            uniq = {v: i for i, v in enumerate(sorted(set(col)))}
+            arrays.append((name, False, np.asarray([uniq[v] for v in col], dtype=np.int64)))
+    return arrays
+
+
+def _distance_rows(arrays, rows, cols):
+    """Summed per-feature distance of every (row, col) pair, features in schema order."""
+    dist = np.zeros((len(rows), len(cols)))
+    for _, numeric, arr in arrays:
+        a, b = arr[rows][:, None], arr[cols][None, :]
+        dist += np.abs(a - b) if numeric else (a != b).astype(float)
+    return dist
+
+
+def oracle_relief_argsort(table, k):
+    """ReliefF with one full stable argsort of the distance row per anchor.
+
+    Hits are the first k same-class rows of that order other than the anchor,
+    misses the first k other-class rows; each feature's term is added anchor
+    by anchor. Same float operations in the same order as the production
+    code, so the two must agree exactly.
+    """
+    y = np.asarray(table.label01())
+    n = len(y)
+    arrays = _relief_encoding(table)
+    weights = {name: 0.0 for name, _, _ in arrays}
+    denom = float(n * k)
+    dist = _distance_rows(arrays, np.arange(n), np.arange(n))
+    for i in range(n):
+        order = np.argsort(dist[i], kind="stable")
+        same = y[order] == y[i]
+        hit_order = order[same]
+        hit_order = hit_order[hit_order != i][:k]
+        miss_order = order[~same][:k]
+        for name, numeric, arr in arrays:
+            if numeric:
+                hit_diff = float(np.abs(arr[i] - arr[hit_order]).sum())
+                miss_diff = float(np.abs(arr[i] - arr[miss_order]).sum())
+            else:
+                hit_diff = float((arr[i] != arr[hit_order]).sum())
+                miss_diff = float((arr[i] != arr[miss_order]).sum())
+            weights[name] += (miss_diff - hit_diff) / denom
+    return weights
+
+
+def oracle_minority_neighbors(table, k):
+    """Every minority row's k nearest minority rows, by a stable argsort of
+    the whole minority distance matrix (minority = positives unless they are
+    the strict majority)."""
+    y = table.label01()
+    minority_label = 1 if sum(y) * 2 <= len(y) else 0
+    minority = [i for i, v in enumerate(y) if v == minority_label]
+    dist = _distance_rows(_relief_encoding(table), minority, minority)
+    out = {}
+    for local, row in enumerate(minority):
+        order = np.argsort(dist[local], kind="stable")
+        out[row] = [minority[j] for j in order if j != local][:k]
+    return out
+
+
 # --- tree split search -----------------------------------------------------
 
 

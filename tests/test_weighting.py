@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 import oracles
@@ -64,6 +65,20 @@ class TestBinning:
         b = equal_frequency_edges("x", [3.0] * 20, 10)
         assert b.edges == ()
         assert b.bin_of(3.0) == 0
+
+    def test_edges_equal_one_quantile_call_per_cut(self):
+        rng = random.Random(8)
+        columns = [[rng.gauss(0, 1) for _ in range(97)], [float(rng.randrange(6)) for _ in range(200)],
+                   [round(rng.expovariate(2), 2) for _ in range(333)]]
+        for values in columns:
+            for n_bins in (2, 3, 5, 7, 10):
+                lo, hi = min(values), max(values)
+                expected = []
+                for i in range(1, n_bins):
+                    q = float(np.quantile(values, i / n_bins))
+                    if lo < q < hi and (not expected or q > expected[-1]):
+                        expected.append(q)
+                assert equal_frequency_edges("x", values, n_bins).edges == tuple(expected)
 
     def test_single_bin_and_errors(self):
         assert equal_frequency_edges("x", [1.0, 2.0], 1).edges == ()
@@ -277,6 +292,18 @@ class TestWeighAll:
         ordered = m.by_overall_rank()
         assert [m.overall_rank[a] for a in ordered] == list(range(1, len(ordered) + 1))
         assert ordered[0] == "signal"  # the planted signal dominates
+
+    def test_weights_equal_the_single_attribute_weighters(self):
+        t = self.build()
+        m = weigh_all(t, n_bins=5, relief_k=5, seed=3)
+        relief = weight_relief(t, k_neighbors=5)
+        singles = {"information_gain": weight_information_gain, "gini_index": weight_gini_index,
+                   "rule": weight_rule, "uncertainty": weight_uncertainty, "chi_squared": weight_chi_squared}
+        for a in m.attributes:
+            bins = equal_frequency_edges(a, t.column(a), 5) if a in ("signal", "noise") else None
+            expected = {alg: relief[a] if alg == "relief" else singles[alg](t, a, bins) for alg in ALGORITHMS}
+            assert m.weight[a] == expected
+            assert list(m.weight[a]) == list(ALGORITHMS)
 
     def test_deterministic(self):
         t = self.build()
