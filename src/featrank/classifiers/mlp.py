@@ -2,7 +2,8 @@
 
 Trained by seeded mini-batch gradient descent on mean cross-entropy. The
 analytic gradient lives in one routine shared by training and the finite-
-difference check, so the check exercises exactly what training uses.
+difference check, so the check exercises exactly what training uses; only
+the check evaluates the loss itself.
 """
 
 from __future__ import annotations
@@ -14,22 +15,28 @@ from .linear import _sigmoid
 _P_EPS = 1e-12
 
 
-def _loss_and_grads(params, x_mat, y):
-    """Mean cross-entropy and its gradient w.r.t. (w1, b1, w2, b2)."""
+def _forward(params, x_mat):
     w1, b1, w2, b2 = params
-    n = len(y)
     hidden = np.tanh(x_mat @ w1 + b1)
-    p = _sigmoid(hidden @ w2 + b2)
-    clipped = np.clip(p, _P_EPS, 1.0 - _P_EPS)
-    loss = float(-np.mean(y * np.log(clipped) + (1.0 - y) * np.log(1.0 - clipped)))
+    return hidden, _sigmoid(hidden @ w2 + b2)
 
-    delta_out = (p - y) / n  # d loss / d (output pre-activation)
+
+def _loss(params, x_mat, y) -> float:
+    """Mean cross-entropy."""
+    p = np.clip(_forward(params, x_mat)[1], _P_EPS, 1.0 - _P_EPS)
+    return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
+
+
+def _grads(params, x_mat, y):
+    """Gradient of the mean cross-entropy w.r.t. (w1, b1, w2, b2)."""
+    hidden, p = _forward(params, x_mat)
+    delta_out = (p - y) / len(y)  # d loss / d (output pre-activation)
     g_w2 = hidden.T @ delta_out
     g_b2 = float(delta_out.sum())
-    delta_hidden = np.outer(delta_out, w2) * (1.0 - hidden * hidden)
+    delta_hidden = np.outer(delta_out, params[2]) * (1.0 - hidden * hidden)
     g_w1 = x_mat.T @ delta_hidden
     g_b1 = delta_hidden.sum(axis=0)
-    return loss, (g_w1, g_b1, g_w2, g_b2)
+    return g_w1, g_b1, g_w2, g_b2
 
 
 class Mlp:
@@ -66,16 +73,14 @@ class Mlp:
             perm = rng.permutation(n)
             for start in range(0, n, self.batch_size):
                 batch = perm[start : start + self.batch_size]
-                _, grads = _loss_and_grads(params, x_mat[batch], y[batch])
+                grads = _grads(params, x_mat[batch], y[batch])
                 for i in range(4):
                     params[i] = params[i] - lr * grads[i]
         self.params = tuple(params)
         return self
 
     def scores(self, x_mat) -> np.ndarray:
-        w1, b1, w2, b2 = self.params
-        hidden = np.tanh(x_mat @ w1 + b1)
-        return _sigmoid(hidden @ w2 + b2)
+        return _forward(self.params, x_mat)[1]
 
     def to_dict(self) -> dict:
         w1, b1, w2, b2 = self.params
@@ -123,7 +128,7 @@ def gradient_check(mlp: Mlp, x_mat, y, epsilon: float, seed: int = 0, n_coords: 
         float(rng.uniform(-0.5, 0.5)),
     ]
 
-    _, grads = _loss_and_grads(params, x_mat, y)
+    grads = _grads(params, x_mat, y)
     flat_analytic = np.concatenate([np.ravel(g) for g in grads])
     total = flat_analytic.size
     n_coords = max(20, n_coords)
@@ -138,7 +143,7 @@ def gradient_check(mlp: Mlp, x_mat, y, epsilon: float, seed: int = 0, n_coords: 
         b1 = flat[d * h : d * h + h]
         w2 = flat[d * h + h : d * h + 2 * h]
         b2 = float(flat[-1])
-        return _loss_and_grads((w1, b1, w2, b2), x_mat, y)[0]
+        return _loss((w1, b1, w2, b2), x_mat, y)
 
     flat = np.concatenate(
         [np.ravel(params[0]), np.ravel(params[1]), np.ravel(params[2]), [params[3]]]

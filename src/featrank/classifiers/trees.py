@@ -19,6 +19,25 @@ stable sort keeps the same (value, position in the node) order and the
 cumsums add the same numbers in the same sequence; the flat argmax returns
 the first maximum in (feature, position) order, which is the tie-break
 above; and the threshold is the midpoint of the same two float values.
+
+For the 0/1 targets of the decision tree and the random forest, nodes of up
+to BIG_NODE rows skip that sort (`_count_splits`). Their cumsums add only
+integers below 2**53, which floats hold exactly whatever the order, so the
+rows and positives counted per (node, feature, code) give the same sums and
+bit-identical gains; the first maximum in (feature, code) order is the same
+tie-break. Node sizes, purity and leaf values (positives / rows, which
+equals the mean) come from the same counts. GBT's residual targets are
+fractions whose sums depend on their order, so every GBT node keeps the
+sorted scan. So do bigger nodes, where sorting one 32- or 64-bit key per
+cell costs more than the radix sort of one node's int16 codes.
+
+All three learners grow trees with one stack-driven grower (`_grow`). The
+random forest grows its trees in lockstep: each step pops one node per tree
+and counts the small ones together, in blocks of at most BLOCK_CELLS
+(row, feature) cells. One node per tree, the newest, is what keeps each
+tree's feature draws (`rng.sample`) in the pre-order of a recursive grower,
+and so its RNG stream. The decision tree and GBT, which draw nothing, split
+all pending nodes of a step together.
 """
 
 from __future__ import annotations
@@ -33,6 +52,8 @@ from .linear import _sigmoid
 
 _MIN_GAIN = 1e-12
 _MAX_LEAF_STEP = 10.0
+BIG_NODE = 512  # rows; larger nodes of 0/1 targets take the sorted scan
+BLOCK_CELLS = 2**14  # (row, feature) cells counted in one block
 
 
 class _CodedMatrix:
@@ -40,7 +61,8 @@ class _CodedMatrix:
 
     `codes[j, i]` indexes `values[j]` at the value of row i in column j. Codes
     are int16 while they fit, because numpy's stable sort of 16-bit integers
-    is a radix sort.
+    is a radix sort. `flat_values` holds every column's values, column j's
+    from `offsets[j]`, and `n_codes` is the most values any column has.
     """
 
     def __init__(self, x_mat):
@@ -52,6 +74,10 @@ class _CodedMatrix:
             values, codes = np.unique(x_mat[:, j], return_inverse=True)
             self.codes[j] = codes
             self.values.append(values)
+        sizes = [len(values) for values in self.values]
+        self.n_codes = max(sizes)
+        self.offsets = np.cumsum([0] + sizes[:-1])
+        self.flat_values = np.concatenate(self.values)
 
 
 def _best_split(data, idx, t, min_leaf, feature_ids):
@@ -94,25 +120,167 @@ def _best_split(data, idx, t, min_leaf, feature_ids):
     return j, (values[sorted_codes[r, c]] + values[sorted_codes[r, c + 1]]) / 2.0
 
 
-def _grow(data, t, idx, depth, max_depth, min_leaf, sample_features, leaf_value):
-    """Recursive tree construction returning nested {"f","t","l","r"} / {"v"} dicts."""
-    n = idx.size
-    if depth >= max_depth or n < 2 * min_leaf:
-        return {"v": leaf_value(idx)}
-    tt = t[idx]
-    if tt.max() - tt.min() == 0.0:  # pure node
-        return {"v": leaf_value(idx)}
-    split = _best_split(data, idx, t, min_leaf, sample_features())
-    if split is None:
-        return {"v": leaf_value(idx)}
-    j, thr = split
-    go_left = data.x[idx, j] <= thr
-    return {
-        "f": j,
-        "t": float(thr),
-        "l": _grow(data, t, idx[go_left], depth + 1, max_depth, min_leaf, sample_features, leaf_value),
-        "r": _grow(data, t, idx[~go_left], depth + 1, max_depth, min_leaf, sample_features, leaf_value),
-    }
+def _count_splits(data, y, nodes, features, min_leaf):
+    """Best split of each node of 0/1 targets from per-code row and positive counts.
+
+    `nodes` are row-index arrays, `features[b]` the candidate feature ids of
+    node b and `y` the targets as integers. Returns, per node, None or
+    (feature, threshold, positives left). The count is None when the
+    threshold does not fall between the cut's two values (adjacent or huge
+    floats), so that rows of the upper value go left too; the caller then
+    counts the partition itself.
+    """
+    n_nodes, m = features.shape
+    sizes = np.fromiter(map(len, nodes), np.int64, n_nodes)
+    rows = np.concatenate(nodes)
+    n_codes = data.n_codes
+    # One key per (row, feature) cell, ordered by node, feature slot and code,
+    # with the target in the lowest bit. A node's rows fill one run of cells
+    # per feature slot, so the end of each key's run counts the rows at or
+    # below its code.
+    dtype = np.int32 if n_nodes * m * n_codes * 2 <= 2**31 else np.int64
+    group_keys = np.arange(n_nodes * m, dtype=dtype).reshape(n_nodes, m) * n_codes
+    keys = np.repeat(group_keys, sizes, axis=0)
+    keys += data.codes[np.repeat(features, sizes, axis=0), rows[:, None]]
+    keys *= 2
+    keys += y[rows][:, None]
+    keys = np.sort(keys, axis=None)
+    key = keys >> 1
+    ends = np.flatnonzero(key[1:] != key[:-1]) + 1
+    group_start = np.concatenate(([0], np.repeat(sizes, m).cumsum()))
+    positives = np.concatenate(([0], (keys & 1).cumsum()))
+    node_start = group_start[:-1:m]
+    npos = positives[node_start + sizes] - positives[node_start]
+    g = key[ends - 1] // n_codes
+    left_n = ends - group_start[g]
+    node = g // m
+    n = sizes[node]
+    min_leaf = max(min_leaf, 1)  # as in _best_split
+    ok = (left_n >= min_leaf) & (left_n <= n - min_leaf)
+    ends, g, left_n, node, n = ends[ok], g[ok], left_n[ok], node[ok], n[ok]
+    out = [None] * n_nodes
+    if ends.size == 0:
+        return out
+    left_pos = positives[ends] - positives[group_start[g]]
+    # _best_split's arithmetic on the same (exact, integer-valued) sums
+    total = npos[node].astype(float)
+    csum = left_pos.astype(float)
+    parent_sse = total - total * total / n
+    left_sse = csum - csum * csum / left_n
+    right_sum = total - csum
+    right_sse = right_sum - right_sum * right_sum / (n - left_n)
+    gain = (parent_sse - left_sse - right_sse) / n
+    # first maximum of each node: earlier feature slot, then smaller code
+    first = np.flatnonzero(np.concatenate(([True], node[1:] != node[:-1])))
+    best = np.maximum.reduceat(gain, first)
+    at_best = np.flatnonzero(gain == np.repeat(best, np.diff(np.append(first, gain.size))))
+    win = at_best[np.concatenate(([True], node[at_best][1:] != node[at_best][:-1]))]
+    win = win[gain[win] > _MIN_GAIN]
+    j = features[node[win], g[win] % m]
+    lo = data.flat_values[data.offsets[j] + key[ends[win] - 1] % n_codes]
+    hi = data.flat_values[data.offsets[j] + key[ends[win]] % n_codes]
+    thr = (lo + hi) / 2.0
+    exact = (lo <= thr) & (thr < hi)
+    for b, jb, tb, pb, eb in zip(
+        node[win].tolist(), j.tolist(), thr.tolist(), left_pos[win].tolist(), exact.tolist()
+    ):
+        out[b] = (jb, tb, pb if eb else None)
+    return out
+
+
+def _grow(data, t, trees, max_depth, min_leaf, leaf_value=None):
+    """Grow one tree per (rows, sample_features) pair of `trees`; return the roots.
+
+    Nodes are nested {"f","t","l","r"} / {"v"} dicts. `sample_features` is
+    None, when every node tries every feature, or a function returning the
+    sorted candidate feature ids of the next node split. With sampling, a
+    step pops one pending node per tree, the newest, so each tree draws its
+    features in pre-order; without, a step pops every pending node. With
+    `leaf_value` (GBT), every node takes the sorted scan and a leaf holds
+    leaf_value(rows). Without, `t` is 0/1, nodes of up to BIG_NODE rows are
+    split from counts, and a leaf holds its positive fraction. `trees` may be
+    a generator, so no tree's root rows outlive its first split.
+    """
+    counted = leaf_value is None
+    y = t.astype(np.int8) if counted else None
+    all_features = np.arange(data.x.shape[1])
+    roots, stacks, samplers = [], [], []
+
+    def place(tree, node, depth, rows, npos):
+        """Queue `node` to try a split, or make it a leaf if it cannot split."""
+        n = rows.size
+        if depth >= max_depth or n < 2 * min_leaf:
+            stop = True
+        elif counted:
+            stop = npos == 0 or npos == n
+        else:
+            tt = t[rows]
+            stop = tt.max() - tt.min() == 0.0
+        if not stop:
+            stacks[tree].append((tree, node, rows, depth, npos))
+        elif counted:
+            # the mean of no rows is NaN: a child is empty only when a
+            # threshold rounds onto the next value (adjacent floats)
+            node["v"] = npos / n if n else math.nan
+        else:
+            node["v"] = leaf_value(rows)
+
+    for tree, (rows, sampler) in enumerate(trees):
+        roots.append({})
+        stacks.append([])
+        samplers.append(sampler)
+        place(tree, roots[tree], 0, rows, int(np.count_nonzero(y[rows])) if counted else None)
+    lockstep = any(samplers)
+    while True:
+        if lockstep:
+            batch = [stack.pop() for stack in stacks if stack]
+        else:
+            batch = [item for stack in stacks for item in stack]
+            for stack in stacks:
+                stack.clear()
+        if not batch:
+            return roots
+        splits = [None] * len(batch)
+        blocks, cells = [[]], 0
+        for b, (tree, _, rows, _, _) in enumerate(batch):
+            sampler = samplers[tree]
+            features = all_features if sampler is None else sampler()
+            if not counted or rows.size > BIG_NODE:
+                split = _best_split(data, rows, t, min_leaf, features)
+                splits[b] = split and (*split, None)
+                continue
+            size = rows.size * len(features)
+            if blocks[-1] and cells + size > BLOCK_CELLS:
+                blocks.append([])
+                cells = 0
+            blocks[-1].append((b, rows, features))
+            cells += size
+        for block in filter(None, blocks):
+            order, nodes, features = zip(*block)
+            found = _count_splits(data, y, nodes, np.asarray(features), min_leaf)
+            for b, split in zip(order, found):
+                splits[b] = split
+        for (tree, node, rows, depth, npos), split in zip(batch, splits):
+            if split is None:
+                node["v"] = npos / rows.size if counted else leaf_value(rows)
+                continue
+            j, thr, left_pos = split
+            go_left = data.x[rows, j] <= thr
+            left_rows, right_rows = rows[go_left], rows[~go_left]
+            if counted and left_pos is None:
+                left_pos = int(np.count_nonzero(y[left_rows]))
+            left, right = {}, {}
+            node.update(f=j, t=float(thr), l=left, r=right)
+            # right first: the stack pops the left subtree first
+            place(tree, right, depth + 1, right_rows, npos - left_pos if counted else None)
+            place(tree, left, depth + 1, left_rows, left_pos)
+
+
+def _binary_target(y) -> np.ndarray:
+    t = np.asarray(y, dtype=float)
+    if not ((t == 0.0) | (t == 1.0)).all():
+        raise ValueError("tree targets must be 0 or 1")
+    return t
 
 
 def _tree_apply(node, x_mat) -> np.ndarray:
@@ -139,19 +307,9 @@ class DecisionTree:
 
     def fit(self, x_mat, y, seed: int = 0):
         del seed
-        t = np.asarray(y, dtype=float)
-        idx = np.arange(len(t))
-        all_features = np.arange(x_mat.shape[1])
-        self.root = _grow(
-            _CodedMatrix(x_mat),
-            t,
-            idx,
-            0,
-            self.max_depth,
-            self.min_leaf,
-            lambda: all_features,
-            lambda leaf_idx: float(t[leaf_idx].mean()),
-        )
+        t = _binary_target(y)
+        trees = [(np.arange(len(t)), None)]
+        self.root = _grow(_CodedMatrix(x_mat), t, trees, self.max_depth, self.min_leaf)[0]
         return self
 
     def scores(self, x_mat) -> np.ndarray:
@@ -181,26 +339,18 @@ class RandomForest:
         self.roots: list = []
 
     def fit(self, x_mat, y, seed: int = 0):
-        t = np.asarray(y, dtype=float)
+        t = _binary_target(y)
         n, p = x_mat.shape
         m = max(1, math.isqrt(p))
-        data = _CodedMatrix(x_mat)
-        self.roots = []
-        for tree_i in range(self.n_trees):
+        index_dtype = np.int32 if n < 2**31 else np.intp
+
+        def draw(tree_i):
             rng = random.Random(derive_seed(seed, "tree", tree_i))
-            boot = np.asarray([rng.randrange(n) for _ in range(n)])
-            sampler = lambda r=rng: sorted(r.sample(range(p), m))
-            root = _grow(
-                data,
-                t,
-                boot,
-                0,
-                self.max_depth,
-                self.min_leaf,
-                sampler,
-                lambda leaf_idx: float(t[leaf_idx].mean()),
-            )
-            self.roots.append(root)
+            boot = np.asarray([rng.randrange(n) for _ in range(n)], dtype=index_dtype)
+            return boot, lambda: sorted(rng.sample(range(p), m))
+
+        trees = (draw(tree_i) for tree_i in range(self.n_trees))
+        self.roots = _grow(_CodedMatrix(x_mat), t, trees, self.max_depth, self.min_leaf)
         return self
 
     def scores(self, x_mat) -> np.ndarray:
@@ -250,7 +400,6 @@ class GradientBoostedTrees:
         raw = np.full(n, self.prior_log_odds)
         idx = np.arange(n)
         data = _CodedMatrix(x_mat)
-        all_features = np.arange(x_mat.shape[1])
         self.roots = []
         for _ in range(self.n_rounds):
             p = _sigmoid(raw)
@@ -259,18 +408,11 @@ class GradientBoostedTrees:
 
             def leaf_value(leaf_idx):
                 step = residual[leaf_idx].sum() / max(hessian[leaf_idx].sum(), 1e-12)
-                return float(np.clip(step, -_MAX_LEAF_STEP, _MAX_LEAF_STEP))
+                return float(min(max(step, -_MAX_LEAF_STEP), _MAX_LEAF_STEP))
 
             root = _grow(
-                data,
-                residual,
-                idx,
-                0,
-                self.max_depth,
-                self.min_leaf,
-                lambda: all_features,
-                leaf_value,
-            )
+                data, residual, [(idx, None)], self.max_depth, self.min_leaf, leaf_value
+            )[0]
             self.roots.append(root)
             raw = raw + self.shrinkage * _tree_apply(root, x_mat)
         return self

@@ -12,6 +12,8 @@ import random
 
 import numpy as np
 
+from featrank.seeding import derive_seed
+
 
 # --- contingency-table weighters -------------------------------------------
 
@@ -278,6 +280,91 @@ def oracle_best_split(x_mat, idx, t, min_leaf, feature_ids, min_gain=1e-12):
             pos = int(cut[k])
             best = (j, (sx[pos] + sx[pos + 1]) / 2.0)
     return best
+
+
+def oracle_grow(x_mat, t, idx, depth, max_depth, min_leaf, sample_features, leaf_value):
+    """Recursive reference tree: nested {"f","t","l","r"} / {"v"} dicts.
+
+    Splits with `oracle_best_split`, draws a node's candidate features only
+    when a split is tried, and recurses left before right, so a sampler is
+    called in pre-order.
+    """
+    n = idx.size
+    if depth >= max_depth or n < 2 * min_leaf:
+        return {"v": leaf_value(idx)}
+    tt = t[idx]
+    if tt.max() - tt.min() == 0.0:  # pure node
+        return {"v": leaf_value(idx)}
+    split = oracle_best_split(x_mat, idx, t, min_leaf, sample_features())
+    if split is None:
+        return {"v": leaf_value(idx)}
+    j, thr = split
+    go_left = x_mat[idx, j] <= thr
+    grow = lambda rows: oracle_grow(
+        x_mat, t, rows, depth + 1, max_depth, min_leaf, sample_features, leaf_value
+    )
+    return {"f": j, "t": float(thr), "l": grow(idx[go_left]), "r": grow(idx[~go_left])}
+
+
+def oracle_decision_tree(x_mat, y, max_depth, min_leaf):
+    t = np.asarray(y, dtype=float)
+    features = list(range(x_mat.shape[1]))
+    return oracle_grow(
+        x_mat, t, np.arange(len(t)), 0, max_depth, min_leaf,
+        lambda: features, lambda rows: float(t[rows].mean()),
+    )
+
+
+def oracle_random_forest(x_mat, y, n_trees, max_depth, min_leaf, seed):
+    """One tree at a time: per-row `randrange` bootstrap, then sorted `sample` draws."""
+    t = np.asarray(y, dtype=float)
+    n, p = x_mat.shape
+    m = max(1, math.isqrt(p))
+    roots = []
+    for tree_i in range(n_trees):
+        rng = random.Random(derive_seed(seed, "tree", tree_i))
+        boot = np.asarray([rng.randrange(n) for _ in range(n)])
+        roots.append(oracle_grow(
+            x_mat, t, boot, 0, max_depth, min_leaf,
+            lambda: sorted(rng.sample(range(p), m)), lambda rows: float(t[rows].mean()),
+        ))
+    return roots
+
+
+def _oracle_apply(node, x_mat):
+    out = np.empty(len(x_mat))
+    for i, row in enumerate(x_mat):
+        nd = node
+        while "v" not in nd:
+            nd = nd["l"] if row[nd["f"]] <= nd["t"] else nd["r"]
+        out[i] = nd["v"]
+    return out
+
+
+def oracle_gbt(x_mat, y, n_rounds, max_depth, min_leaf, shrinkage, max_step=10.0):
+    """Returns (prior log-odds, roots) of logistic boosting with Newton leaves."""
+    t = np.asarray(y, dtype=float)
+    n = len(t)
+    pos = t.sum()
+    prior = float(math.log(pos / (n - pos)))
+    raw = np.full(n, prior)
+    features = list(range(x_mat.shape[1]))
+    roots = []
+    for _ in range(n_rounds):
+        p = 1.0 / (1.0 + np.exp(-np.clip(raw, -36.0, 36.0)))
+        residual = t - p
+        hessian = p * (1.0 - p)
+
+        def leaf_value(rows):
+            step = residual[rows].sum() / max(hessian[rows].sum(), 1e-12)
+            return float(np.clip(step, -max_step, max_step))
+
+        root = oracle_grow(
+            x_mat, residual, np.arange(n), 0, max_depth, min_leaf, lambda: features, leaf_value
+        )
+        roots.append(root)
+        raw = raw + shrinkage * _oracle_apply(root, x_mat)
+    return prior, roots
 
 
 # --- pairwise AUC ------------------------------------------------------------

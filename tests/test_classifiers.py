@@ -2,22 +2,31 @@
 
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import featrank as fr
 from featrank.classifiers import CLASSIFIERS, ClassifierSpec, default_specs
-from featrank.classifiers.mlp import _loss_and_grads
+from featrank.classifiers.mlp import _grads, _loss
+from featrank.classifiers import trees
 from featrank.classifiers.trees import (
     DecisionTree,
+    GradientBoostedTrees,
+    RandomForest,
     _best_split,
     _CodedMatrix,
     _sigmoid,
     _tree_apply,
 )
 from helpers import make_table
-from oracles import oracle_best_split
+from oracles import (
+    oracle_best_split,
+    oracle_decision_tree,
+    oracle_gbt,
+    oracle_random_forest,
+)
 
 
 def toy_table(n=60, seed=0, with_cat=True):
@@ -324,6 +333,109 @@ class TestSplitSearch:
         assert assert_splits_match_oracle(tree.root, x_mat, t, np.arange(n), 5, [0]) == 3
 
 
+# (BIG_NODE, BLOCK_CELLS): every node takes the sorted scan; every node is
+# counted alone; all nodes of a step are counted together; the defaults.
+SPLIT_PATHS = {"sorted": (1, 1), "counted_alone": (10**9, 1), "counted_together": (10**9, 10**9)}
+
+
+@pytest.fixture(params=[*SPLIT_PATHS, "default"])
+def split_path(request, monkeypatch):
+    if request.param in SPLIT_PATHS:
+        big_node, block_cells = SPLIT_PATHS[request.param]
+        monkeypatch.setattr(trees, "BIG_NODE", big_node)
+        monkeypatch.setattr(trees, "BLOCK_CELLS", block_cells)
+    return request.param
+
+
+def tie_heavy_case(seed, n):
+    rng = np.random.default_rng(seed)
+    x_mat = tie_heavy_matrix(rng, n)
+    y = (rng.random(n) < 0.25 + 0.5 * x_mat[:, 3] * (x_mat[:, 1] > 0)).astype(float)
+    return x_mat, y
+
+
+class TestGrowerMatchesReference:
+    """Every tree learner grows exactly the recursive reference grower's trees."""
+
+    @pytest.mark.parametrize("min_leaf", range(0, 9))
+    def test_decision_tree(self, split_path, min_leaf):
+        for seed, n in ((0, 60), (1, 150)):
+            x_mat, y = tie_heavy_case(seed, n)
+            for max_depth in (1, 2, 5, 12):
+                tree = DecisionTree(max_depth=max_depth, min_leaf=min_leaf).fit(x_mat, y)
+                assert tree.root == oracle_decision_tree(x_mat, y, max_depth, min_leaf)
+
+    @pytest.mark.parametrize(
+        "n_trees, max_depth, min_leaf", [(1, 12, 0), (7, 3, 1), (7, 12, 8), (100, 8, 5)]
+    )
+    def test_random_forest(self, split_path, n_trees, max_depth, min_leaf):
+        # bootstrap samples repeat rows, and the forest's nodes split in lockstep
+        x_mat, y = tie_heavy_case(n_trees, 120)
+        forest = RandomForest(n_trees, max_depth, min_leaf).fit(x_mat, y, seed=11)
+        assert forest.roots == oracle_random_forest(x_mat, y, n_trees, max_depth, min_leaf, 11)
+
+    @pytest.mark.parametrize("max_depth, min_leaf", [(1, 0), (3, 5), (6, 2)])
+    def test_gbt(self, split_path, max_depth, min_leaf):
+        x_mat, y = tie_heavy_case(max_depth, 100)
+        gbt = GradientBoostedTrees(8, max_depth, min_leaf, 0.3).fit(x_mat, y)
+        prior, roots = oracle_gbt(x_mat, y, 8, max_depth, min_leaf, 0.3)
+        assert (gbt.prior_log_odds, gbt.roots) == (prior, roots)
+
+    def test_codes_wider_than_int16(self, split_path):
+        n = 2**15 + 700
+        rng = np.random.default_rng(1)
+        rank = rng.permutation(n)
+        onehot = (rng.random(n) < 0.5).astype(float)
+        x_mat = np.column_stack([onehot, rank / 7.0])
+        y = ((rank >= n - 900) ^ (rank % 97 == 0) ^ (onehot * (rank % 5 == 0) > 0)).astype(float)
+        tree = DecisionTree(max_depth=3, min_leaf=5).fit(x_mat, y)
+        assert tree.root == oracle_decision_tree(x_mat, y, 3, 5)
+        forest = RandomForest(n_trees=2, max_depth=3, min_leaf=5).fit(x_mat, y, seed=2)
+        assert forest.roots == oracle_random_forest(x_mat, y, 2, 3, 5, 2)
+
+    def test_threshold_rounding_onto_next_value(self, split_path):
+        # (a + b) / 2 rounds up to b for these adjacent doubles, so the left
+        # child takes the b rows too, as prediction's x <= threshold does
+        a = 1.0 + np.finfo(float).eps
+        b = np.nextafter(a, 2.0)
+        x_mat = np.repeat([a, b, 2.0], 20)[:, None]
+        y = np.repeat([1.0, 0.0, 1.0], 20)
+        y[[21, 23]] = 1.0
+        y[[41, 43]] = 0.0
+        tree = DecisionTree(max_depth=1, min_leaf=1).fit(x_mat, y)
+        assert tree.root == oracle_decision_tree(x_mat, y, 1, 1)
+        assert tree.root["t"] == b and tree.root["l"]["v"] == 22 / 40
+
+    def test_targets_must_be_binary(self):
+        x_mat = np.arange(20.0)[:, None]
+        for y in (np.linspace(0.0, 1.0, 20), np.full(20, 2.0)):
+            with pytest.raises(ValueError, match="0 or 1"):
+                DecisionTree().fit(x_mat, y)
+            with pytest.raises(ValueError, match="0 or 1"):
+                RandomForest(n_trees=2).fit(x_mat, y)
+
+
+def test_random_forest_memory_stays_bounded():
+    # the size of one test_08 fold after SMOTE: 4 continuous and 17 one-hot
+    # columns. The recursive grower peaked at 7.3 MB here, most of it the
+    # fitted trees; holding every tree's bootstrap and every pending node's
+    # rows as int64 at once peaked at 13.2 MB.
+    n = 5760
+    rng = np.random.default_rng(0)
+    numeric = rng.normal(size=(n, 4))
+    onehots = [np.eye(k)[rng.integers(0, k, n)] for k in (5, 4, 4, 4)]
+    x_mat = np.column_stack([numeric, *onehots])
+    score = numeric[:, 0] - 0.5 * numeric[:, 1] + onehots[0][:, 1] + rng.normal(size=n)
+    y = (score > np.median(score)).astype(float)
+    tracemalloc.start()
+    try:
+        RandomForest().fit(x_mat, y, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12e6
+
+
 class TestGradientCheck:
     def test_small_net_matches_finite_differences(self):
         t = toy_table(n=30, seed=16)
@@ -349,10 +461,10 @@ class TestGradientCheck:
         x = np.zeros((n, d))
         y = np.asarray([1.0, 0.0] * 4)
         params = [np.zeros((d, h)), np.zeros(h), np.zeros(h), 0.0]
-        _, grads = _loss_and_grads(params, x, y)
+        grads = _grads(params, x, y)
         eps = 1e-6
-        plus = _loss_and_grads([params[0], params[1], params[2], eps], x, y)[0]
-        minus = _loss_and_grads([params[0], params[1], params[2], -eps], x, y)[0]
+        plus = _loss([params[0], params[1], params[2], eps], x, y)
+        minus = _loss([params[0], params[1], params[2], -eps], x, y)
         numeric = (plus - minus) / (2 * eps)
         assert abs(grads[3] - numeric) < 1e-9
         # closed form: sigmoid(0) - mean(y) = 0.5 - 0.5 = 0
