@@ -20,24 +20,23 @@ cumsums add the same numbers in the same sequence; the flat argmax returns
 the first maximum in (feature, position) order, which is the tie-break
 above; and the threshold is the midpoint of the same two float values.
 
-For the 0/1 targets of the decision tree and the random forest, nodes of up
-to BIG_NODE rows skip that sort (`_count_splits`). Their cumsums add only
-integers below 2**53, which floats hold exactly whatever the order, so the
-rows and positives counted per (node, feature, code) give the same sums and
-bit-identical gains; the first maximum in (feature, code) order is the same
-tie-break. Node sizes, purity and leaf values (positives / rows, which
-equals the mean) come from the same counts. GBT's residual targets are
-fractions whose sums depend on their order, so every GBT node keeps the
-sorted scan. So do bigger nodes, where sorting one 32- or 64-bit key per
-cell costs more than the radix sort of one node's int16 codes.
+The random forest's 0/1 targets skip that sort (`_count_splits`). Their
+cumsums add only integers below 2**53, which floats hold exactly whatever
+the order, so the rows and positives counted per (node, feature, code) give
+the same sums and bit-identical gains; the first maximum in (feature, code)
+order is the same tie-break. Node sizes, purity and leaf values (positives /
+rows, which equals the mean) come from the same counts. GBT's residual
+targets are fractions whose sums depend on their order, so every GBT node
+keeps the sorted scan. So does the decision tree: its steps hold one to a
+few nodes, where the count path's fixed cost per block outweighs the sort.
 
 All three learners grow trees with one stack-driven grower (`_grow`). The
 random forest grows its trees in lockstep: each step pops one node per tree
-and counts the small ones together, in blocks of at most BLOCK_CELLS
-(row, feature) cells. One node per tree, the newest, is what keeps each
-tree's feature draws (`rng.sample`) in the pre-order of a recursive grower,
-and so its RNG stream. The decision tree and GBT, which draw nothing, split
-all pending nodes of a step together.
+and counts them together, in blocks of at most BLOCK_CELLS (row, feature)
+cells. One node per tree, the newest, is what keeps each tree's feature
+draws (`rng.sample`) in the pre-order of a recursive grower, and so its RNG
+stream. The decision tree and GBT, which draw nothing, split all pending
+nodes of a step.
 """
 
 from __future__ import annotations
@@ -52,7 +51,6 @@ from .linear import _sigmoid
 
 _MIN_GAIN = 1e-12
 _MAX_LEAF_STEP = 10.0
-BIG_NODE = 512  # rows; larger nodes of 0/1 targets take the sorted scan
 BLOCK_CELLS = 2**14  # (row, feature) cells counted in one block
 
 
@@ -196,10 +194,10 @@ def _grow(data, t, trees, max_depth, min_leaf, leaf_value=None):
     sorted candidate feature ids of the next node split. With sampling, a
     step pops one pending node per tree, the newest, so each tree draws its
     features in pre-order; without, a step pops every pending node. With
-    `leaf_value` (GBT), every node takes the sorted scan and a leaf holds
-    leaf_value(rows). Without, `t` is 0/1, nodes of up to BIG_NODE rows are
-    split from counts, and a leaf holds its positive fraction. `trees` may be
-    a generator, so no tree's root rows outlive its first split.
+    `leaf_value`, every node takes the sorted scan and a leaf holds
+    leaf_value(rows). Without, `t` is 0/1, every node is split from counts,
+    and a leaf holds its positive fraction. `trees` may be a generator, so
+    no tree's root rows outlive its first split.
     """
     counted = leaf_value is None
     y = t.astype(np.int8) if counted else None
@@ -245,7 +243,7 @@ def _grow(data, t, trees, max_depth, min_leaf, leaf_value=None):
         for b, (tree, _, rows, _, _) in enumerate(batch):
             sampler = samplers[tree]
             features = all_features if sampler is None else sampler()
-            if not counted or rows.size > BIG_NODE:
+            if not counted:
                 split = _best_split(data, rows, t, min_leaf, features)
                 splits[b] = split and (*split, None)
                 continue
@@ -309,7 +307,10 @@ class DecisionTree:
         del seed
         t = _binary_target(y)
         trees = [(np.arange(len(t)), None)]
-        self.root = _grow(_CodedMatrix(x_mat), t, trees, self.max_depth, self.min_leaf)[0]
+        self.root = _grow(
+            _CodedMatrix(x_mat), t, trees, self.max_depth, self.min_leaf,
+            lambda rows: float(t[rows].mean()),
+        )[0]
         return self
 
     def scores(self, x_mat) -> np.ndarray:
@@ -405,16 +406,18 @@ class GradientBoostedTrees:
             p = _sigmoid(raw)
             residual = t - p
             hessian = p * (1.0 - p)
+            update = np.empty(n)  # the new tree's value at each row
 
             def leaf_value(leaf_idx):
                 step = residual[leaf_idx].sum() / max(hessian[leaf_idx].sum(), 1e-12)
-                return float(min(max(step, -_MAX_LEAF_STEP), _MAX_LEAF_STEP))
+                update[leaf_idx] = value = float(min(max(step, -_MAX_LEAF_STEP), _MAX_LEAF_STEP))
+                return value
 
             root = _grow(
                 data, residual, [(idx, None)], self.max_depth, self.min_leaf, leaf_value
             )[0]
             self.roots.append(root)
-            raw = raw + self.shrinkage * _tree_apply(root, x_mat)
+            raw = raw + self.shrinkage * update
         return self
 
     def scores(self, x_mat) -> np.ndarray:

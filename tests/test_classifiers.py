@@ -333,17 +333,15 @@ class TestSplitSearch:
         assert assert_splits_match_oracle(tree.root, x_mat, t, np.arange(n), 5, [0]) == 3
 
 
-# (BIG_NODE, BLOCK_CELLS): every node takes the sorted scan; every node is
-# counted alone; all nodes of a step are counted together; the defaults.
-SPLIT_PATHS = {"sorted": (1, 1), "counted_alone": (10**9, 1), "counted_together": (10**9, 10**9)}
+# BLOCK_CELLS for the random forest's count path: every node is counted
+# alone; all nodes of a step are counted together; the default.
+BLOCKS = {"counted_alone": 1, "counted_together": 10**9}
 
 
-@pytest.fixture(params=[*SPLIT_PATHS, "default"])
-def split_path(request, monkeypatch):
-    if request.param in SPLIT_PATHS:
-        big_node, block_cells = SPLIT_PATHS[request.param]
-        monkeypatch.setattr(trees, "BIG_NODE", big_node)
-        monkeypatch.setattr(trees, "BLOCK_CELLS", block_cells)
+@pytest.fixture(params=[*BLOCKS, "default"])
+def blocks(request, monkeypatch):
+    if request.param in BLOCKS:
+        monkeypatch.setattr(trees, "BLOCK_CELLS", BLOCKS[request.param])
     return request.param
 
 
@@ -358,7 +356,7 @@ class TestGrowerMatchesReference:
     """Every tree learner grows exactly the recursive reference grower's trees."""
 
     @pytest.mark.parametrize("min_leaf", range(0, 9))
-    def test_decision_tree(self, split_path, min_leaf):
+    def test_decision_tree(self, min_leaf):
         for seed, n in ((0, 60), (1, 150)):
             x_mat, y = tie_heavy_case(seed, n)
             for max_depth in (1, 2, 5, 12):
@@ -368,20 +366,20 @@ class TestGrowerMatchesReference:
     @pytest.mark.parametrize(
         "n_trees, max_depth, min_leaf", [(1, 12, 0), (7, 3, 1), (7, 12, 8), (100, 8, 5)]
     )
-    def test_random_forest(self, split_path, n_trees, max_depth, min_leaf):
+    def test_random_forest(self, blocks, n_trees, max_depth, min_leaf):
         # bootstrap samples repeat rows, and the forest's nodes split in lockstep
         x_mat, y = tie_heavy_case(n_trees, 120)
         forest = RandomForest(n_trees, max_depth, min_leaf).fit(x_mat, y, seed=11)
         assert forest.roots == oracle_random_forest(x_mat, y, n_trees, max_depth, min_leaf, 11)
 
     @pytest.mark.parametrize("max_depth, min_leaf", [(1, 0), (3, 5), (6, 2)])
-    def test_gbt(self, split_path, max_depth, min_leaf):
+    def test_gbt(self, max_depth, min_leaf):
         x_mat, y = tie_heavy_case(max_depth, 100)
         gbt = GradientBoostedTrees(8, max_depth, min_leaf, 0.3).fit(x_mat, y)
         prior, roots = oracle_gbt(x_mat, y, 8, max_depth, min_leaf, 0.3)
         assert (gbt.prior_log_odds, gbt.roots) == (prior, roots)
 
-    def test_codes_wider_than_int16(self, split_path):
+    def test_codes_wider_than_int16(self, blocks):
         n = 2**15 + 700
         rng = np.random.default_rng(1)
         rank = rng.permutation(n)
@@ -393,7 +391,7 @@ class TestGrowerMatchesReference:
         forest = RandomForest(n_trees=2, max_depth=3, min_leaf=5).fit(x_mat, y, seed=2)
         assert forest.roots == oracle_random_forest(x_mat, y, 2, 3, 5, 2)
 
-    def test_threshold_rounding_onto_next_value(self, split_path):
+    def test_threshold_rounding_onto_next_value(self, blocks):
         # (a + b) / 2 rounds up to b for these adjacent doubles, so the left
         # child takes the b rows too, as prediction's x <= threshold does
         a = 1.0 + np.finfo(float).eps
@@ -405,6 +403,9 @@ class TestGrowerMatchesReference:
         tree = DecisionTree(max_depth=1, min_leaf=1).fit(x_mat, y)
         assert tree.root == oracle_decision_tree(x_mat, y, 1, 1)
         assert tree.root["t"] == b and tree.root["l"]["v"] == 22 / 40
+        forest = RandomForest(n_trees=8, max_depth=1, min_leaf=1).fit(x_mat, y, seed=5)
+        assert forest.roots == oracle_random_forest(x_mat, y, 8, 1, 1, 5)
+        assert any(root["t"] == b for root in forest.roots)
 
     def test_targets_must_be_binary(self):
         x_mat = np.arange(20.0)[:, None]
