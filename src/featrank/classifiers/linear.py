@@ -18,6 +18,12 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(z, -36.0, 36.0)))
 
 
+def _cross_entropy(p: np.ndarray, y: np.ndarray):
+    """Mean cross-entropy of probabilities p, clipped to [eps, 1 - eps], on 0/1 targets y."""
+    p = np.clip(p, _P_EPS, 1.0 - _P_EPS)
+    return -np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))
+
+
 class LogisticGlm:
     def __init__(self, l2: float = 1e-4, tol: float = 1e-6, max_iter: int = 500):
         self.l2 = l2
@@ -26,10 +32,7 @@ class LogisticGlm:
         self.coef: np.ndarray | None = None  # [intercept, weights...]
 
     def _objective(self, xd, y, w):
-        p = _sigmoid(xd @ w)
-        p = np.clip(p, _P_EPS, 1.0 - _P_EPS)
-        nll = -np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))
-        return nll + 0.5 * self.l2 * float(w[1:] @ w[1:])
+        return _cross_entropy(_sigmoid(xd @ w), y) + 0.5 * self.l2 * float(w[1:] @ w[1:])
 
     def fit(self, x_mat, y, seed: int = 0):
         del seed

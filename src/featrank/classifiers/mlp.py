@@ -10,9 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linear import _sigmoid
-
-_P_EPS = 1e-12
+from .linear import _cross_entropy, _sigmoid
 
 
 def _forward(params, x_mat):
@@ -23,8 +21,7 @@ def _forward(params, x_mat):
 
 def _loss(params, x_mat, y) -> float:
     """Mean cross-entropy."""
-    p = np.clip(_forward(params, x_mat)[1], _P_EPS, 1.0 - _P_EPS)
-    return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p)))
+    return float(_cross_entropy(_forward(params, x_mat)[1], y))
 
 
 def _grads(params, x_mat, y):

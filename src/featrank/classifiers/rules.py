@@ -27,16 +27,17 @@ class RuleInduction:
         self.rules: list[dict] = []
         self.default_score = 0.5
 
-    def _symbolize(self, cells) -> list[tuple]:
+    def _symbol_columns(self, cells) -> list[list]:
+        """Each feature's cells as rule symbols: a numeric's bin index, else the value."""
+        columns = list(zip(*cells)) or [()] * len(self.names)
         out = []
-        for row in cells:
-            sym = []
-            for j, (name, kind) in enumerate(zip(self.names, self.kinds)):
-                if kind == dataio.NUMERIC:
-                    sym.append(self.bins[name].bin_of(row[j]))
-                else:
-                    sym.append(row[j])
-            out.append(tuple(sym))
+        for name, kind, column in zip(self.names, self.kinds, columns):
+            if kind == dataio.NUMERIC:
+                edges = np.asarray(self.bins[name].edges, dtype=float)
+                values = np.asarray(column, dtype=float)
+                out.append(np.searchsorted(edges, values, side="left").tolist())
+            else:
+                out.append(list(column))
         return out
 
     def _grow_rule(self, codes, uniq, y01, remaining, target):
@@ -84,19 +85,16 @@ class RuleInduction:
         del seed
         self.names = tuple(names)
         self.kinds = tuple(kinds)
-        self.bins = {}
         n = len(cells)
         columns = list(zip(*cells))
+        self.bins = {
+            name: equal_frequency_edges(name, columns[j], self.n_bins)
+            for j, (name, kind) in enumerate(zip(self.names, self.kinds))
+            if kind == dataio.NUMERIC
+        }
         codes = []
         uniq = []
-        for j, (name, kind) in enumerate(zip(self.names, self.kinds)):
-            if kind == dataio.NUMERIC:
-                values = [float(v) for v in columns[j]]
-                self.bins[name] = equal_frequency_edges(name, values, self.n_bins)
-                edges = np.asarray(self.bins[name].edges)
-                sym = [int(s) for s in np.searchsorted(edges, values, side="left")]
-            else:
-                sym = list(columns[j])
+        for sym in self._symbol_columns(cells):
             u = sorted(set(sym), key=repr)
             index = {v: c for c, v in enumerate(u)}
             uniq.append(u)
@@ -127,16 +125,16 @@ class RuleInduction:
         return self
 
     def scores(self, cells) -> np.ndarray:
-        symbols = self._symbolize(cells)
-        out = np.empty(len(symbols))
-        for i, sym in enumerate(symbols):
-            score = self.default_score
-            for rule in self.rules:
-                if all(sym[j] == v for j, v in rule["conditions"]):
-                    p = rule["precision"]
-                    score = p if rule["target"] == 1 else 1.0 - p
-                    break
-            out[i] = score
+        columns = [np.asarray(sym, dtype=object) for sym in self._symbol_columns(cells)]
+        out = np.full(len(cells), self.default_score)
+        unmatched = np.ones(len(cells), dtype=bool)
+        for rule in self.rules:  # the first rule a row matches scores it
+            hit = unmatched.copy()
+            for j, v in rule["conditions"]:
+                hit &= columns[j] == v
+            p = rule["precision"]
+            out[hit] = p if rule["target"] == 1 else 1.0 - p
+            unmatched &= ~hit
         return out
 
     def to_dict(self) -> dict:

@@ -3,9 +3,10 @@
 Scoring is always on untouched test folds at threshold 0.5; oversampling, if
 requested, is applied to each fold's training split only, and the resampling
 provenance is carried through so tests can audit that no test row ever
-contributed to a synthetic training row. Both arms of an ablation share fold
-assignments and derived seeds, so the included feature is the only varying
-factor.
+contributed to a synthetic training row. Each fold is split and oversampled
+once, and every classifier and both arms of an ablation share that training
+split. This is exact, because SMOTE reads every column and is seeded by the
+fold alone, and it leaves the included feature as the arms' only difference.
 """
 
 from __future__ import annotations
@@ -135,6 +136,42 @@ def _clamped_smote_config(train: Table, cfg: SmoteConfig, fold: int) -> SmoteCon
     return replace(cfg, k_neighbors=k, seed=derive_seed(cfg.seed, "fold", fold))
 
 
+def _folds(table: Table, plan: FoldPlan, smote_cfg: SmoteConfig | None):
+    """(train, test, audit) of every fold; train is oversampled when smote_cfg is set."""
+    for fold in range(plan.k):
+        if len(plan.fold_indices(fold)) < 2:
+            raise ValueError(f"fold {fold} has fewer than 2 rows")
+
+    folds = []
+    for fold in range(plan.k):
+        train, test = split(table, plan, fold)
+        sources: tuple[int, ...] = ()
+        if smote_cfg is not None:
+            fold_cfg = _clamped_smote_config(train, smote_cfg, fold)
+            if fold_cfg is not None:
+                train_idx = [i for i, f in enumerate(plan.assignment) if f != fold]
+                train = smote(train, fold_cfg)
+                used = {i for pair in train.smote_pairs for i in pair}
+                sources = tuple(sorted(train_idx[i] for i in used))
+        folds.append((train, test, FoldAudit(fold, tuple(plan.fold_indices(fold)), sources)))
+    return folds
+
+
+def _score(spec: ClassifierSpec, folds, features) -> CrossValResult:
+    """Fit and score one classifier on the built folds, restricted to `features`."""
+    per_fold = []
+    for train, test, audit in folds:
+        fold_spec = replace(spec, seed=derive_seed(spec.seed, "fold", audit.fold))
+        model = classifiers.fit(fold_spec, train, features=features)
+        scores = classifiers.predict_scores(model, test)
+        per_fold.append(compute_metrics(scores, test.label01()))
+    mean, std = _aggregate(per_fold)
+    audits = tuple(audit for _, _, audit in folds)
+    return CrossValResult(
+        kind=spec.kind, per_fold=tuple(per_fold), mean=mean, std=std, audits=audits
+    )
+
+
 def cross_validate(
     table: Table,
     spec: ClassifierSpec,
@@ -153,39 +190,7 @@ def cross_validate(
             raise ValueError(f"feature mask names unknown columns: {sorted(unknown)}")
         if not mask:
             raise ValueError("feature mask selects no columns")
-
-    n = table.n_rows
-    for fold in range(plan.k):
-        if len(plan.fold_indices(fold)) < 2:
-            raise ValueError(f"fold {fold} has fewer than 2 rows")
-
-    per_fold = []
-    audits = []
-    for fold in range(plan.k):
-        train, test = split(table, plan, fold)
-        test_idx = plan.fold_indices(fold)
-        train_idx = [i for i in range(n) if plan.assignment[i] != fold]
-
-        sources: tuple[int, ...] = ()
-        if smote_cfg is not None:
-            fold_cfg = _clamped_smote_config(train, smote_cfg, fold)
-            if fold_cfg is not None:
-                train = smote(train, fold_cfg)
-                used = {i for pair in train.smote_pairs for i in pair}
-                sources = tuple(sorted(train_idx[i] for i in used))
-
-        fold_spec = replace(spec, seed=derive_seed(spec.seed, "fold", fold))
-        model = classifiers.fit(fold_spec, train, features=mask)
-        scores = classifiers.predict_scores(model, test)
-        per_fold.append(compute_metrics(scores, test.label01()))
-        audits.append(
-            FoldAudit(fold=fold, test_indices=tuple(test_idx), smote_source_indices=sources)
-        )
-
-    mean, std = _aggregate(per_fold)
-    return CrossValResult(
-        kind=spec.kind, per_fold=tuple(per_fold), mean=mean, std=std, audits=tuple(audits)
-    )
+    return _score(spec, _folds(table, plan, smote_cfg), mask)
 
 
 @dataclass(frozen=True)
@@ -237,30 +242,43 @@ def ablation(
     if not without_mask:
         raise ValueError("cannot ablate the only feature column")
 
-    reports = {}
-    for arm, mask in (("with", with_mask), ("without", without_mask)):
-        mean = {}
-        std = {}
-        for spec in specs:
-            result = cross_validate(table, spec, plan, smote_cfg, feature_mask=mask)
-            mean[spec.kind] = result.mean
-            std[spec.kind] = result.std
-        config = {
-            "folds": plan.k,
-            "features": list(mask),
-            "smote": None
-            if smote_cfg is None
-            else {
-                "k_neighbors": smote_cfg.k_neighbors,
-                "target_ratio": smote_cfg.target_ratio,
-                "seed": smote_cfg.seed,
-            },
-            "seeds": {spec.kind: spec.seed for spec in specs},
-        }
-        reports[arm] = EvalReport.from_stats(
-            [spec.kind for spec in specs], mean, std, config
-        )
-    return AblationReport.build(reports["with"], reports["without"])
+    folds = _folds(table, plan, smote_cfg)
+    config = {
+        "folds": plan.k,
+        "smote": None
+        if smote_cfg is None
+        else {
+            "k_neighbors": smote_cfg.k_neighbors,
+            "target_ratio": smote_cfg.target_ratio,
+            "seed": smote_cfg.seed,
+        },
+        "seeds": {spec.kind: spec.seed for spec in specs},
+    }
+    reports = []
+    for mask in (with_mask, without_mask):
+        results = [_score(spec, folds, mask) for spec in specs]
+        mean = {r.kind: r.mean for r in results}
+        std = {r.kind: r.std for r in results}
+        config_arm = config | {"features": list(mask)}
+        reports.append(EvalReport.from_stats([r.kind for r in results], mean, std, config_arm))
+    return AblationReport.build(*reports)
+
+
+def _strata(table: Table, min_rows: int, min_class: int, purpose: str):
+    """Yield (value, sub-table, smaller class size) per group big enough to use.
+
+    A group under `min_rows` rows or `min_class` rows per class is skipped with a warning.
+    """
+    if table.group_column is None:
+        raise ValueError("table has no group column")
+    for value in observed_groups(table):
+        sub = filter_by_group(table, value)
+        y = sub.label01()
+        smaller = min(sum(y), len(y) - sum(y))
+        if sub.n_rows < min_rows or smaller < min_class:
+            warnings.warn(f"group {value!r} is too small {purpose}; skipped", stacklevel=3)
+            continue
+        yield value, sub, smaller
 
 
 def per_group_rankings(
@@ -274,19 +292,10 @@ def per_group_rankings(
     """
     from .weighting import weigh_all
 
-    group_col = table.group_column
-    if group_col is None:
-        raise ValueError("table has no group column")
-    rankable = [f for f in table.feature_names() if f != group_col.name]
     out: dict[str, list[str]] = {}
-    for value in observed_groups(table):
-        sub = filter_by_group(table, value)
-        y = sub.label01()
-        min_class = min(sum(y), len(y) - sum(y))
-        if sub.n_rows < 20 or min_class < 2:
-            warnings.warn(f"group {value!r} is too small to rank; skipped", stacklevel=2)
-            continue
-        k_eff = min(relief_k, min_class - 1)
+    for value, sub, smaller in _strata(table, 20, 2, "to rank"):
+        rankable = [f for f in sub.feature_names() if f != sub.group_column.name]
+        k_eff = min(relief_k, smaller - 1)
         matrix = weigh_all(
             sub.project(rankable), n_bins=n_bins, relief_k=k_eff, seed=derive_seed(seed, "group", value)
         )
@@ -306,28 +315,13 @@ def best_classifier_per_group(
     Each group gets fresh stratified folds. Groups below max(20, 2k) rows or
     with a class smaller than k are skipped with a warning.
     """
-    group_col = table.group_column
-    if group_col is None:
-        raise ValueError("table has no group column")
-    floor = max(20, 2 * k)
     out: dict[str, tuple[str, Metrics]] = {}
-    for value in observed_groups(table):
-        sub = filter_by_group(table, value)
-        y = sub.label01()
-        min_class = min(sum(y), len(y) - sum(y))
-        if sub.n_rows < floor or min_class < k:
-            warnings.warn(f"group {value!r} is too small for {k}-fold evaluation; skipped", stacklevel=2)
-            continue
+    for value, sub, _ in _strata(table, max(20, 2 * k), k, f"for {k}-fold evaluation"):
         plan = stratified_folds(sub, k, derive_seed(seed, "group-folds", value))
-        best: tuple[float, float, str] | None = None
-        best_entry: tuple[str, Metrics] | None = None
-        for spec in specs:
-            result = cross_validate(sub, spec, plan, smote_cfg)
-            key = (-result.mean.accuracy, -result.mean.auc, spec.kind)
-            if best is None or key < best:
-                best = key
-                best_entry = (spec.kind, result.mean)
-        out[value] = best_entry
+        folds = _folds(sub, plan, smote_cfg)
+        results = [_score(spec, folds, None) for spec in specs]
+        best = min(results, key=lambda r: (-r.mean.accuracy, -r.mean.auc, r.kind))
+        out[value] = (best.kind, best.mean)
     return out
 
 

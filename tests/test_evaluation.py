@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import featrank as fr
+import featrank.evaluation as evaluation
 from featrank.classifiers import ClassifierSpec
 from featrank.dataio import FoldPlan, filter_by_group, stratified_folds
 from featrank.evaluation import (
@@ -38,6 +39,36 @@ def noisy_table(n=200, seed=0, extra=None):
     if extra:
         cols.update(extra)
     return make_table(cols, labels)
+
+
+def imbalanced_table(n=120, seed=0, group=None):
+    """One positive in four, so SMOTE adds rows in every fold; one categorical column."""
+    rng = random.Random(seed)
+    labels = [1 if i % 4 == 0 else 0 for i in range(n)]
+    rng.shuffle(labels)
+    cols = {
+        "a": [y + rng.gauss(0, 1) for y in labels],
+        "b": [rng.gauss(0, 1) for _ in range(n)],
+        "c": [rng.choice("xyz") for _ in range(n)],
+    }
+    return make_table(cols, labels, group=group)
+
+
+@pytest.fixture
+def fold_calls(monkeypatch):
+    """Counts of the calls evaluation makes to split and smote."""
+    calls = {"split": 0, "smote": 0}
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(evaluation, name, counted(name, getattr(evaluation, name)))
+    return calls
 
 
 class TestConfusion:
@@ -246,6 +277,32 @@ class TestAblation:
             t, "noise", self.make_specs(), plan
         )
 
+    def test_folds_built_once_for_both_arms_and_all_specs(self, fold_calls):
+        t = imbalanced_table(seed=14)
+        plan = stratified_folds(t, 3, seed=1)
+        cfg = SmoteConfig(k_neighbors=3, target_ratio=1.0, seed=5)
+        ablation(t, "b", self.make_specs(), plan, cfg)
+        assert fold_calls == {"split": 3, "smote": 3}
+
+    def test_arms_match_cross_validate_with_smote(self):
+        t = imbalanced_table(seed=15)
+        plan = stratified_folds(t, 3, seed=2)
+        cfg = SmoteConfig(k_neighbors=3, target_ratio=1.0, seed=6)
+        specs = [
+            ClassifierSpec(kind="rule_induction", seed=1),
+            ClassifierSpec(kind="mlp", hyperparameters={"epochs": 5}, seed=2),
+            ClassifierSpec(kind="glm", seed=3),
+            ClassifierSpec(kind="gbt", hyperparameters={"n_rounds": 5}, seed=4),
+            ClassifierSpec(kind="decision_tree", seed=5),
+            ClassifierSpec(kind="random_forest", hyperparameters={"n_trees": 5}, seed=6),
+        ]
+        report = ablation(t, "c", specs, plan, cfg)
+        for arm in (report.with_report, report.without_report):
+            for spec in specs:
+                result = cross_validate(t, spec, plan, cfg, feature_mask=arm.config["features"])
+                assert arm.mean[spec.kind] == result.mean
+                assert arm.std[spec.kind] == result.std
+
     def test_duplicate_feature_ablates_to_nothing(self):
         table = fr.generate(fr.planted_separable_spec(n_rows=2000, seed=5))
         dup = make_table(
@@ -322,6 +379,16 @@ class TestBestClassifierPerGroup:
         with pytest.warns(UserWarning, match="tiny"):
             out = best_classifier_per_group(t, [ClassifierSpec(kind="glm")], k=5, seed=0)
         assert set(out) == {"big"}
+
+    def test_folds_built_once_per_stratum(self, fold_calls):
+        groups = ["g1"] * 100 + ["g2"] * 100 + ["tiny"] * 10
+        t = imbalanced_table(n=210, seed=27, group=("cohort", groups))
+        specs = [ClassifierSpec(kind="glm", seed=1), ClassifierSpec(kind="decision_tree", seed=2)]
+        cfg = SmoteConfig(k_neighbors=3, target_ratio=1.0, seed=8)
+        with pytest.warns(UserWarning, match="tiny"):
+            out = best_classifier_per_group(t, specs, k=4, seed=0, smote_cfg=cfg)
+        assert set(out) == {"g1", "g2"}
+        assert fold_calls == {"split": 8, "smote": 8}
 
     def test_single_group_matches_manual_evaluation(self):
         rng = random.Random(25)
