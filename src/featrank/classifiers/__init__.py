@@ -2,9 +2,11 @@
 
 Every kind consumes a data table and an optional list of included features,
 and produces a Model whose scores are positive-class probabilities in [0,1].
-Training rows are canonically re-sorted by content before any seeded
-sampling, so fitted models do not depend on input row order. Models
-round-trip through a versioned JSON document.
+Training rows are put in a canonical order before any seeded sampling: one
+stable `np.lexsort` by the feature columns (first feature most significant,
+category codes sorting as their strings) and then the label. So fitted
+models do not depend on input row order. Models round-trip through a
+versioned JSON document.
 """
 
 from __future__ import annotations
@@ -123,16 +125,6 @@ class Model:
     inner: object
 
 
-def _row_sort_key(cells_row, label):
-    tagged = tuple(("s", c) if isinstance(c, str) else ("n", c) for c in cells_row)
-    return tagged + (("y", label),)
-
-
-def _extract_cells(table: Table, features) -> list[tuple]:
-    col_idx = [table.col_index(f) for f in features]
-    return [tuple(row[ci] for ci in col_idx) for row in table.rows]
-
-
 def fit(spec: ClassifierSpec, train: Table, features=None) -> Model:
     """Train one classifier on the table's feature columns (or a subset)."""
     all_feats = list(train.feature_names())
@@ -147,33 +139,33 @@ def fit(spec: ClassifierSpec, train: Table, features=None) -> Model:
         raise ValueError("no feature columns selected")
     if train.n_rows < 10:
         raise ValueError("training requires at least 10 rows")
-    y = train.label01()
-    if len(set(y)) < 2:
+    y = np.asarray(train.label01())
+    if y.min() == y.max():
         raise ValueError("training set has a single class")
 
     kinds = tuple(train.column_schema(f).kind for f in feats)
-    cells = _extract_cells(train, feats)
-    order = sorted(range(len(cells)), key=lambda i: _row_sort_key(cells[i], y[i]))
-    cells = [cells[i] for i in order]
-    y = [y[i] for i in order]
+    columns = [train.encoded(f) for f in feats]
+    order = np.lexsort([y] + [data for data, _ in reversed(columns)])
+    columns = [(data[order], cats) for data, cats in columns]
+    y = y[order]
 
     params = spec.params()
     if spec.kind == "rule_induction":
-        inner = RuleInduction(**params).fit(cells, feats, kinds, y, spec.seed)
+        inner = RuleInduction(**params).fit(columns, feats, kinds, y, spec.seed)
         encoder = None
     else:
         standardize = spec.kind in ("glm", "mlp")
-        encoder = FeatureEncoder.build(feats, kinds, cells, standardize)
-        x_mat = encoder.transform(cells)
-        inner = _ESTIMATORS[spec.kind](**params).fit(x_mat, np.asarray(y, dtype=float), spec.seed)
+        encoder = FeatureEncoder.build(feats, kinds, columns, standardize)
+        x_mat = encoder.transform(columns)
+        inner = _ESTIMATORS[spec.kind](**params).fit(x_mat, y.astype(float), spec.seed)
     return Model(spec=spec, features=tuple(feats), kinds=kinds, encoder=encoder, inner=inner)
 
 
-def _score_cells(model: Model, cells) -> np.ndarray:
+def _score_columns(model: Model, columns) -> np.ndarray:
     if model.encoder is None:
-        raw = model.inner.scores(cells)
+        raw = model.inner.scores(columns)
     else:
-        raw = model.inner.scores(model.encoder.transform(cells))
+        raw = model.inner.scores(model.encoder.transform(columns))
     return np.clip(raw, 0.0, 1.0)
 
 
@@ -182,12 +174,13 @@ def predict_scores(model: Model, table: Table) -> list[float]:
     for f, kind in zip(model.features, model.kinds):
         if table.column_schema(f).kind != kind:
             raise ValueError(f"column {f!r} kind mismatch with the trained model")
-    return [float(s) for s in _score_cells(model, _extract_cells(table, model.features))]
+    columns = [table.encoded(f) for f in model.features]
+    return _score_columns(model, columns).tolist()
 
 
 def predict(model: Model, row: dict) -> float:
     """Positive-class score for one row given as a feature -> value mapping."""
-    cells = []
+    columns = []
     for f, kind in zip(model.features, model.kinds):
         if f not in row:
             raise ValueError(f"row is missing feature {f!r}")
@@ -195,12 +188,12 @@ def predict(model: Model, row: dict) -> float:
         if kind == dataio.NUMERIC:
             if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
                 raise ValueError(f"feature {f!r} requires a finite number")
-            cells.append(float(v))
+            columns.append((np.array([float(v)]), None))
         else:
             if not isinstance(v, str):
                 raise ValueError(f"feature {f!r} requires a string value")
-            cells.append(v)
-    return float(_score_cells(model, [tuple(cells)])[0])
+            columns.append((np.array([0]), (v,)))
+    return float(_score_columns(model, columns)[0])
 
 
 def mlp_gradient_check(spec: ClassifierSpec, train: Table, epsilon: float) -> float:
@@ -209,10 +202,10 @@ def mlp_gradient_check(spec: ClassifierSpec, train: Table, epsilon: float) -> fl
         raise ValueError("gradient check applies to the mlp kind only")
     feats = list(train.feature_names())
     kinds = tuple(train.column_schema(f).kind for f in feats)
-    cells = _extract_cells(train, feats)
+    columns = [train.encoded(f) for f in feats]
     y = train.label01()
-    encoder = FeatureEncoder.build(feats, kinds, cells, standardize=True)
-    x_mat = encoder.transform(cells)
+    encoder = FeatureEncoder.build(feats, kinds, columns, standardize=True)
+    x_mat = encoder.transform(columns)
     net = Mlp(**spec.params())
     return gradient_check(
         net, x_mat, np.asarray(y, dtype=float), epsilon, seed=derive_seed(spec.seed, "gradcheck")

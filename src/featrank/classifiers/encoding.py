@@ -15,7 +15,8 @@ from .. import dataio
 
 
 class FeatureEncoder:
-    """Maps raw feature cell tuples to a float design matrix."""
+    """Maps feature columns, (array, categories) pairs as `Table.encoded`
+    returns them, to a float design matrix."""
 
     def __init__(self, names, kinds, categories, standardize, means=None, scales=None):
         self.names = tuple(names)
@@ -26,14 +27,14 @@ class FeatureEncoder:
         self.scales = None if scales is None else np.asarray(scales, dtype=float)
 
     @classmethod
-    def build(cls, names, kinds, cells, standardize: bool) -> "FeatureEncoder":
+    def build(cls, names, kinds, columns, standardize: bool) -> "FeatureEncoder":
         categories = {}
-        for j, (name, kind) in enumerate(zip(names, kinds)):
-            if kind == dataio.CATEGORICAL:
-                categories[name] = tuple(sorted({row[j] for row in cells}))
+        for name, kind, (codes, cats) in zip(names, kinds, columns):
+            if kind == dataio.CATEGORICAL:  # the categories observed, in sorted order
+                categories[name] = tuple(cats[c] for c in np.unique(codes).tolist())
         enc = cls(names, kinds, categories, standardize)
         if standardize:
-            raw = enc._expand(cells)
+            raw = enc._expand(columns)
             means = raw.mean(axis=0)
             scales = raw.std(axis=0)
             scales[scales == 0.0] = 1.0
@@ -50,24 +51,18 @@ class FeatureEncoder:
                 out.extend(f"{name}={v}" for v in self.categories[name])
         return tuple(out)
 
-    def _expand(self, cells) -> np.ndarray:
-        n = len(cells)
+    def _expand(self, columns) -> np.ndarray:
         cols = []
-        for j, (name, kind) in enumerate(zip(self.names, self.kinds)):
+        for name, kind, (data, cats) in zip(self.names, self.kinds, columns):
             if kind == dataio.NUMERIC:
-                cols.append(np.asarray([row[j] for row in cells], dtype=float)[:, None])
-            else:
-                cats = self.categories[name]
-                index = {v: i for i, v in enumerate(cats)}
-                codes = np.asarray([index.get(row[j], -1) for row in cells])
-                block = np.zeros((n, len(cats)))
-                seen = codes >= 0
-                block[np.nonzero(seen)[0], codes[seen]] = 1.0
-                cols.append(block)
-        return np.hstack(cols) if cols else np.zeros((n, 0))
+                cols.append(data[:, None])
+            else:  # one indicator per encoder category, by its code in `cats`
+                lut = [cats.index(v) if v in cats else -1 for v in self.categories[name]]
+                cols.append((data[:, None] == np.asarray(lut, dtype=np.int64)).astype(float))
+        return np.hstack(cols)
 
-    def transform(self, cells) -> np.ndarray:
-        x = self._expand(cells)
+    def transform(self, columns) -> np.ndarray:
+        x = self._expand(columns)
         if self.standardize:
             x = (x - self.means) / self.scales
         return x

@@ -27,17 +27,16 @@ class RuleInduction:
         self.rules: list[dict] = []
         self.default_score = 0.5
 
-    def _symbol_columns(self, cells) -> list[list]:
-        """Each feature's cells as rule symbols: a numeric's bin index, else the value."""
-        columns = list(zip(*cells)) or [()] * len(self.names)
+    def _symbol_columns(self, columns) -> list[tuple]:
+        """Each feature as (int array, symbols): the rule symbol of row i is
+        symbols[array[i]], a numeric's bin index or a categorical's value."""
         out = []
-        for name, kind, column in zip(self.names, self.kinds, columns):
+        for name, kind, (data, cats) in zip(self.names, self.kinds, columns):
             if kind == dataio.NUMERIC:
                 edges = np.asarray(self.bins[name].edges, dtype=float)
-                values = np.asarray(column, dtype=float)
-                out.append(np.searchsorted(edges, values, side="left").tolist())
+                out.append((np.searchsorted(edges, data, side="left"), range(len(edges) + 1)))
             else:
-                out.append(list(column))
+                out.append((data, cats))
         return out
 
     def _grow_rule(self, codes, uniq, y01, remaining, target):
@@ -81,25 +80,26 @@ class RuleInduction:
             "coverage": len(covered),
         }, covered
 
-    def fit(self, cells, names, kinds, y, seed: int = 0):
+    def fit(self, columns, names, kinds, y, seed: int = 0):
         del seed
         self.names = tuple(names)
         self.kinds = tuple(kinds)
-        n = len(cells)
-        columns = list(zip(*cells))
+        n = len(y)
         self.bins = {
-            name: equal_frequency_edges(name, columns[j], self.n_bins)
-            for j, (name, kind) in enumerate(zip(self.names, self.kinds))
+            name: equal_frequency_edges(name, data, self.n_bins)
+            for name, kind, (data, _) in zip(self.names, self.kinds, columns)
             if kind == dataio.NUMERIC
         }
+        # codes index the observed symbols in repr order ("a b" < "a", bin 10 < 2)
         codes = []
         uniq = []
-        for sym in self._symbol_columns(cells):
-            u = sorted(set(sym), key=repr)
-            index = {v: c for c, v in enumerate(u)}
-            uniq.append(u)
-            codes.append(np.asarray([index[s] for s in sym], dtype=np.int64))
-        y01 = np.asarray(list(y), dtype=np.int64)
+        for raw, symbols in self._symbol_columns(columns):
+            present = sorted(np.unique(raw).tolist(), key=lambda r: repr(symbols[r]))
+            lookup = np.zeros(len(symbols), dtype=np.int64)
+            lookup[present] = np.arange(len(present))
+            uniq.append([symbols[r] for r in present])
+            codes.append(lookup[raw])
+        y01 = np.asarray(y, dtype=np.int64)
 
         remaining = np.arange(n, dtype=np.int64)
         self.rules = []
@@ -124,14 +124,16 @@ class RuleInduction:
             self.default_score = float(y01.mean())
         return self
 
-    def scores(self, cells) -> np.ndarray:
-        columns = [np.asarray(sym, dtype=object) for sym in self._symbol_columns(cells)]
-        out = np.full(len(cells), self.default_score)
-        unmatched = np.ones(len(cells), dtype=bool)
+    def scores(self, columns) -> np.ndarray:
+        symbol_columns = self._symbol_columns(columns)
+        n = len(columns[0][0])
+        out = np.full(n, self.default_score)
+        unmatched = np.ones(n, dtype=bool)
         for rule in self.rules:  # the first rule a row matches scores it
             hit = unmatched.copy()
             for j, v in rule["conditions"]:
-                hit &= columns[j] == v
+                raw, symbols = symbol_columns[j]
+                hit &= raw == symbols.index(v) if v in symbols else False
             p = rule["precision"]
             out[hit] = p if rule["target"] == 1 else 1.0 - p
             unmatched &= ~hit

@@ -1,6 +1,7 @@
 """Binary CART trees and the two ensembles built on them.
 
-Trees split on midpoints between consecutive distinct sorted values,
+Trees split on midpoints between consecutive distinct sorted values (on the
+lower value where the midpoint would round onto the upper one),
 minimizing the weighted child impurity. For 0/1 targets the variance
 criterion used here equals Gini impurity up to a constant factor of 2, so
 the same split scan serves classification trees and the boosted regression
@@ -18,7 +19,7 @@ each feature's float values on its own: equal values share a code, so the
 stable sort keeps the same (value, position in the node) order and the
 cumsums add the same numbers in the same sequence; the flat argmax returns
 the first maximum in (feature, position) order, which is the tie-break
-above; and the threshold is the midpoint of the same two float values.
+above; and the threshold comes from the same two float values.
 
 The random forest's 0/1 targets skip that sort (`_count_splits`). Their
 cumsums add only integers below 2**53, which floats hold exactly whatever
@@ -82,6 +83,13 @@ class _CodedMatrix:
         self.flat_values = np.concatenate(self.values)
 
 
+def _threshold(lo, hi):
+    """The midpoint of lo < hi, or lo where it rounds onto hi or overflows (as
+    scikit-learn's splitter), so `x <= t` sends exactly the rows <= lo left."""
+    mid = (lo + hi) / 2.0
+    return np.where((lo <= mid) & (mid < hi), mid, lo)
+
+
 def _best_split(data, idx, t, min_leaf, feature_ids):
     """Highest variance-reduction split over the given features, or None."""
     n = idx.size
@@ -118,8 +126,8 @@ def _best_split(data, idx, t, min_leaf, feature_ids):
         return None
     r, c = divmod(int(cand[k]), width)
     j = int(feature_ids[r])
-    values = data.values[j]
-    return j, (values[sorted_codes[r, c]] + values[sorted_codes[r, c + 1]]) / 2.0
+    lo, hi = data.values[j][sorted_codes[r, c : c + 2]]
+    return j, float(_threshold(lo, hi))
 
 
 def _count_splits(data, y, nodes, features, min_leaf):
@@ -127,10 +135,7 @@ def _count_splits(data, y, nodes, features, min_leaf):
 
     `nodes` are row-index arrays, `features[b]` the candidate feature ids of
     node b and `y` the targets as integers. Returns, per node, None or
-    (feature, threshold, positives left). The count is None when the
-    threshold does not fall between the cut's two values (adjacent or huge
-    floats), so that rows of the upper value go left too; the caller then
-    counts the partition itself.
+    (feature, threshold, positives left).
     """
     n_nodes, m = features.shape
     sizes = np.fromiter(map(len, nodes), np.int64, n_nodes)
@@ -181,12 +186,10 @@ def _count_splits(data, y, nodes, features, min_leaf):
     j = features[node[win], g[win] % m]
     lo = data.flat_values[data.offsets[j] + key[ends[win] - 1] % n_codes]
     hi = data.flat_values[data.offsets[j] + key[ends[win]] % n_codes]
-    thr = (lo + hi) / 2.0
-    exact = (lo <= thr) & (thr < hi)
-    for b, jb, tb, pb, eb in zip(
-        node[win].tolist(), j.tolist(), thr.tolist(), left_pos[win].tolist(), exact.tolist()
+    for b, jb, tb, pb in zip(
+        node[win].tolist(), j.tolist(), _threshold(lo, hi).tolist(), left_pos[win].tolist()
     ):
-        out[b] = (jb, tb, pb if eb else None)
+        out[b] = (jb, tb, pb)
     return out
 
 
@@ -221,9 +224,7 @@ def _grow(data, t, trees, max_depth, min_leaf, leaf_value=None):
         if not stop:
             stacks[tree].append((tree, node, rows, depth, npos))
         elif counted:
-            # the mean of no rows is NaN: a child is empty only when a
-            # threshold rounds onto the next value (adjacent floats)
-            node["v"] = npos / n if n else math.nan
+            node["v"] = npos / n
         else:
             node["v"] = leaf_value(rows)
 
@@ -269,8 +270,6 @@ def _grow(data, t, trees, max_depth, min_leaf, leaf_value=None):
             j, thr, left_pos = split
             go_left = data.x[rows, j] <= thr
             left_rows, right_rows = rows[go_left], rows[~go_left]
-            if counted and left_pos is None:
-                left_pos = int(np.count_nonzero(y[left_rows]))
             left, right = {}, {}
             node.update(f=j, t=float(thr), l=left, r=right)
             # right first: the stack pops the left subtree first

@@ -1,9 +1,9 @@
 """Typed tabular cohorts: schema validation, CSV ingestion, folds, group filtering.
 
-A Table is an immutable rectangle of cells (floats for numeric columns,
-strings for categorical ones) plus its column schema. Ingestion imputes
-missing numeric cells with the column median and missing categorical cells
-with the column mode, and records how many cells were filled per column.
+A Table stores one numpy array per column (see `Table`) plus its schema.
+Ingestion imputes missing numeric cells with the column median and missing
+categorical cells with the column mode, and records how many cells were
+filled per column.
 """
 
 from __future__ import annotations
@@ -14,6 +14,8 @@ import random
 import statistics
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+
+import numpy as np
 
 NUMERIC = "numeric"
 CATEGORICAL = "categorical"
@@ -67,10 +69,14 @@ def load_schema_json(path: str | Path) -> list[ColumnSchema]:
     """Read a schema file: {"columns": [{"name", "kind", "role", "positive_label"?}]}."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    if not isinstance(doc, dict) or "columns" not in doc:
-        raise ValueError(f"{path}: schema file must be an object with a 'columns' list")
+    entries = doc.get("columns") if isinstance(doc, dict) else None
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise ValueError(f"{path}: schema file must be an object with a 'columns' list of objects")
     columns = []
-    for entry in doc["columns"]:
+    for entry in entries:
+        for key in ("name", "kind", "role", "positive_label"):
+            if key in entry and not isinstance(entry[key], str):
+                raise ValueError(f"{path}: column field {key!r} must be a string")
         columns.append(
             ColumnSchema(
                 name=entry["name"],
@@ -93,9 +99,14 @@ def schema_to_json(columns: list[ColumnSchema]) -> dict:
     return {"columns": out}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Table:
-    """Immutable typed rectangle. Rows are tuples of cells in schema order.
+    """Immutable typed rectangle, stored column by column.
+
+    `data[j]` is column j: float64 values (`categories[j]` None), or int64
+    codes into the sorted tuple `categories[j]` (every categorical, the label
+    too), so code order is string order. Derived tables keep their parent's
+    tuples. `rows`, `column` and `label01` read back Python floats/strs/ints.
 
     `imputations` counts cells filled at ingestion (column name -> count);
     `smote_pairs` records (anchor, neighbor) row indices into the table a
@@ -103,22 +114,43 @@ class Table:
     """
 
     schema: tuple[ColumnSchema, ...]
-    rows: tuple[tuple[Cell, ...], ...]
+    data: tuple[np.ndarray, ...]
+    categories: tuple[tuple[str, ...] | None, ...]
     imputations: dict = field(default_factory=dict)
     smote_pairs: tuple = ()
 
     def __post_init__(self):
         validate_schema(list(self.schema))
-        if len(self.rows) < 1:
+        if not len(self.data) == len(self.categories) == len(self.schema):
+            raise ValueError(f"expected {len(self.schema)} columns, got {len(self.data)}")
+        lengths = {len(d) for d in self.data}
+        if len(lengths) != 1:
+            raise ValueError(f"columns of unequal length: {sorted(lengths)}")
+        if lengths.pop() < 1:
             raise ValueError("table must have at least one row")
-        p = len(self.schema)
-        for i, row in enumerate(self.rows):
-            if len(row) != p:
-                raise ValueError(f"row {i} has {len(row)} cells, expected {p}")
+
+    @classmethod
+    def from_columns(cls, schema, columns, imputations=None) -> "Table":
+        """Build a table from one list of cells per schema column."""
+        data, categories = [], []
+        for col, values in zip(schema, columns, strict=True):
+            if col.kind == NUMERIC:
+                data.append(np.asarray(values, dtype=float))
+                categories.append(None)
+            else:
+                cats = tuple(sorted(set(values)))
+                index = {v: i for i, v in enumerate(cats)}
+                data.append(np.fromiter((index[v] for v in values), np.int64, len(values)))
+                categories.append(cats)
+        return cls(tuple(schema), tuple(data), tuple(categories), imputations or {})
 
     @property
     def n_rows(self) -> int:
-        return len(self.rows)
+        return len(self.data[0])
+
+    @property
+    def rows(self) -> tuple[tuple[Cell, ...], ...]:
+        return tuple(zip(*(self.column(c.name) for c in self.schema)))
 
     def column_names(self) -> list[str]:
         return [c.name for c in self.schema]
@@ -132,9 +164,14 @@ class Table:
     def column_schema(self, name: str) -> ColumnSchema:
         return self.schema[self.col_index(name)]
 
-    def column(self, name: str) -> list[Cell]:
+    def encoded(self, name: str) -> tuple[np.ndarray, tuple[str, ...] | None]:
+        """The stored column: (float64 values, None) or (int64 codes, categories)."""
         i = self.col_index(name)
-        return [row[i] for row in self.rows]
+        return self.data[i], self.categories[i]
+
+    def column(self, name: str) -> list[Cell]:
+        data, cats = self.encoded(name)
+        return data.tolist() if cats is None else [cats[c] for c in data.tolist()]
 
     @property
     def label_column(self) -> ColumnSchema:
@@ -150,15 +187,15 @@ class Table:
 
     def label01(self) -> list[int]:
         """Labels as 0/1 with 1 = positive_label."""
+        codes, cats = self.encoded(self.label_column.name)
         pos = self.label_column.positive_label
-        col = self.column(self.label_column.name)
-        return [1 if v == pos else 0 for v in col]
+        return (codes == (cats.index(pos) if pos in cats else -1)).astype(int).tolist()
 
     def take(self, indices) -> "Table":
-        indices = list(indices)
-        if not indices:
+        idx = np.asarray(indices, dtype=np.intp)
+        if not idx.size:
             raise ValueError("cannot build an empty table")
-        return Table(self.schema, tuple(self.rows[i] for i in indices))
+        return Table(self.schema, tuple(d[idx] for d in self.data), self.categories)
 
     def project(self, feature_names) -> "Table":
         """Keep the listed feature/group columns (plus the label), drop the rest."""
@@ -166,10 +203,12 @@ class Table:
         unknown = keep - {c.name for c in self.schema if c.role != ROLE_LABEL}
         if unknown:
             raise ValueError(f"unknown feature columns: {sorted(unknown)}")
-        cols = [c for c in self.schema if c.role == ROLE_LABEL or c.name in keep]
-        idx = [self.col_index(c.name) for c in cols]
-        rows = tuple(tuple(row[i] for i in idx) for row in self.rows)
-        return Table(tuple(cols), rows)
+        idx = [i for i, c in enumerate(self.schema) if c.role == ROLE_LABEL or c.name in keep]
+        return Table(
+            tuple(self.schema[i] for i in idx),
+            tuple(self.data[i] for i in idx),
+            tuple(self.categories[i] for i in idx),
+        )
 
 
 def _parse_numeric(text: str, column: str, line: int) -> float:
@@ -259,9 +298,7 @@ def load_csv(path: str | Path, schema: list[ColumnSchema]) -> Table:
             f"{path}: positive label {label.positive_label!r} never observed in column {label.name!r}"
         )
 
-    names = [c.name for c in schema]
-    rows = tuple(tuple(columns[n][r] for n in names) for r in range(len(raw_rows)))
-    return Table(tuple(schema), rows, imputations=imputations)
+    return Table.from_columns(schema, [columns[c.name] for c in schema], imputations)
 
 
 @dataclass(frozen=True)
@@ -319,11 +356,11 @@ def filter_by_group(table: Table, group_value: str) -> Table:
     group = table.group_column
     if group is None:
         raise ValueError("table has no group column")
-    col = table.column(group.name)
-    idx = [i for i, v in enumerate(col) if v == group_value]
-    if not idx:
+    codes, cats = table.encoded(group.name)
+    hit = codes == cats.index(group_value) if group_value in cats else np.zeros(0, bool)
+    if not hit.any():
         raise ValueError(f"group value {group_value!r} never occurs in column {group.name!r}")
-    return table.take(idx)
+    return table.take(np.flatnonzero(hit))
 
 
 def observed_groups(table: Table) -> list[str]:
@@ -331,4 +368,5 @@ def observed_groups(table: Table) -> list[str]:
     group = table.group_column
     if group is None:
         return []
-    return sorted(set(table.column(group.name)))
+    codes, cats = table.encoded(group.name)
+    return [cats[c] for c in np.unique(codes).tolist()]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dataio import NUMERIC, Table
+from .dataio import Table
 
 # Distances per block: the distance, diff and partition arrays (3 x 512 KB) fit
 # a 2 MB L2 cache; larger blocks were measured slower at 3000 rows.
@@ -20,17 +20,13 @@ BLOCK_CELLS = 2**16
 def encode(table: Table) -> list[tuple[str, np.ndarray]]:
     """Every feature column as (name, array): numerics as float64 min-max
     normalized over the full table (all zeros when constant), categoricals as
-    int64 codes of their sorted distinct values."""
+    the table's int64 category codes."""
     features = []
     for name in table.feature_names():
-        col = table.column(name)
-        if table.column_schema(name).kind == NUMERIC:
-            arr = np.asarray(col, dtype=float)
+        arr, cats = table.encoded(name)
+        if cats is None:
             span = arr.max() - arr.min()
             arr = (arr - arr.min()) / span if span > 0 else np.zeros_like(arr)
-        else:
-            uniq = {v: i for i, v in enumerate(sorted(set(col)))}
-            arr = np.asarray([uniq[v] for v in col], dtype=np.int64)
         features.append((name, arr))
     return features
 

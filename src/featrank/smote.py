@@ -4,9 +4,10 @@ Synthetic rows are built from a minority anchor and one of its k nearest minorit
 neighbors under the distance defined in `neighbors.py`: numeric cells move a shared
 uniform random fraction of the way to the neighbor, categorical cells take the majority
 value among the k neighbors (anchor's value on ties). Anchors are visited round-robin
-in a seeded shuffled order until the minority class reaches the requested size. Every
-synthetic row's (anchor, neighbor) pair is recorded on the output table so resampling
-can be audited against evaluation splits.
+in a seeded shuffled order until the minority class reaches the requested size; each
+row draws its neighbor (`randrange`) and then its fraction (`random`). The rows are
+built one column array at a time. Every synthetic row's (anchor, neighbor) pair is
+recorded on the output table so resampling can be audited against evaluation splits.
 """
 
 from __future__ import annotations
@@ -15,7 +16,9 @@ import math
 import random
 from dataclasses import dataclass
 
-from .dataio import NUMERIC, ROLE_LABEL, Table
+import numpy as np
+
+from .dataio import ROLE_LABEL, Table
 from .neighbors import encode, k_nearest
 
 
@@ -71,25 +74,6 @@ def minority_neighbors(table: Table, row: int, k: int) -> list[int]:
     return k_nearest(encode(table), [row], minority_idx, k)[0].tolist()
 
 
-def _anchor_cells(table: Table, anchor: int, neighbors: list[int]) -> list:
-    """The cells every synthetic row from this anchor shares: its label, and per
-    categorical column the majority value among its neighbors (the anchor's own
-    value on ties). Numeric cells are None, to be interpolated per row."""
-    a_row = table.rows[anchor]
-    cells = []
-    for j, col in enumerate(table.schema):
-        if col.role == ROLE_LABEL:
-            cells.append(a_row[j])
-        elif col.kind == NUMERIC:
-            cells.append(None)
-        else:
-            votes = [table.rows[i][j] for i in neighbors]
-            top = max(map(votes.count, votes))
-            winners = [v for v in dict.fromkeys(votes) if votes.count(v) == top]
-            cells.append(winners[0] if len(winners) == 1 else a_row[j])
-    return cells
-
-
 def smote(table: Table, config: SmoteConfig) -> Table:
     """Append synthetic minority rows until minority = ceil(ratio * majority).
 
@@ -107,32 +91,34 @@ def smote(table: Table, config: SmoteConfig) -> Table:
     if need <= 0:
         return table
 
-    neighbors = _all_minority_neighbors(table, config.k_neighbors)
-
+    k = config.k_neighbors
+    neighbors = _all_minority_neighbors(table, k)
     rng = random.Random(config.seed)
     anchors = list(neighbors)  # the minority rows, ascending
     rng.shuffle(anchors)
-    fixed = {a: _anchor_cells(table, a, neighbors[a]) for a in anchors[:need]}  # the anchors to be used
+    anchor = np.asarray([anchors[t % len(anchors)] for t in range(need)])
+    draws = [(rng.randrange(k), rng.random()) for _ in range(need)]
+    near = np.asarray([neighbors[a] for a in anchor.tolist()])  # each row's k neighbors
+    neighbor = near[np.arange(need), [pick for pick, _ in draws]]
+    u = np.asarray([frac for _, frac in draws])  # one fraction shared by a row's numerics
 
-    numeric = [j for j, col in enumerate(table.schema) if col.role != ROLE_LABEL and col.kind == NUMERIC]
-    new_rows = []
-    pairs = []
-    for t in range(need):
-        anchor = anchors[t % len(anchors)]
-        neigh_list = neighbors[anchor]
-        neighbor = neigh_list[rng.randrange(len(neigh_list))]
-        u = rng.random()  # one interpolation fraction shared by all numerics
-        cells = list(fixed[anchor])
-        a_row = table.rows[anchor]
-        n_row = table.rows[neighbor]
-        for j in numeric:
-            cells[j] = a_row[j] + u * (n_row[j] - a_row[j])
-        new_rows.append(tuple(cells))
-        pairs.append((anchor, neighbor))
+    data = []
+    for col, arr, cats in zip(table.schema, table.data, table.categories):
+        if col.role == ROLE_LABEL:
+            new = arr[anchor]
+        elif cats is None:
+            new = arr[anchor] + u * (arr[neighbor] - arr[anchor])
+        else:  # the neighbors' majority category, the anchor's own on ties
+            votes = np.arange(need)[:, None] * len(cats) + arr[near]
+            counts = np.bincount(votes.ravel(), minlength=need * len(cats)).reshape(need, -1)
+            unique = (counts == counts.max(axis=1, keepdims=True)).sum(axis=1) == 1
+            new = np.where(unique, counts.argmax(axis=1), arr[anchor])
+        data.append(np.concatenate([arr, new]))
 
     return Table(
         schema=table.schema,
-        rows=table.rows + tuple(new_rows),
+        data=tuple(data),
+        categories=table.categories,
         imputations=table.imputations,
-        smote_pairs=table.smote_pairs + tuple(pairs),
+        smote_pairs=table.smote_pairs + tuple(zip(anchor.tolist(), neighbor.tolist())),
     )

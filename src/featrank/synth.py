@@ -171,16 +171,9 @@ def generate_with_truth(spec: SynthSpec) -> tuple[Table, dict]:
     labels = thresholds < intercept
     realized = int(labels.sum())
 
-    rows = []
-    for i in range(n):
-        cells = []
-        for f in spec.features:
-            v = columns[f.name][i]
-            cells.append(float(v) if f.kind == NUMERIC else str(v))
-        cells.append(str(groups[i]))
-        cells.append(spec.positive_label if labels[i] else spec.negative_label)
-        rows.append(tuple(cells))
-    table = Table(schema=spec.schema(), rows=tuple(rows))
+    label_cells = np.where(labels, spec.positive_label, spec.negative_label)
+    cells = [columns[f.name] for f in spec.features] + [groups, label_cells]
+    table = Table.from_columns(spec.schema(), [c.tolist() for c in cells])
 
     truth = {
         "intercept": intercept,

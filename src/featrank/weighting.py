@@ -59,7 +59,7 @@ def equal_frequency_edges(column: str, values, n_bins: int) -> BinEdges:
     """
     if n_bins < 1:
         raise ValueError("n_bins must be >= 1")
-    arr = np.asarray(list(values), dtype=float)
+    arr = np.asarray(values, dtype=float)
     if arr.size == 0:
         raise ValueError(f"no values to bin for column {column!r}")
     lo, hi = float(arr.min()), float(arr.max())
@@ -70,19 +70,19 @@ def equal_frequency_edges(column: str, values, n_bins: int) -> BinEdges:
     return BinEdges(column=column, edges=tuple(edges))
 
 
-def _discrete_values(table: Table, attribute: str, bins: BinEdges | None) -> list:
-    """Attribute cells as hashable symbols (bin index for numerics)."""
+def _discrete_values(table: Table, attribute: str, bins: BinEdges | None) -> np.ndarray:
+    """Attribute cells as int symbols: category codes, or bin indices for numerics."""
     col = table.column_schema(attribute)
     if col.role == ROLE_LABEL:
         raise ValueError(f"attribute {attribute!r} is the label column")
-    cells = table.column(attribute)
+    data, _ = table.encoded(attribute)
     if col.kind == CATEGORICAL:
-        return cells
+        return data
     if bins is None:
         raise ValueError(f"numeric attribute {attribute!r} requires bin edges")
     if bins.column != attribute:
         raise ValueError(f"bin edges are for {bins.column!r}, not {attribute!r}")
-    return [bins.bin_of(v) for v in cells]
+    return np.searchsorted(np.asarray(bins.edges, dtype=float), data, side="left")
 
 
 def entropy(class_counts) -> float:
@@ -106,27 +106,25 @@ def _gini(counts) -> float:
     return 1.0 - sum((c / total) ** 2 for c in counts)
 
 
-def _contingency(values, labels01):
+def _contingency(values: np.ndarray, labels01: np.ndarray) -> list[list[int]]:
     """Per-attribute-value [negatives, positives] counts, in first-seen value order."""
-    by_value: dict = {}
-    for v, y in zip(values, labels01):
-        cell = by_value.setdefault(v, [0, 0])
-        cell[y] += 1
-    return by_value
+    _, first, inverse = np.unique(values, return_index=True, return_inverse=True)
+    counts = np.bincount(inverse * 2 + labels01, minlength=2 * len(first)).reshape(-1, 2)
+    return counts[np.argsort(first)].tolist()
 
 
-def _attribute_contingency(table: Table, attribute: str, bins: BinEdges | None) -> dict:
-    return _contingency(_discrete_values(table, attribute, bins), table.label01())
+def _attribute_contingency(table: Table, attribute: str, bins: BinEdges | None) -> list:
+    return _contingency(_discrete_values(table, attribute, bins), np.asarray(table.label01()))
 
 
-def _discrete_scores(by_value: dict) -> dict[str, float]:
+def _discrete_scores(by_value: list[list[int]]) -> dict[str, float]:
     """The five contingency-table weights of one attribute, by algorithm name."""
-    labels = [sum(c[0] for c in by_value.values()), sum(c[1] for c in by_value.values())]
+    labels = [sum(c[0] for c in by_value), sum(c[1] for c in by_value)]
     n = sum(labels)
     majority = 1 if labels[1] > labels[0] else 0  # exact tie -> negative class
     h_cond = g_cond = chi = 0.0
     correct = 0
-    for counts in by_value.values():
+    for counts in by_value:
         row_total = sum(counts)
         h_cond += (row_total / n) * entropy(counts)
         g_cond += (row_total / n) * _gini(counts)
@@ -137,7 +135,7 @@ def _discrete_scores(by_value: dict) -> dict[str, float]:
         # OneR: each value predicts its majority label; a tied value predicts the global one
         correct += max(counts) if counts[0] != counts[1] else counts[majority]
     ig = max(0.0, entropy(labels) - h_cond)
-    h_attr, h_label = entropy([sum(c) for c in by_value.values()]), entropy(labels)
+    h_attr, h_label = entropy([sum(c) for c in by_value]), entropy(labels)
     su = 0.0 if h_attr == 0.0 or h_label == 0.0 else min(1.0, max(0.0, 2.0 * ig / (h_attr + h_label)))
     return {
         "information_gain": ig,
@@ -265,13 +263,12 @@ def weigh_all(table: Table, n_bins: int = 10, relief_k: int = 10, seed: int = 0)
     bins = {}
     for name in attrs:
         if table.column_schema(name).kind == NUMERIC:
-            bins[name] = equal_frequency_edges(name, table.column(name), n_bins)
+            bins[name] = equal_frequency_edges(name, table.encoded(name)[0], n_bins)
 
     relief = weight_relief(table, relief_k, derive_seed(seed, "relief"))
-    y = table.label01()
     weight: dict[str, dict[str, float]] = {}
     for a in attrs:
-        scores = _discrete_scores(_contingency(_discrete_values(table, a, bins.get(a)), y))
+        scores = _discrete_scores(_attribute_contingency(table, a, bins.get(a)))
         weight[a] = {alg: relief[a] if alg == "relief" else scores[alg] for alg in ALGORITHMS}
 
     rank: dict[str, dict[str, int]] = {a: {} for a in attrs}

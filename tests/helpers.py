@@ -24,5 +24,4 @@ def make_table(columns, labels, group=None, positive="yes"):
     )
     negative = "no" if positive != "no" else "not-" + positive
     cells.append([positive if y == 1 else negative for y in labels])
-    rows = tuple(zip(*cells))
-    return Table(schema=tuple(schema), rows=rows)
+    return Table.from_columns(tuple(schema), cells)

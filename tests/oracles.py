@@ -243,9 +243,10 @@ def oracle_best_split(x_mat, idx, t, min_leaf, feature_ids, min_gain=1e-12):
     a cut wherever the sorted value changes, and the gain of each cut that
     leaves at least `min_leaf` rows on both sides. Returns (feature,
     threshold) with the threshold at the midpoint of the two values around
-    the cut. Ties break toward the earlier feature, then the smaller
-    threshold. The sums run in the same order as the production scan, so the
-    two must agree exactly.
+    the cut, or at the lower value where the midpoint rounds onto the upper
+    one. Ties break toward the earlier feature, then the smaller threshold.
+    The sums run in the same order as the production scan, so the two must
+    agree exactly.
     """
     n = idx.size
     tt = t[idx]
@@ -278,7 +279,9 @@ def oracle_best_split(x_mat, idx, t, min_leaf, feature_ids, min_gain=1e-12):
         if gain[k] > best_gain:
             best_gain = float(gain[k])
             pos = int(cut[k])
-            best = (j, (sx[pos] + sx[pos + 1]) / 2.0)
+            lo, hi = sx[pos], sx[pos + 1]
+            mid = (lo + hi) / 2.0
+            best = (j, mid if lo <= mid < hi else lo)  # never onto hi, as scikit-learn
     return best
 
 

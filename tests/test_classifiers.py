@@ -205,16 +205,13 @@ class TestKindSpecifics:
         spec = ClassifierSpec(kind="gbt", hyperparameters={"n_rounds": 40}, seed=0)
         model = fr.fit(spec, t)
         inner = model.inner
-        # replay boosting on the canonically sorted training matrix
+        # replay boosting on the canonically sorted training matrix: rows by
+        # their feature cells in column order, then by label
         feats = model.features
         cells = [tuple(row[t.col_index(f)] for f in feats) for row in t.rows]
         y01 = t.label01()
-        order = sorted(
-            range(len(cells)),
-            key=lambda i: tuple(("s", c) if isinstance(c, str) else ("n", c) for c in cells[i])
-            + (("y", y01[i]),),
-        )
-        x_mat = model.encoder.transform([cells[i] for i in order])
+        order = sorted(range(len(cells)), key=lambda i: (cells[i], y01[i]))
+        x_mat = model.encoder.transform([(data[order], cats) for data, cats in map(t.encoded, feats)])
         y = np.asarray([y01[i] for i in order], dtype=float)
         raw = np.full(len(y), inner.prior_log_odds)
         losses = []
@@ -392,8 +389,8 @@ class TestGrowerMatchesReference:
         assert forest.roots == oracle_random_forest(x_mat, y, 2, 3, 5, 2)
 
     def test_threshold_rounding_onto_next_value(self, blocks):
-        # (a + b) / 2 rounds up to b for these adjacent doubles, so the left
-        # child takes the b rows too, as prediction's x <= threshold does
+        # (a + b) / 2 rounds up to b for these adjacent doubles, so the split
+        # takes a as its threshold and the left child holds only the a rows
         a = 1.0 + np.finfo(float).eps
         b = np.nextafter(a, 2.0)
         x_mat = np.repeat([a, b, 2.0], 20)[:, None]
@@ -402,10 +399,10 @@ class TestGrowerMatchesReference:
         y[[41, 43]] = 0.0
         tree = DecisionTree(max_depth=1, min_leaf=1).fit(x_mat, y)
         assert tree.root == oracle_decision_tree(x_mat, y, 1, 1)
-        assert tree.root["t"] == b and tree.root["l"]["v"] == 22 / 40
+        assert tree.root["t"] == a and tree.root["l"]["v"] == 20 / 20
         forest = RandomForest(n_trees=8, max_depth=1, min_leaf=1).fit(x_mat, y, seed=5)
         assert forest.roots == oracle_random_forest(x_mat, y, 8, 1, 1, 5)
-        assert any(root["t"] == b for root in forest.roots)
+        assert any(root["t"] == a for root in forest.roots)
 
     def test_targets_must_be_binary(self):
         x_mat = np.arange(20.0)[:, None]

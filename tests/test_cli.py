@@ -9,6 +9,9 @@ from featrank.cli import main
 from featrank.reporting import read_csv_rows, rows_to_markdown
 
 
+LABEL_ENTRY = {"name": "cad", "kind": "categorical", "role": "label", "positive_label": "yes"}
+
+
 def run(*argv):
     return main(list(argv))
 
@@ -112,6 +115,24 @@ class TestWeigh:
         code = run(
             "weigh", "--data", str(bad),
             "--schema", str(cohort / "schema.json"), "--out", str(tmp_path / "o"),
+        )
+        assert code == 2
+        assert "data error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"columns": "x"},
+            {"columns": ["a"]},
+            {"columns": [{"name": ["age"], "kind": "numeric"}, LABEL_ENTRY]},
+        ],
+    )
+    def test_malformed_schema_is_data_error(self, cohort, tmp_path, capsys, doc):
+        schema = tmp_path / "schema.json"
+        schema.write_text(json.dumps(doc))
+        code = run(
+            "weigh", "--data", str(cohort / "cohort.csv"),
+            "--schema", str(schema), "--out", str(tmp_path / "o"),
         )
         assert code == 2
         assert "data error" in capsys.readouterr().err

@@ -110,12 +110,12 @@ class TestTable:
 
     def test_ragged_rows_rejected(self):
         cols = tuple(schema_two_features())
-        with pytest.raises(ValueError, match="cells"):
-            Table(schema=cols, rows=((1.0, "y", "yes"), (2.0, "yes")))
+        with pytest.raises(ValueError, match="unequal length"):
+            Table.from_columns(cols, [[1.0, 2.0], ["y"], ["yes", "no"]])
 
     def test_empty_table_rejected(self):
         with pytest.raises(ValueError, match="at least one row"):
-            Table(schema=tuple(schema_two_features()), rows=())
+            Table.from_columns(tuple(schema_two_features()), [[], [], []])
 
     def test_take_preserves_order_and_duplicates(self):
         t = make_table({"age": [1, 2, 3]}, [1, 0, 1])

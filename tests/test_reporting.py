@@ -4,7 +4,9 @@ import csv
 
 import pytest
 
+from featrank import synth
 from featrank.classifiers import CLASSIFIER_LABELS
+from featrank.dataio import load_csv
 from featrank.evaluation import AblationReport, EvalReport, Metrics
 from featrank.reporting import (
     delta_rows,
@@ -156,3 +158,16 @@ class TestTableCsvText:
         for parsed, row in zip(rows[1:], t.rows):
             assert float(parsed[0]) == row[0]
             assert parsed[1] == row[1]
+
+    def test_synth_cohort_round_trips_byte_for_byte(self, tmp_path):
+        table = synth.generate(synth.default_cohort_spec(n_rows=200, seed=3))
+        path = tmp_path / "cohort.csv"
+        path.write_text(table_to_csv_text(table), encoding="utf-8", newline="")
+        loaded = load_csv(path, list(table.schema))
+        assert table_to_csv_text(loaded) == path.read_text(encoding="utf-8")
+        # one numpy scalar in a cell would print as np.float64(...) in the CSV
+        for t in (table, loaded):
+            cells = [c for row in t.rows for c in row]
+            cells += [c for name in t.column_names() for c in t.column(name)]
+            assert {type(c) for c in cells} == {float, str}
+            assert {type(v) for v in t.label01()} == {int}
