@@ -139,7 +139,7 @@ def fit(spec: ClassifierSpec, train: Table, features=None) -> Model:
         raise ValueError("no feature columns selected")
     if train.n_rows < 10:
         raise ValueError("training requires at least 10 rows")
-    y = np.asarray(train.label01())
+    y = train.y
     if y.min() == y.max():
         raise ValueError("training set has a single class")
 
@@ -203,12 +203,11 @@ def mlp_gradient_check(spec: ClassifierSpec, train: Table, epsilon: float) -> fl
     feats = list(train.feature_names())
     kinds = tuple(train.column_schema(f).kind for f in feats)
     columns = [train.encoded(f) for f in feats]
-    y = train.label01()
     encoder = FeatureEncoder.build(feats, kinds, columns, standardize=True)
     x_mat = encoder.transform(columns)
     net = Mlp(**spec.params())
     return gradient_check(
-        net, x_mat, np.asarray(y, dtype=float), epsilon, seed=derive_seed(spec.seed, "gradcheck")
+        net, x_mat, train.y.astype(float), epsilon, seed=derive_seed(spec.seed, "gradcheck")
     )
 
 

@@ -31,13 +31,13 @@ targets are fractions whose sums depend on their order, so every GBT node
 keeps the sorted scan. So does the decision tree: its steps hold one to a
 few nodes, where the count path's fixed cost per block outweighs the sort.
 
-All three learners grow trees with one stack-driven grower (`_grow`). The
-random forest grows its trees in lockstep: each step pops one node per tree
-and counts them together, in blocks of at most BLOCK_CELLS (row, feature)
-cells. One node per tree, the newest, is what keeps each tree's feature
-draws (`rng.sample`) in the pre-order of a recursive grower, and so its RNG
-stream. The decision tree and GBT, which draw nothing, split all pending
-nodes of a step.
+All three learners grow trees with one stack-driven grower (`_grow`). Each
+step pops the newest pending node of every tree, so nodes are split in the
+pre-order of a recursive grower. The random forest grows its trees in
+lockstep and counts a step's nodes together, in blocks of at most
+BLOCK_CELLS (row, feature) cells; the pre-order keeps each tree's feature
+draws (`rng.sample`), and so its RNG stream, those of a recursive grower.
+The decision tree and GBT grow one tree and draw nothing.
 """
 
 from __future__ import annotations
@@ -198,13 +198,13 @@ def _grow(data, t, trees, max_depth, min_leaf, leaf_value=None):
 
     Nodes are nested {"f","t","l","r"} / {"v"} dicts. `sample_features` is
     None, when every node tries every feature, or a function returning the
-    sorted candidate feature ids of the next node split. With sampling, a
-    step pops one pending node per tree, the newest, so each tree draws its
-    features in pre-order; without, a step pops every pending node. With
-    `leaf_value`, every node takes the sorted scan and a leaf holds
-    leaf_value(rows). Without, `t` is 0/1, every node is split from counts,
-    and a leaf holds its positive fraction. `trees` may be a generator, so
-    no tree's root rows outlive its first split.
+    sorted candidate feature ids of the next node split. Each step pops one
+    pending node per tree, the newest, so each tree splits its nodes and
+    draws its features in pre-order. With `leaf_value`, every node takes the
+    sorted scan and a leaf holds leaf_value(rows). Without, `t` is 0/1, every
+    node is split from counts, and a leaf holds its positive fraction.
+    `trees` may be a generator, so no tree's root rows outlive its first
+    split.
     """
     counted = leaf_value is None
     y = t.astype(np.int8) if counted else None
@@ -233,14 +233,8 @@ def _grow(data, t, trees, max_depth, min_leaf, leaf_value=None):
         stacks.append([])
         samplers.append(sampler)
         place(tree, roots[tree], 0, rows, int(np.count_nonzero(y[rows])) if counted else None)
-    lockstep = any(samplers)
     while True:
-        if lockstep:
-            batch = [stack.pop() for stack in stacks if stack]
-        else:
-            batch = [item for stack in stacks for item in stack]
-            for stack in stacks:
-                stack.clear()
+        batch = [stack.pop() for stack in stacks if stack]
         if not batch:
             return roots
         splits = [None] * len(batch)

@@ -252,7 +252,7 @@ def cmd_synth(args) -> int:
     if args.spec is not None:
         try:
             spec = synth.load_spec_json(args.spec)
-        except (OSError, ValueError, KeyError) as exc:
+        except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
             print(f"error: invalid synth spec: {exc}", file=sys.stderr)
             return EXIT_CONFIG
         if args.seed:

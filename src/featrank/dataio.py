@@ -1,9 +1,10 @@
 """Typed tabular cohorts: schema validation, CSV ingestion, folds, group filtering.
 
-A Table stores one numpy array per column (see `Table`) plus its schema.
-Ingestion imputes missing numeric cells with the column median and missing
-categorical cells with the column mode, and records how many cells were
-filled per column.
+A Table stores one numpy array per column (see `Table`) plus its schema,
+and exposes its label as the 0/1 array `Table.y`. Ingestion imputes missing
+numeric cells with the column median and missing categorical cells with the
+column mode, and records how many cells were filled per column. Fold plans
+are tuples of fold numbers; folds and splits are read from them as arrays.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import csv
 import json
 import random
 import statistics
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -74,6 +75,8 @@ def load_schema_json(path: str | Path) -> list[ColumnSchema]:
         raise ValueError(f"{path}: schema file must be an object with a 'columns' list of objects")
     columns = []
     for entry in entries:
+        if not {"name", "kind"} <= entry.keys():
+            raise ValueError(f"{path}: every column needs a 'name' and a 'kind'")
         for key in ("name", "kind", "role", "positive_label"):
             if key in entry and not isinstance(entry[key], str):
                 raise ValueError(f"{path}: column field {key!r} must be a string")
@@ -106,7 +109,9 @@ class Table:
     `data[j]` is column j: float64 values (`categories[j]` None), or int64
     codes into the sorted tuple `categories[j]` (every categorical, the label
     too), so code order is string order. Derived tables keep their parent's
-    tuples. `rows`, `column` and `label01` read back Python floats/strs/ints.
+    tuples. `y` is the label as an int64 0/1 array (1 = positive_label), the
+    form every consumer reads. `rows`, `column` and `label01` read back Python
+    floats/strs/ints.
 
     `imputations` counts cells filled at ingestion (column name -> count);
     `smote_pairs` records (anchor, neighbor) row indices into the table a
@@ -185,11 +190,16 @@ class Table:
         """Columns usable as model/weighting inputs: features plus the group column."""
         return [c.name for c in self.schema if c.role in (ROLE_FEATURE, ROLE_GROUP)]
 
-    def label01(self) -> list[int]:
-        """Labels as 0/1 with 1 = positive_label."""
+    @property
+    def y(self) -> np.ndarray:
+        """Labels as an int64 0/1 array with 1 = positive_label."""
         codes, cats = self.encoded(self.label_column.name)
         pos = self.label_column.positive_label
-        return (codes == (cats.index(pos) if pos in cats else -1)).astype(int).tolist()
+        return (codes == (cats.index(pos) if pos in cats else -1)).astype(np.int64)
+
+    def label01(self) -> list[int]:
+        """`y` as a list of Python ints."""
+        return self.y.tolist()
 
     def take(self, indices) -> "Table":
         idx = np.asarray(indices, dtype=np.intp)
@@ -232,7 +242,8 @@ def _mode(values: list[str]) -> str:
 def load_csv(path: str | Path, schema: list[ColumnSchema]) -> Table:
     """Ingest an RFC 4180 CSV with a header row into a complete Table.
 
-    The header must contain exactly the schema's column names (any order).
+    The header must contain exactly the schema's column names (any order),
+    each once.
     Blank cells are imputed: median of the observed values for numeric
     columns, mode (ties -> lexicographically smallest) for categorical ones.
     Missing label cells are refused; labels cannot be guessed.
@@ -248,6 +259,9 @@ def load_csv(path: str | Path, schema: list[ColumnSchema]) -> Table:
 
     want = {c.name for c in schema}
     got = set(header)
+    if len(got) != len(header):
+        dupes = sorted({h for h in header if header.count(h) > 1})
+        raise ValueError(f"{path}: duplicate columns in header: {dupes}")
     if got - want:
         raise ValueError(f"{path}: unknown columns in header: {sorted(got - want)}")
     if want - got:
@@ -309,7 +323,7 @@ class FoldPlan:
     assignment: tuple[int, ...]
 
     def fold_indices(self, fold: int) -> list[int]:
-        return [i for i, f in enumerate(self.assignment) if f == fold]
+        return np.flatnonzero(np.asarray(self.assignment) == fold).tolist()
 
 
 def stratified_folds(table: Table, k: int, seed: int) -> FoldPlan:
@@ -322,22 +336,21 @@ def stratified_folds(table: Table, k: int, seed: int) -> FoldPlan:
     n = table.n_rows
     if not 2 <= k <= n:
         raise ValueError(f"k={k} out of range [2, {n}]")
-    y = table.label01()
+    y = table.y
+    counts = np.bincount(y, minlength=2).tolist()
     for cls in (1, 0):
-        count = sum(1 for v in y if v == cls)
-        if count < k:
-            raise ValueError(f"class {cls} has {count} rows, fewer than k={k}")
+        if counts[cls] < k:
+            raise ValueError(f"class {cls} has {counts[cls]} rows, fewer than k={k}")
 
     rng = random.Random(seed)
-    assignment = [0] * n
+    assignment = np.empty(n, dtype=np.int64)
     pointer = 0
     for cls in (1, 0):  # positives dealt first
-        idx = [i for i, v in enumerate(y) if v == cls]
+        idx = np.flatnonzero(y == cls).tolist()
         rng.shuffle(idx)
-        for i in idx:
-            assignment[i] = pointer % k
-            pointer += 1
-    return FoldPlan(k=k, assignment=tuple(assignment))
+        assignment[idx] = np.arange(pointer, pointer + len(idx)) % k
+        pointer += len(idx)
+    return FoldPlan(k=k, assignment=tuple(assignment.tolist()))
 
 
 def split(table: Table, plan: FoldPlan, fold: int) -> tuple[Table, Table]:
@@ -346,9 +359,8 @@ def split(table: Table, plan: FoldPlan, fold: int) -> tuple[Table, Table]:
         raise ValueError("fold plan does not match table size")
     if not 0 <= fold < plan.k:
         raise ValueError(f"fold {fold} out of range [0, {plan.k})")
-    test_idx = [i for i, f in enumerate(plan.assignment) if f == fold]
-    train_idx = [i for i, f in enumerate(plan.assignment) if f != fold]
-    return table.take(train_idx), table.take(test_idx)
+    test = np.asarray(plan.assignment) == fold
+    return table.take(np.flatnonzero(~test)), table.take(np.flatnonzero(test))
 
 
 def filter_by_group(table: Table, group_value: str) -> Table:

@@ -47,22 +47,20 @@ def confusion(scores, labels, threshold: float) -> tuple[int, int, int, int]:
         raise ValueError("scores and labels must have equal length")
     if not 0.0 <= threshold <= 1.0:
         raise ValueError("threshold must be within [0, 1]")
-    tp = fp = tn = fn = 0
-    for s, y in zip(scores, labels):
-        if s >= threshold:
-            if y == 1:
-                tp += 1
-            else:
-                fp += 1
-        elif y == 1:
-            fn += 1
-        else:
-            tn += 1
-    return tp, fp, tn, fn
+    predicted = np.asarray(scores, dtype=float) >= threshold
+    positive = np.asarray(labels) == 1
+    tp = int(np.count_nonzero(predicted & positive))
+    fp = int(np.count_nonzero(predicted & ~positive))
+    fn = int(np.count_nonzero(~predicted & positive))
+    return tp, fp, len(positive) - tp - fp - fn, fn
 
 
 def auc(scores, labels) -> float:
-    """Rank-based Mann-Whitney AUC; tied scores contribute half credit."""
+    """Rank-based Mann-Whitney AUC; tied scores contribute half credit.
+
+    Each run of equal sorted scores, at 0-based positions [start, end), takes
+    the average 1-based rank (start + end + 1) / 2.
+    """
     y = np.asarray(labels)
     s = np.asarray(scores, dtype=float)
     n = len(y)
@@ -72,15 +70,14 @@ def auc(scores, labels) -> float:
     n_neg = n - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("AUC requires both classes")
+    if not np.isfinite(s).all():
+        raise ValueError("AUC requires finite scores")
     order = np.argsort(s, kind="stable")
+    ranked = s[order]
+    starts = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))
+    ends = np.append(starts[1:], n)
     ranks = np.empty(n)
-    i = 0
-    while i < n:
-        j = i
-        while j < n and s[order[j]] == s[order[i]]:
-            j += 1
-        ranks[order[i:j]] = (i + j + 1) / 2.0  # average 1-based rank of the tie run
-        i = j
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
     rank_sum_pos = float(ranks[y == 1].sum())
     u_stat = rank_sum_pos - n_pos * (n_pos + 1) / 2.0
     return u_stat / (n_pos * n_neg)
@@ -127,9 +124,7 @@ def _aggregate(per_fold) -> tuple[Metrics, Metrics]:
 
 def _clamped_smote_config(train: Table, cfg: SmoteConfig, fold: int) -> SmoteConfig | None:
     """Per-fold seeded config with k capped below the train minority size."""
-    y = train.label01()
-    n_pos = sum(y)
-    minority = min(n_pos, len(y) - n_pos)
+    minority = int(np.bincount(train.y, minlength=2).min())
     if minority < 2:
         return None
     k = min(cfg.k_neighbors, minority - 1)
@@ -138,8 +133,10 @@ def _clamped_smote_config(train: Table, cfg: SmoteConfig, fold: int) -> SmoteCon
 
 def _folds(table: Table, plan: FoldPlan, smote_cfg: SmoteConfig | None):
     """(train, test, audit) of every fold; train is oversampled when smote_cfg is set."""
+    assignment = np.asarray(plan.assignment, dtype=np.intp)
+    sizes = np.bincount(assignment, minlength=plan.k)
     for fold in range(plan.k):
-        if len(plan.fold_indices(fold)) < 2:
+        if sizes[fold] < 2:
             raise ValueError(f"fold {fold} has fewer than 2 rows")
 
     folds = []
@@ -149,10 +146,9 @@ def _folds(table: Table, plan: FoldPlan, smote_cfg: SmoteConfig | None):
         if smote_cfg is not None:
             fold_cfg = _clamped_smote_config(train, smote_cfg, fold)
             if fold_cfg is not None:
-                train_idx = [i for i, f in enumerate(plan.assignment) if f != fold]
                 train = smote(train, fold_cfg)
-                used = {i for pair in train.smote_pairs for i in pair}
-                sources = tuple(sorted(train_idx[i] for i in used))
+                used = np.unique(np.asarray(train.smote_pairs, dtype=np.intp))
+                sources = tuple(np.flatnonzero(assignment != fold)[used].tolist())
         folds.append((train, test, FoldAudit(fold, tuple(plan.fold_indices(fold)), sources)))
     return folds
 
@@ -164,7 +160,7 @@ def _score(spec: ClassifierSpec, folds, features) -> CrossValResult:
         fold_spec = replace(spec, seed=derive_seed(spec.seed, "fold", audit.fold))
         model = classifiers.fit(fold_spec, train, features=features)
         scores = classifiers.predict_scores(model, test)
-        per_fold.append(compute_metrics(scores, test.label01()))
+        per_fold.append(compute_metrics(scores, test.y))
     mean, std = _aggregate(per_fold)
     audits = tuple(audit for _, _, audit in folds)
     return CrossValResult(
@@ -273,8 +269,7 @@ def _strata(table: Table, min_rows: int, min_class: int, purpose: str):
         raise ValueError("table has no group column")
     for value in observed_groups(table):
         sub = filter_by_group(table, value)
-        y = sub.label01()
-        smaller = min(sum(y), len(y) - sum(y))
+        smaller = int(np.bincount(sub.y, minlength=2).min())
         if sub.n_rows < min_rows or smaller < min_class:
             warnings.warn(f"group {value!r} is too small {purpose}; skipped", stacklevel=3)
             continue

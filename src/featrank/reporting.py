@@ -13,19 +13,20 @@ import io
 
 from .classifiers import CLASSIFIER_LABELS
 from .dataio import NUMERIC, Table
-from .evaluation import AblationReport, EvalReport
+from .evaluation import METRIC_NAMES, AblationReport, EvalReport
 from .weighting import ALGORITHM_LABELS, ALGORITHMS, WeightMatrix
 
 PERCENT_METRICS = ("accuracy", "precision", "recall")
+METRIC_LABELS = {"accuracy": "Accuracy", "precision": "Precision", "recall": "Recall", "auc": "AUC"}
 
 
 def format_weight(value: float) -> str:
     return f"{value:.5f}"
 
 
-def format_metric(name: str, value: float) -> str:
+def format_metric(name: str, value: float, spec: str = ".2f") -> str:
     scale = 100.0 if name in PERCENT_METRICS else 1.0
-    return f"{value * scale:.2f}"
+    return f"{value * scale:{spec}}"
 
 
 def metric_cell(name: str, mean: float, std: float) -> str:
@@ -53,9 +54,8 @@ def weight_matrix_rows(matrix: WeightMatrix) -> list[list[str]]:
 def eval_report_rows(report: EvalReport) -> list[list[str]]:
     header = ["Metric"] + [CLASSIFIER_LABELS[k] for k in report.kinds] + ["Average"]
     rows = [header]
-    metric_labels = {"accuracy": "Accuracy", "precision": "Precision", "recall": "Recall", "auc": "AUC"}
-    for name in ("accuracy", "precision", "recall", "auc"):
-        row = [metric_labels[name]]
+    for name in METRIC_NAMES:
+        row = [METRIC_LABELS[name]]
         for kind in report.kinds:
             row.append(metric_cell(name, report.mean[kind].get(name), report.std[kind].get(name)))
         row.append(format_metric(name, report.average.get(name)))
@@ -65,17 +65,15 @@ def eval_report_rows(report: EvalReport) -> list[list[str]]:
 
 def delta_rows(report: AblationReport) -> list[list[str]]:
     rows = [["Metric", "Without", "With", "Delta"]]
-    metric_labels = {"accuracy": "Accuracy", "precision": "Precision", "recall": "Recall", "auc": "AUC"}
-    for name in ("accuracy", "precision", "recall", "auc"):
+    for name in METRIC_NAMES:
         without = report.without_report.average.get(name)
         with_ = report.with_report.average.get(name)
-        scale = 100.0 if name in PERCENT_METRICS else 1.0
         rows.append(
             [
-                metric_labels[name],
+                METRIC_LABELS[name],
                 format_metric(name, without),
                 format_metric(name, with_),
-                f"{(with_ - without) * scale:+.2f}",
+                format_metric(name, with_ - without, "+.2f"),
             ]
         )
     return rows
@@ -95,24 +93,15 @@ def group_ranking_rows(rankings: dict, skipped, top_n: int = 5) -> list[list[str
 
 
 def group_winner_rows(winners: dict, skipped) -> list[list[str]]:
-    rows = [["Group", "Status", "Classifier", "Accuracy", "Precision", "Recall", "AUC"]]
+    rows = [["Group", "Status", "Classifier"] + [METRIC_LABELS[m] for m in METRIC_NAMES]]
     groups = sorted(set(winners) | set(skipped))
     for g in groups:
         if g in winners:
             kind, metrics = winners[g]
-            rows.append(
-                [
-                    g,
-                    "ok",
-                    CLASSIFIER_LABELS[kind],
-                    format_metric("accuracy", metrics.accuracy),
-                    format_metric("precision", metrics.precision),
-                    format_metric("recall", metrics.recall),
-                    format_metric("auc", metrics.auc),
-                ]
-            )
+            cells = [format_metric(m, metrics.get(m)) for m in METRIC_NAMES]
+            rows.append([g, "ok", CLASSIFIER_LABELS[kind]] + cells)
         else:
-            rows.append([g, "skipped", "", "", "", "", ""])
+            rows.append([g, "skipped"] + [""] * (1 + len(METRIC_NAMES)))
     return rows
 
 

@@ -45,9 +45,9 @@ class SmoteConfig:
 def _minority_rows(table: Table, k: int) -> list[int]:
     """Row indices of the minority label (the positive class unless it is the
     strict majority); errors unless each has k other minority rows."""
-    y = table.label01()
-    minority_label = 1 if sum(y) * 2 <= len(y) else 0
-    rows = [i for i, v in enumerate(y) if v == minority_label]
+    y = table.y
+    n_neg, n_pos = np.bincount(y, minlength=2).tolist()
+    rows = np.flatnonzero(y == (1 if n_pos <= n_neg else 0)).tolist()
     if len(rows) <= k:
         raise ValueError(f"minority class has {len(rows)} rows; k={k} needs at least {k + 1}")
     return rows
@@ -81,11 +81,9 @@ def smote(table: Table, config: SmoteConfig) -> Table:
     original row first, in order, followed by synthetic rows; its smote_pairs
     tuple records each synthetic row's (anchor, neighbor) source indices.
     """
-    y = table.label01()
-    if len(set(y)) < 2:
+    n_minority, n_majority = sorted(np.bincount(table.y, minlength=2).tolist())
+    if n_minority == 0:
         raise ValueError("cannot oversample a single-class table")
-    n_minority = len(_minority_rows(table, 0))
-    n_majority = len(y) - n_minority
     target = math.ceil(config.target_ratio * n_majority)
     need = target - n_minority
     if need <= 0:
@@ -96,9 +94,10 @@ def smote(table: Table, config: SmoteConfig) -> Table:
     rng = random.Random(config.seed)
     anchors = list(neighbors)  # the minority rows, ascending
     rng.shuffle(anchors)
-    anchor = np.asarray([anchors[t % len(anchors)] for t in range(need)])
+    cycle = np.arange(need) % len(anchors)
+    anchor = np.asarray(anchors)[cycle]
+    near = np.asarray([neighbors[a] for a in anchors])[cycle]  # each row's k neighbors
     draws = [(rng.randrange(k), rng.random()) for _ in range(need)]
-    near = np.asarray([neighbors[a] for a in anchor.tolist()])  # each row's k neighbors
     neighbor = near[np.arange(need), [pick for pick, _ in draws]]
     u = np.asarray([frac for _, frac in draws])  # one fraction shared by a row's numerics
 

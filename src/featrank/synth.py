@@ -146,12 +146,12 @@ def generate_with_truth(spec: SynthSpec) -> tuple[Table, dict]:
                 terms[f"{f.name}={v}"] = (x == v).astype(float)
 
     score = np.zeros(n)
-    for i, g in enumerate(groups):
-        coefs = spec.coefficients.get(g, {})
-        total = spec.group_offsets.get(g, 0.0)
-        for term, w in coefs.items():
-            total += w * terms[term][i]
-        score[i] = total
+    for g in group_names:  # offset, then each weighted term in coefficient order
+        rows = groups == g
+        total = np.full(np.count_nonzero(rows), float(spec.group_offsets.get(g, 0.0)))
+        for term, w in spec.coefficients.get(g, {}).items():
+            total = total + w * terms[term][rows]
+        score[rows] = total
     if spec.noise_sd > 0:
         score = score + rng.normal(0.0, spec.noise_sd, size=n)
 

@@ -114,7 +114,7 @@ def _contingency(values: np.ndarray, labels01: np.ndarray) -> list[list[int]]:
 
 
 def _attribute_contingency(table: Table, attribute: str, bins: BinEdges | None) -> list:
-    return _contingency(_discrete_values(table, attribute, bins), np.asarray(table.label01()))
+    return _contingency(_discrete_values(table, attribute, bins), table.y)
 
 
 def _discrete_scores(by_value: list[list[int]]) -> dict[str, float]:
@@ -188,10 +188,9 @@ def weight_relief(table: Table, k_neighbors: int, seed: int = 0) -> dict[str, fl
     del seed
     if k_neighbors < 1:
         raise ValueError("k_neighbors must be >= 1")
-    y = np.asarray(table.label01())
+    y = table.y
     n = len(y)
-    for cls in (0, 1):
-        size = int((y == cls).sum())
+    for cls, size in enumerate(np.bincount(y, minlength=2).tolist()):
         if size < k_neighbors + 1:
             raise ValueError(
                 f"class {cls} has {size} rows; Relief with k={k_neighbors} needs at least {k_neighbors + 1}"

@@ -58,6 +58,25 @@ class TestSynth:
         assert run("synth", "--spec", str(bad), "--out", str(tmp_path / "o")) == 1
         assert "invalid synth spec" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "change",
+        [
+            None,  # the whole document is a list
+            {"features": "x"},
+            {"coefficients": []},
+            {"group_distribution": {"a": "1"}},
+        ],
+        ids=["list", "features-string", "coefficients-list", "probability-string"],
+    )
+    def test_malformed_spec_is_config_error(self, tmp_path, capsys, change):
+        import featrank as fr
+
+        doc = [] if change is None else fr.spec_to_json(fr.default_cohort_spec(n_rows=120)) | change
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert run("synth", "--spec", str(bad), "--out", str(tmp_path / "o")) == 1
+        assert "invalid synth spec" in capsys.readouterr().err
+
     @pytest.mark.parametrize("rows", ["-5", "0", "99"])
     def test_too_few_rows_is_config_error(self, tmp_path, capsys, rows):
         assert run("synth", "--rows", rows, "--out", str(tmp_path / "o")) == 1

@@ -175,6 +175,11 @@ class TestLoadCsv:
         with pytest.raises(ValueError, match="missing columns"):
             load_csv(missing, schema_two_features())
 
+    def test_duplicate_header_column(self, tmp_path):
+        path = self.write(tmp_path, "age,smoke,cad,age\n1,y,yes,2\n3,n,no,4\n")
+        with pytest.raises(ValueError, match=r"duplicate columns in header: \['age'\]"):
+            load_csv(path, schema_two_features())
+
     def test_non_binary_label(self, tmp_path):
         path = self.write(tmp_path, "age,smoke,cad\n1,y,yes\n2,n,no\n3,n,maybe\n")
         with pytest.raises(ValueError, match="non-binary"):

@@ -1,6 +1,7 @@
 """Cross-validated metrics, ablation pairing, and per-group analyses."""
 
 import random
+import signal
 
 import numpy as np
 import pytest
@@ -113,6 +114,22 @@ class TestAuc:
     def test_length_mismatch(self):
         with pytest.raises(ValueError, match="equal length"):
             auc([0.5], [1, 0])
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_score_rejected(self, bad):
+        # A tie-run scan that compares scores with == never steps past a NaN;
+        # the alarm turns such a hang into a failure.
+        def expire(signum, frame):
+            raise TimeoutError("auc did not return")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(10)
+        try:
+            with pytest.raises(ValueError, match="finite scores"):
+                auc([0.2, bad, 0.7], [0, 1, 1])
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
 
 class TestComputeMetrics:

@@ -1,0 +1,216 @@
+"""Seeded mutations of one valid cohort: the CLI refuses each with a message.
+
+Every case derives one malformed schema or cohort CSV from a small synthetic
+cohort (which columns and rows it touches come from a seeded
+`random.Random`), runs `weigh`, `ablate` and `groups` in-process on it, and
+expects exit 1 or 2 with an error line: never exit 0, a compute error or an
+exception. `report` gets the malformed inputs a CSV renderer can see.
+"""
+
+import csv
+import io
+import json
+import random
+
+import pytest
+
+import featrank as fr
+from featrank.cli import main
+from featrank.dataio import schema_to_json
+from featrank.reporting import table_to_csv_text
+
+SEED = 7
+COMMANDS = (
+    ("weigh",),
+    ("ablate", "--feature", "ethnicity", "--folds", "2", "--classifiers", "glm"),
+    ("groups", "--folds", "2", "--classifiers", "glm"),
+)
+
+
+@pytest.fixture(scope="module")
+def cohort():
+    """(header, rows, schema document) of a 120-row synthetic cohort."""
+    table = fr.generate(fr.default_cohort_spec(n_rows=120, seed=3))
+    header, *rows = csv.reader(io.StringIO(table_to_csv_text(table)))
+    return header, rows, schema_to_json(table.schema)
+
+
+def _csv_text(header, rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([header] + rows)
+    return buf.getvalue()
+
+
+def _numeric(schema, rng) -> str:
+    return rng.choice([c["name"] for c in schema["columns"] if c["kind"] == "numeric"])
+
+
+def _label(schema) -> str:
+    return next(c["name"] for c in schema["columns"] if c["role"] == "label")
+
+
+def _set_cell(header, rows, rng, column, text):
+    rows[rng.randrange(len(rows))][header.index(column)] = text
+    return header, rows
+
+
+def _drop_column(header, rows, schema, rng):
+    j = rng.randrange(len(header))
+    return header[:j] + header[j + 1 :], [r[:j] + r[j + 1 :] for r in rows]
+
+
+def _duplicate_column(header, rows, schema, rng):
+    j = rng.randrange(len(header))
+    return header + [header[j]], [r + [r[j]] for r in rows]
+
+
+def _rename_column(header, rows, schema, rng):
+    j = rng.randrange(len(header))
+    return header[:j] + [header[j] + "_x"] + header[j + 1 :], rows
+
+
+def _truncated_line(header, rows, schema, rng):
+    i = rng.randrange(len(rows))
+    line = ",".join(rows[i])
+    rows[i] = next(csv.reader([line[: rng.randrange(line.rindex(","))]]))
+    return header, rows
+
+
+def _extra_cell(header, rows, schema, rng):
+    rows[rng.randrange(len(rows))].append("x")
+    return header, rows
+
+
+def _one_class_label(header, rows, schema, rng):
+    j = header.index(_label(schema))
+    value = rng.choice(sorted({r[j] for r in rows}))
+    return header, [r[:j] + [value] + r[j + 1 :] for r in rows]
+
+
+# name -> (header, rows, schema, rng) -> (header, rows)
+CSV_MUTATIONS = {
+    "drop_column": _drop_column,
+    "duplicate_column": _duplicate_column,
+    "rename_column": _rename_column,
+    "truncated_line": _truncated_line,
+    "extra_cell": _extra_cell,
+    "nan_cell": lambda h, r, s, rng: _set_cell(h, r, rng, _numeric(s, rng), "nan"),
+    "inf_cell": lambda h, r, s, rng: _set_cell(h, r, rng, _numeric(s, rng), "-inf"),
+    "overflow_cell": lambda h, r, s, rng: _set_cell(h, r, rng, _numeric(s, rng), "1e400"),
+    "empty_label": lambda h, r, s, rng: _set_cell(h, r, rng, _label(s), ""),
+    "one_class_label": _one_class_label,
+}
+
+
+def _non_utf8(data: bytes, rng) -> bytes:
+    at = rng.randrange(len(data))
+    return data[:at] + b"\xff\xfe" + data[at:]
+
+
+# name -> (file bytes, rng) -> file bytes; applied to the CSV and the schema file
+BYTE_MUTATIONS = {
+    "bom": lambda data, rng: b"\xef\xbb\xbf" + data,
+    "non_utf8": _non_utf8,
+}
+
+
+def _column_entries(change):
+    def mutate(doc, rng):
+        entries = [dict(e) for e in doc["columns"]]
+        return {"columns": change(entries, rng.randrange(len(entries)), rng)}
+
+    return mutate
+
+
+def _wrong_field_type(entries, j, rng):
+    key = rng.choice(sorted(entries[j]))
+    entries[j][key] = rng.choice([1, 2.5, None, True, [entries[j][key]], {}])
+    return entries
+
+
+# name -> (schema document, rng) -> schema document
+SCHEMA_MUTATIONS = {
+    "document_is_list": lambda doc, rng: doc["columns"],
+    "document_is_string": lambda doc, rng: "columns",
+    "columns_is_string": lambda doc, rng: {"columns": "age"},
+    "columns_is_null": lambda doc, rng: {"columns": None},
+    "columns_missing": lambda doc, rng: {"cols": doc["columns"]},
+    "entry_is_string": _column_entries(lambda e, j, rng: e[:j] + [e[j]["name"]] + e[j + 1 :]),
+    "entry_is_list": _column_entries(lambda e, j, rng: e[:j] + [list(e[j].values())] + e[j + 1 :]),
+    "field_wrong_type": _column_entries(_wrong_field_type),
+    "name_missing": _column_entries(lambda e, j, rng: e[:j] + [{"kind": e[j]["kind"]}] + e[j + 1 :]),
+    "column_dropped": _column_entries(lambda e, j, rng: e[:j] + e[j + 1 :]),
+    "column_duplicated": _column_entries(lambda e, j, rng: e + [e[j]]),
+    "column_renamed": _column_entries(
+        lambda e, j, rng: e[:j] + [e[j] | {"name": e[j]["name"] + "_x"}] + e[j + 1 :]
+    ),
+}
+
+
+def _run(*argv, capsys):
+    """Exit code and stderr of one in-process CLI call."""
+    code = main(list(argv))
+    return code, capsys.readouterr().err
+
+
+def _assert_refused_everywhere(data, schema, tmp_path, capsys):
+    for command in COMMANDS:
+        code, err = _run(
+            *command, "--data", str(data), "--schema", str(schema),
+            "--out", str(tmp_path / "out"), capsys=capsys,
+        )
+        prefix, _, message = err.partition(": ")
+        assert code in (1, 2) and prefix in ("error", "data error"), (command[0], code, err)
+        assert message.strip(), err
+
+
+def _write(tmp_path, header, rows, schema_doc):
+    data, schema = tmp_path / "cohort.csv", tmp_path / "schema.json"
+    data.write_text(_csv_text(header, rows), encoding="utf-8")
+    schema.write_text(json.dumps(schema_doc), encoding="utf-8")
+    return data, schema
+
+
+def test_unmutated_cohort_runs(cohort, tmp_path, capsys):
+    header, rows, doc = cohort
+    data, schema = _write(tmp_path, header, rows, doc)
+    for command in COMMANDS:
+        code, err = _run(
+            *command, "--data", str(data), "--schema", str(schema),
+            "--out", str(tmp_path / "out"), capsys=capsys,
+        )
+        assert code == 0, (command[0], err)
+
+
+@pytest.mark.parametrize("name", sorted(CSV_MUTATIONS))
+def test_csv_mutation_refused(cohort, tmp_path, capsys, name):
+    header, rows, doc = cohort
+    rng = random.Random(f"{SEED}-{name}")
+    header, rows = CSV_MUTATIONS[name](list(header), [list(r) for r in rows], doc, rng)
+    data, schema = _write(tmp_path, header, rows, doc)
+    _assert_refused_everywhere(data, schema, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("target", ["cohort.csv", "schema.json"])
+@pytest.mark.parametrize("name", sorted(BYTE_MUTATIONS))
+def test_byte_mutation_refused(cohort, tmp_path, capsys, name, target):
+    data, schema = _write(tmp_path, *cohort)
+    path = tmp_path / target
+    path.write_bytes(BYTE_MUTATIONS[name](path.read_bytes(), random.Random(f"{SEED}-{name}")))
+    _assert_refused_everywhere(data, schema, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("name", sorted(SCHEMA_MUTATIONS))
+def test_schema_mutation_refused(cohort, tmp_path, capsys, name):
+    header, rows, doc = cohort
+    mutated = SCHEMA_MUTATIONS[name](json.loads(json.dumps(doc)), random.Random(f"{SEED}-{name}"))
+    data, schema = _write(tmp_path, header, rows, mutated)
+    _assert_refused_everywhere(data, schema, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("mutate", [lambda data, rng: b"", _non_utf8], ids=["empty", "non_utf8"])
+def test_report_refuses_unreadable_csv(cohort, tmp_path, capsys, mutate):
+    data, _ = _write(tmp_path, *cohort)
+    data.write_bytes(mutate(data.read_bytes(), random.Random(f"{SEED}-report")))
+    code, err = _run("report", "--data", str(data), "--out", str(tmp_path / "out"), capsys=capsys)
+    assert code == 2 and err.startswith("data error: "), (code, err)
