@@ -5,13 +5,15 @@ and produces a Model whose scores are positive-class probabilities in [0,1].
 Training rows are put in a canonical order before any seeded sampling: one
 stable `np.lexsort` by the feature columns (first feature most significant,
 category codes sorting as their strings) and then the label. So fitted
-models do not depend on input row order. Models round-trip through a
-versioned JSON document.
+models do not depend on input row order. An estimator's constructor
+arguments are its hyperparameters, and a saved model is a versioned JSON
+document of the estimator's and the feature encoder's attributes.
 """
 
 from __future__ import annotations
 
-import math
+import inspect
+import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -19,6 +21,7 @@ import numpy as np
 from .. import dataio
 from ..dataio import Table
 from ..seeding import derive_seed
+from ..weighting import BinEdges
 from .encoding import FeatureEncoder
 from .linear import LogisticGlm
 from .mlp import Mlp, gradient_check
@@ -38,35 +41,6 @@ CLASSIFIER_LABELS = {
     "random_forest": "Random Forest",
 }
 
-_DEFAULTS = {
-    "decision_tree": {"max_depth": 8, "min_leaf": 5},
-    "random_forest": {"n_trees": 100, "max_depth": 8, "min_leaf": 5},
-    "gbt": {"n_rounds": 100, "max_depth": 3, "min_leaf": 5, "shrinkage": 0.1},
-    "glm": {"l2": 1e-4, "tol": 1e-6, "max_iter": 500},
-    "mlp": {
-        "hidden": 16,
-        "learning_rate": 0.01,
-        "epochs": 200,
-        "batch_size": 32,
-        "init_scale": 0.1,
-    },
-    "rule_induction": {"n_bins": 10, "min_coverage": 5},
-}
-
-_INT_KEYS = {
-    "max_depth",
-    "min_leaf",
-    "n_trees",
-    "n_rounds",
-    "hidden",
-    "epochs",
-    "batch_size",
-    "max_iter",
-    "n_bins",
-    "min_coverage",
-}
-_POSITIVE_FLOAT_KEYS = {"learning_rate", "tol", "init_scale"}
-
 _ESTIMATORS = {
     "decision_tree": DecisionTree,
     "random_forest": RandomForest,
@@ -75,6 +49,14 @@ _ESTIMATORS = {
     "mlp": Mlp,
     "rule_induction": RuleInduction,
 }
+
+# Each class's constructor parameters and their defaults, read once from its
+# signature. A hyperparameter whose default is an int takes positive integers.
+_PARAMETERS = {
+    cls: {name: p.default for name, p in inspect.signature(cls).parameters.items()}
+    for cls in (*_ESTIMATORS.values(), FeatureEncoder)
+}
+_POSITIVE_FLOAT_KEYS = {"learning_rate", "tol", "init_scale"}
 
 
 @dataclass(frozen=True)
@@ -88,13 +70,15 @@ class ClassifierSpec:
     def __post_init__(self):
         if self.kind not in CLASSIFIERS:
             raise ValueError(f"unknown classifier kind {self.kind!r}")
-        allowed = _DEFAULTS[self.kind]
+        defaults = _PARAMETERS[_ESTIMATORS[self.kind]]
         for key, value in self.hyperparameters.items():
-            if key not in allowed:
+            if key not in defaults:
                 raise ValueError(f"{self.kind} does not accept hyperparameter {key!r}")
-            if key in _INT_KEYS:
-                if not isinstance(value, int) or value < 1:
+            if isinstance(defaults[key], int):
+                if isinstance(value, bool) or not isinstance(value, int) or value < 1:
                     raise ValueError(f"{key} must be a positive integer")
+            elif not dataio.is_finite_number(value):
+                raise ValueError(f"{key} must be a finite number")
             elif key in _POSITIVE_FLOAT_KEYS:
                 if not value > 0:
                     raise ValueError(f"{key} must be positive")
@@ -106,9 +90,7 @@ class ClassifierSpec:
                     raise ValueError("l2 must be nonnegative")
 
     def params(self) -> dict:
-        merged = dict(_DEFAULTS[self.kind])
-        merged.update(self.hyperparameters)
-        return merged
+        return {**_PARAMETERS[_ESTIMATORS[self.kind]], **self.hyperparameters}
 
 
 def default_specs(seed: int = 0) -> list[ClassifierSpec]:
@@ -186,7 +168,7 @@ def predict(model: Model, row: dict) -> float:
             raise ValueError(f"row is missing feature {f!r}")
         v = row[f]
         if kind == dataio.NUMERIC:
-            if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+            if not dataio.is_finite_number(v):
                 raise ValueError(f"feature {f!r} requires a finite number")
             columns.append((np.array([float(v)]), None))
         else:
@@ -211,6 +193,25 @@ def mlp_gradient_check(spec: ClassifierSpec, train: Table, epsilon: float) -> fl
     )
 
 
+def _document(obj) -> dict:
+    """An estimator's or encoder's attributes as JSON values."""
+    return json.loads(json.dumps(vars(obj), default=np.ndarray.tolist))
+
+
+def _restore(cls, doc: dict):
+    """Construct an estimator or encoder from the constructor parameters in its
+    document, then set the fitted attributes."""
+    params = _PARAMETERS[cls]
+    if not params.keys() <= doc.keys():
+        raise ValueError(f"{cls.__name__} document lacks {sorted(params.keys() - doc.keys())}")
+    obj = cls(**{name: doc[name] for name in params})
+    if doc.keys() != vars(obj).keys():
+        raise ValueError(f"{cls.__name__} document keys differ from {sorted(vars(obj))}")
+    for name in doc.keys() - params.keys():
+        setattr(obj, name, doc[name])
+    return obj
+
+
 def model_to_json(model: Model) -> dict:
     return {
         "format_version": MODEL_FORMAT_VERSION,
@@ -219,8 +220,8 @@ def model_to_json(model: Model) -> dict:
         "seed": model.spec.seed,
         "features": list(model.features),
         "feature_kinds": list(model.kinds),
-        "encoder": None if model.encoder is None else model.encoder.to_dict(),
-        "model": model.inner.to_dict(),
+        "encoder": None if model.encoder is None else _document(model.encoder),
+        "model": _document(model.inner),
     }
 
 
@@ -229,8 +230,11 @@ def model_from_json(doc: dict) -> Model:
     if version != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model format_version: {version!r}")
     spec = ClassifierSpec(kind=doc["kind"], hyperparameters=doc["hyperparameters"], seed=doc["seed"])
-    encoder = None if doc["encoder"] is None else FeatureEncoder.from_dict(doc["encoder"])
-    inner = _ESTIMATORS[spec.kind].from_dict(doc["model"])
+    encoder = None if doc["encoder"] is None else _restore(FeatureEncoder, doc["encoder"])
+    inner = _restore(_ESTIMATORS[spec.kind], doc["model"])
+    if spec.kind == "rule_induction":
+        for name, edges in inner.bins.items():
+            BinEdges(column=name, edges=tuple(edges))  # refuses edges not strictly increasing
     return Model(
         spec=spec,
         features=tuple(doc["features"]),

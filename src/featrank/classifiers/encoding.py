@@ -66,19 +66,3 @@ class FeatureEncoder:
         if self.standardize:
             x = (x - self.means) / self.scales
         return x
-
-    def to_dict(self) -> dict:
-        return {
-            "names": list(self.names),
-            "kinds": list(self.kinds),
-            "categories": {k: list(v) for k, v in self.categories.items()},
-            "standardize": self.standardize,
-            "means": None if self.means is None else [float(v) for v in self.means],
-            "scales": None if self.scales is None else [float(v) for v in self.scales],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "FeatureEncoder":
-        return cls(
-            d["names"], d["kinds"], d["categories"], d["standardize"], d["means"], d["scales"]
-        )

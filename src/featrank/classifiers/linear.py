@@ -71,17 +71,3 @@ class LogisticGlm:
     def scores(self, x_mat) -> np.ndarray:
         z = self.coef[0] + x_mat @ self.coef[1:]
         return _sigmoid(z)
-
-    def to_dict(self) -> dict:
-        return {
-            "l2": self.l2,
-            "tol": self.tol,
-            "max_iter": self.max_iter,
-            "coef": [float(v) for v in self.coef],
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "LogisticGlm":
-        model = cls(d["l2"], d["tol"], d["max_iter"])
-        model.coef = np.asarray(d["coef"], dtype=float)
-        return model

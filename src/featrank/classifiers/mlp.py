@@ -50,7 +50,7 @@ class Mlp:
         self.epochs = epochs
         self.batch_size = batch_size
         self.init_scale = init_scale
-        self.params = None  # (w1, b1, w2, b2)
+        self.w1 = self.b1 = self.w2 = self.b2 = None
 
     def _init_params(self, n_inputs: int, rng: np.random.Generator):
         s = self.init_scale
@@ -73,36 +73,11 @@ class Mlp:
                 grads = _grads(params, x_mat[batch], y[batch])
                 for i in range(4):
                     params[i] = params[i] - lr * grads[i]
-        self.params = tuple(params)
+        self.w1, self.b1, self.w2, self.b2 = params
         return self
 
     def scores(self, x_mat) -> np.ndarray:
-        return _forward(self.params, x_mat)[1]
-
-    def to_dict(self) -> dict:
-        w1, b1, w2, b2 = self.params
-        return {
-            "hidden": self.hidden,
-            "learning_rate": self.learning_rate,
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "init_scale": self.init_scale,
-            "w1": [[float(v) for v in row] for row in w1],
-            "b1": [float(v) for v in b1],
-            "w2": [float(v) for v in w2],
-            "b2": float(b2),
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "Mlp":
-        model = cls(d["hidden"], d["learning_rate"], d["epochs"], d["batch_size"], d["init_scale"])
-        model.params = (
-            np.asarray(d["w1"], dtype=float),
-            np.asarray(d["b1"], dtype=float),
-            np.asarray(d["w2"], dtype=float),
-            float(d["b2"]),
-        )
-        return model
+        return _forward((self.w1, self.b1, self.w2, self.b2), x_mat)[1]
 
 
 def gradient_check(mlp: Mlp, x_mat, y, epsilon: float, seed: int = 0, n_coords: int = 40) -> float:

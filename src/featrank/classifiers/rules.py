@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .. import dataio
-from ..weighting import BinEdges, equal_frequency_edges
+from ..weighting import equal_frequency_edges
 
 
 class RuleInduction:
@@ -23,7 +23,7 @@ class RuleInduction:
         self.min_coverage = min_coverage
         self.names: tuple[str, ...] = ()
         self.kinds: tuple[str, ...] = ()
-        self.bins: dict[str, BinEdges] = {}
+        self.bins: dict[str, list[float]] = {}  # numeric feature -> ascending bin edges
         self.rules: list[dict] = []
         self.default_score = 0.5
 
@@ -33,7 +33,7 @@ class RuleInduction:
         out = []
         for name, kind, (data, cats) in zip(self.names, self.kinds, columns):
             if kind == dataio.NUMERIC:
-                edges = np.asarray(self.bins[name].edges, dtype=float)
+                edges = np.asarray(self.bins[name], dtype=float)
                 out.append((np.searchsorted(edges, data, side="left"), range(len(edges) + 1)))
             else:
                 out.append((data, cats))
@@ -86,7 +86,7 @@ class RuleInduction:
         self.kinds = tuple(kinds)
         n = len(y)
         self.bins = {
-            name: equal_frequency_edges(name, data, self.n_bins)
+            name: list(equal_frequency_edges(name, data, self.n_bins).edges)
             for name, kind, (data, _) in zip(self.names, self.kinds, columns)
             if kind == dataio.NUMERIC
         }
@@ -138,40 +138,3 @@ class RuleInduction:
             out[hit] = p if rule["target"] == 1 else 1.0 - p
             unmatched &= ~hit
         return out
-
-    def to_dict(self) -> dict:
-        return {
-            "n_bins": self.n_bins,
-            "min_coverage": self.min_coverage,
-            "names": list(self.names),
-            "kinds": list(self.kinds),
-            "bins": {k: list(v.edges) for k, v in self.bins.items()},
-            "rules": [
-                {
-                    "conditions": [[j, v] for j, v in r["conditions"]],
-                    "target": r["target"],
-                    "precision": r["precision"],
-                    "coverage": r["coverage"],
-                }
-                for r in self.rules
-            ],
-            "default_score": self.default_score,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RuleInduction":
-        model = cls(d["n_bins"], d["min_coverage"])
-        model.names = tuple(d["names"])
-        model.kinds = tuple(d["kinds"])
-        model.bins = {k: BinEdges(column=k, edges=tuple(v)) for k, v in d["bins"].items()}
-        model.rules = [
-            {
-                "conditions": [(j, v) for j, v in r["conditions"]],
-                "target": r["target"],
-                "precision": r["precision"],
-                "coverage": r["coverage"],
-            }
-            for r in d["rules"]
-        ]
-        model.default_score = d["default_score"]
-        return model

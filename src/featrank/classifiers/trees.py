@@ -62,25 +62,26 @@ BLOCK_CELLS = 2**13
 class _CodedMatrix:
     """A design matrix plus, per column, its sorted distinct values and row codes.
 
-    `codes[j, i]` indexes `values[j]` at the value of row i in column j. Codes
-    are int16 while they fit, because numpy's stable sort of 16-bit integers
-    is a radix sort. `flat_values` holds every column's values, column j's
-    from `offsets[j]`, and `n_codes` is the most values any column has.
+    `flat_values` holds every column's sorted distinct values, column j's from
+    `offsets[j]`, and `codes[j, i]` indexes column j's values at the value of
+    row i. Codes are int16 while they fit, because numpy's stable sort of
+    16-bit integers is a radix sort. `n_codes` is the most values any column
+    has.
     """
 
     def __init__(self, x_mat):
         n, p = x_mat.shape
         self.x = x_mat
         self.codes = np.empty((p, n), dtype=np.int16 if n < 2**15 else np.intp)
-        self.values = []
+        columns = []
         for j in range(p):
             values, codes = np.unique(x_mat[:, j], return_inverse=True)
             self.codes[j] = codes
-            self.values.append(values)
-        sizes = [len(values) for values in self.values]
+            columns.append(values)
+        sizes = [len(values) for values in columns]
         self.n_codes = max(sizes)
         self.offsets = np.cumsum([0] + sizes[:-1])
-        self.flat_values = np.concatenate(self.values)
+        self.flat_values = np.concatenate(columns)
 
 
 def _threshold(lo, hi):
@@ -126,7 +127,7 @@ def _best_split(data, idx, t, min_leaf, feature_ids):
         return None
     r, c = divmod(int(cand[k]), width)
     j = int(feature_ids[r])
-    lo, hi = data.values[j][sorted_codes[r, c : c + 2]]
+    lo, hi = data.flat_values[data.offsets[j] + sorted_codes[r, c : c + 2]]
     return j, float(_threshold(lo, hi))
 
 
@@ -313,15 +314,6 @@ class DecisionTree:
     def scores(self, x_mat) -> np.ndarray:
         return _tree_apply(self.root, x_mat)
 
-    def to_dict(self) -> dict:
-        return {"max_depth": self.max_depth, "min_leaf": self.min_leaf, "root": self.root}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "DecisionTree":
-        model = cls(d["max_depth"], d["min_leaf"])
-        model.root = d["root"]
-        return model
-
 
 class RandomForest:
     """Bagged trees on bootstrap samples with per-split feature subsets.
@@ -356,20 +348,6 @@ class RandomForest:
         for root in self.roots:
             votes += _tree_apply(root, x_mat) >= 0.5
         return votes / len(self.roots)
-
-    def to_dict(self) -> dict:
-        return {
-            "n_trees": self.n_trees,
-            "max_depth": self.max_depth,
-            "min_leaf": self.min_leaf,
-            "roots": self.roots,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RandomForest":
-        model = cls(d["n_trees"], d["max_depth"], d["min_leaf"])
-        model.roots = d["roots"]
-        return model
 
 
 class GradientBoostedTrees:
@@ -422,20 +400,3 @@ class GradientBoostedTrees:
         for root in self.roots:
             raw += self.shrinkage * _tree_apply(root, x_mat)
         return _sigmoid(raw)
-
-    def to_dict(self) -> dict:
-        return {
-            "n_rounds": self.n_rounds,
-            "max_depth": self.max_depth,
-            "min_leaf": self.min_leaf,
-            "shrinkage": self.shrinkage,
-            "prior_log_odds": self.prior_log_odds,
-            "roots": self.roots,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GradientBoostedTrees":
-        model = cls(d["n_rounds"], d["max_depth"], d["min_leaf"], d["shrinkage"])
-        model.prior_log_odds = d["prior_log_odds"]
-        model.roots = d["roots"]
-        return model

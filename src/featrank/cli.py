@@ -249,6 +249,8 @@ def cmd_groups(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    if args.seed < 0:
+        raise ConfigError("--seed must be nonnegative")
     if args.spec is not None:
         try:
             spec = synth.load_spec_json(args.spec)

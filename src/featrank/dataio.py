@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import random
 import statistics
 from dataclasses import dataclass, field
@@ -221,12 +222,17 @@ class Table:
         )
 
 
+def is_finite_number(value) -> bool:
+    """True for an int or float (not a bool) that is neither NaN nor infinite."""
+    return not isinstance(value, bool) and isinstance(value, (int, float)) and math.isfinite(value)
+
+
 def _parse_numeric(text: str, column: str, line: int) -> float:
     try:
         value = float(text)
     except ValueError:
         raise ValueError(f"line {line}: unparseable numeric cell {text!r} in column {column!r}") from None
-    if value != value or value in (float("inf"), float("-inf")):
+    if not math.isfinite(value):
         raise ValueError(f"line {line}: non-finite numeric cell in column {column!r}")
     return value
 
@@ -279,6 +285,8 @@ def load_csv(path: str | Path, schema: list[ColumnSchema]) -> Table:
             raise ValueError(f"{path}: line {r + 2}: expected {len(header)} cells, got {len(raw)}")
         for c in schema:
             text = raw[pos_of[c.name]].strip()
+            if "\x00" in text:
+                raise ValueError(f"{path}: line {r + 2}: NUL byte in column {c.name!r}")
             if text == "":
                 if c.role == ROLE_LABEL:
                     raise ValueError(f"{path}: line {r + 2}: missing label cell")

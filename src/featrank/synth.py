@@ -16,7 +16,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .dataio import CATEGORICAL, NUMERIC, ROLE_FEATURE, ROLE_GROUP, ROLE_LABEL, ColumnSchema, Table
+from .dataio import (
+    CATEGORICAL, NUMERIC, ROLE_FEATURE, ROLE_GROUP, ROLE_LABEL, ColumnSchema, Table, is_finite_number,
+)
 
 DEFAULT_GROUP_WEIGHTS = {
     "Fars": 50.0,
@@ -29,6 +31,11 @@ DEFAULT_GROUP_WEIGHTS = {
     "Qashghaei": 3.5,
     "Balouch": 3.5,
 }
+
+
+def _check_finite(what: str, value) -> None:
+    if not is_finite_number(value):
+        raise ValueError(f"{what} must be a finite number, got {value!r}")
 
 
 def _normalized(weights: dict[str, float]) -> dict[str, float]:
@@ -50,13 +57,15 @@ class FeatureDef:
     def __post_init__(self):
         if self.kind not in (NUMERIC, CATEGORICAL):
             raise ValueError(f"unknown feature kind {self.kind!r}")
+        for what, value in (("mean", self.mean), ("sd", self.sd)):
+            _check_finite(f"{self.name}: {what}", value)
         if self.kind == NUMERIC:
             if self.sd < 0:
                 raise ValueError(f"{self.name}: sd must be nonnegative")
         else:
             if len(self.values) < 2 or len(self.values) != len(self.probabilities):
                 raise ValueError(f"{self.name}: values and probabilities must align (>= 2 values)")
-            if abs(sum(self.probabilities) - 1.0) > 1e-9 or min(self.probabilities) < 0:
+            if not abs(sum(self.probabilities) - 1.0) <= 1e-9 or min(self.probabilities) < 0:
                 raise ValueError(f"{self.name}: probabilities must be a distribution")
 
 
@@ -76,16 +85,18 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_rows < 100:
-            raise ValueError("n_rows must be at least 100")
+        for what, value, low in (("n_rows", self.n_rows, 100), ("seed", self.seed, 0)):
+            if isinstance(value, bool) or not isinstance(value, int) or value < low:
+                raise ValueError(f"{what} must be an integer of at least {low}, got {value!r}")
         if not 0.0 < self.prevalence < 1.0:
             raise ValueError("prevalence must lie in (0, 1)")
+        _check_finite("noise_sd", self.noise_sd)
         if self.noise_sd < 0:
             raise ValueError("noise_sd must be nonnegative")
         probs = self.group_distribution
         if not probs:
             raise ValueError("group_distribution must be nonempty")
-        if abs(sum(probs.values()) - 1.0) > 1e-9 or min(probs.values()) < 0:
+        if not abs(sum(probs.values()) - 1.0) <= 1e-9 or min(probs.values()) < 0:
             raise ValueError("group probabilities must sum to 1")
         names = [f.name for f in self.features]
         reserved = {self.group_column, self.label_column}
@@ -103,8 +114,12 @@ class SynthSpec:
             bad = set(terms) - valid_terms
             if bad:
                 raise ValueError(f"unknown coefficient terms: {sorted(bad)}")
+            for term, weight in terms.items():
+                _check_finite(f"coefficient {term!r} of group {group!r}", weight)
         if set(self.group_offsets) - set(probs):
             raise ValueError("group_offsets reference unknown groups")
+        for group, offset in self.group_offsets.items():
+            _check_finite(f"offset of group {group!r}", offset)
 
     def schema(self) -> tuple[ColumnSchema, ...]:
         cols = [ColumnSchema(name=f.name, kind=f.kind, role=ROLE_FEATURE) for f in self.features]

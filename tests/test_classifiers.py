@@ -62,6 +62,17 @@ class TestClassifierSpec:
             ClassifierSpec(kind="glm", hyperparameters={"l2": -0.1})
         with pytest.raises(ValueError, match="positive"):
             ClassifierSpec(kind="mlp", hyperparameters={"learning_rate": 0.0})
+        for kind, key, value in [
+            ("mlp", "epochs", True),
+            ("random_forest", "n_trees", 2.0),
+            ("glm", "l2", float("nan")),
+            ("glm", "tol", float("inf")),
+            ("gbt", "shrinkage", False),
+            ("mlp", "learning_rate", "0.1"),
+            ("glm", "l2", None),
+        ]:
+            with pytest.raises(ValueError, match=key):
+                ClassifierSpec(kind=kind, hyperparameters={key: value})
 
     def test_params_merge_defaults(self):
         spec = ClassifierSpec(kind="gbt", hyperparameters={"n_rounds": 10})
@@ -476,6 +487,46 @@ class TestModelJson:
         doc["format_version"] = 99
         with pytest.raises(ValueError, match="format_version"):
             fr.model_from_json(doc)
+
+    def test_document_keys_must_match_attributes(self):
+        t = toy_table(n=30, seed=22)
+        doc = fr.model_to_json(fr.fit(ClassifierSpec(kind="glm"), t))
+        for part in ("model", "encoder"):
+            bad_parts = [{k: v for k, v in doc[part].items() if k != key} for key in doc[part]]
+            for bad in bad_parts + [doc[part] | {"bias": 1.0}]:
+                with pytest.raises(ValueError, match="document"):
+                    fr.model_from_json(doc | {part: bad})
+
+    def test_rule_bin_edges_must_increase(self):
+        t = toy_table(n=60, seed=23)
+        doc = fr.model_to_json(fr.fit(ClassifierSpec(kind="rule_induction"), t))
+        fr.model_from_json(doc)
+        doc["model"]["bins"]["signal"] = [2.0, 1.0]
+        with pytest.raises(ValueError, match="strictly increasing"):
+            fr.model_from_json(doc)
+
+    def test_saved_document_layout(self):
+        doc = {
+            "format_version": 1,
+            "kind": "glm",
+            "hyperparameters": {"l2": 0.5},
+            "seed": 0,
+            "features": ["x", "c"],
+            "feature_kinds": ["numeric", "categorical"],
+            "encoder": {
+                "names": ["x", "c"],
+                "kinds": ["numeric", "categorical"],
+                "categories": {"c": ["a", "b"]},
+                "standardize": True,
+                "means": [1.0, 0.5, 0.5],
+                "scales": [2.0, 0.5, 0.5],
+            },
+            "model": {"l2": 0.5, "tol": 1e-06, "max_iter": 500, "coef": [0.25, 2.0, 1.0, -1.0]},
+        }
+        model = fr.model_from_json(doc)
+        z = 0.25 + 2.0 * (3.0 - 1.0) / 2.0 + 1.0 * (0.0 - 0.5) / 0.5 - 1.0 * (1.0 - 0.5) / 0.5
+        assert fr.predict(model, {"x": 3.0, "c": "b"}) == pytest.approx(1 / (1 + math.exp(-z)))
+        assert fr.model_to_json(model) == doc
 
     def test_document_is_json_serializable(self):
         import json

@@ -65,8 +65,18 @@ class TestSynth:
             {"features": "x"},
             {"coefficients": []},
             {"group_distribution": {"a": "1"}},
+            {"group_offsets": {"Fars": "x"}},
+            {"seed": "3"},
+            {"seed": -1},
+            {"n_rows": 150.5},
+            {"coefficients": {"Fars": {"age": "1"}}},
+            {"noise_sd": float("nan")},
         ],
-        ids=["list", "features-string", "coefficients-list", "probability-string"],
+        ids=[
+            "list", "features-string", "coefficients-list", "probability-string",
+            "offset-string", "seed-string", "seed-negative", "rows-fraction",
+            "coefficient-string", "noise-nan",
+        ],
     )
     def test_malformed_spec_is_config_error(self, tmp_path, capsys, change):
         import featrank as fr
@@ -76,6 +86,10 @@ class TestSynth:
         bad.write_text(json.dumps(doc))
         assert run("synth", "--spec", str(bad), "--out", str(tmp_path / "o")) == 1
         assert "invalid synth spec" in capsys.readouterr().err
+
+    def test_negative_seed_is_config_error(self, tmp_path, capsys):
+        assert run("synth", "--rows", "150", "--seed", "-1", "--out", str(tmp_path / "o")) == 1
+        assert "--seed must be nonnegative" in capsys.readouterr().err
 
     @pytest.mark.parametrize("rows", ["-5", "0", "99"])
     def test_too_few_rows_is_config_error(self, tmp_path, capsys, rows):

@@ -81,6 +81,15 @@ def _extra_cell(header, rows, schema, rng):
     return header, rows
 
 
+def _nul_in_categorical(header, rows, schema, rng):
+    columns = schema["columns"]
+    name = rng.choice([c["name"] for c in columns if c["kind"] == "categorical" and c["role"] == "feature"])
+    j = header.index(name)
+    row = rows[rng.randrange(len(rows))]
+    row[j] = row[j][:1] + "\x00" + row[j][1:]
+    return header, rows
+
+
 def _one_class_label(header, rows, schema, rng):
     j = header.index(_label(schema))
     value = rng.choice(sorted({r[j] for r in rows}))
@@ -99,6 +108,7 @@ CSV_MUTATIONS = {
     "overflow_cell": lambda h, r, s, rng: _set_cell(h, r, rng, _numeric(s, rng), "1e400"),
     "empty_label": lambda h, r, s, rng: _set_cell(h, r, rng, _label(s), ""),
     "one_class_label": _one_class_label,
+    "nul_in_categorical": _nul_in_categorical,
 }
 
 

@@ -33,3 +33,17 @@ def test_changed_report_bytes_are_listed(tmp_path):
     assert result.returncode == 1
     assert "differs: reports/warmup/delta.csv" in result.stdout
     assert "differs: cohorts/warmup/cohort.csv" not in result.stdout
+
+
+def test_changed_model_document_is_listed(tmp_path):
+    changed = tmp_path / "src"
+    shutil.copytree(ROOT / "src", changed, ignore=shutil.ignore_patterns("__pycache__"))
+    with open(changed / "featrank" / "classifiers" / "__init__.py", "a", encoding="utf-8") as fh:
+        fh.write(
+            "\n_plain_json = model_to_json\n"
+            "model_to_json = lambda m: _plain_json(m) | ({'seed': -1} if m.spec.kind == 'glm' else {})\n"
+        )
+    result = compare(ROOT / "src", changed, tmp_path)
+    assert result.returncode == 1
+    assert result.stdout.count("differs:") == 1, result.stdout
+    assert "differs: reports/warmup/models/glm.json" in result.stdout

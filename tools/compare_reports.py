@@ -7,9 +7,11 @@
 OLD_SRC and NEW_SRC are `src/` directories. For every workload and seed, each
 tree generates the benchmark's cohorts with `featrank synth --spec` (the recipe,
 seeds and sizes are read from perfbench/workloads.py) and runs the workload's
-command on each of them, in a fresh process per tree. The script then lists
-every cohort or report file whose bytes differ between the trees. Exit code 0
-means every file matched, 1 that some differ or a command failed.
+command on each of them, in a fresh process per tree. The `ablate` warm-up
+cohort also runs with `--save-model`, so the six saved model documents are
+compared too. The script then lists every cohort or report file whose bytes
+differ between the trees. Exit code 0 means every file matched, 1 that some
+differ or a command failed.
 
 A change that claims the same results runs this against the tree it started
 from, for example a `git archive` of the parent commit.
@@ -60,10 +62,10 @@ def run_tree(src: Path, out: Path, workload_name: str, seed: int, count: int | N
         cohort.mkdir(parents=True)
         spec = wl.spec_json(featrank, workload, rows, wl.cohort_seed(seed, workload.name, index))
         (cohort / "spec.json").write_text(json.dumps(spec), encoding="utf-8")
-        for argv in (
-            ["synth", "--spec", str(cohort / "spec.json"), "--out", str(cohort)],
-            workload.job_args(cohort, out / "reports" / name),
-        ):
+        job = workload.job_args(cohort, out / "reports" / name)
+        if workload_name == "ablate" and index == "warmup":
+            job.append("--save-model")
+        for argv in (["synth", "--spec", str(cohort / "spec.json"), "--out", str(cohort)], job):
             rc = _quiet_main(cli, argv)
             if rc != 0:
                 print(f"{src}: featrank {argv[0]} exited with code {rc} on cohort {name}")
