@@ -205,8 +205,7 @@ def _restore(cls, doc: dict):
     if not params.keys() <= doc.keys():
         raise ValueError(f"{cls.__name__} document lacks {sorted(params.keys() - doc.keys())}")
     obj = cls(**{name: doc[name] for name in params})
-    if doc.keys() != vars(obj).keys():
-        raise ValueError(f"{cls.__name__} document keys differ from {sorted(vars(obj))}")
+    dataio.check_keys(doc, f"{cls.__name__} document", vars(obj))
     for name in doc.keys() - params.keys():
         setattr(obj, name, doc[name])
     return obj
@@ -225,10 +224,26 @@ def model_to_json(model: Model) -> dict:
     }
 
 
+# The JSON type of each top-level value of a saved model document.
+_DOCUMENT_TYPES = {
+    "format_version": int,
+    "kind": str,
+    "hyperparameters": dict,
+    "seed": int,
+    "features": list,
+    "feature_kinds": list,
+    "encoder": (dict, type(None)),
+    "model": dict,
+}
+
+
 def model_from_json(doc: dict) -> Model:
-    version = doc.get("format_version")
-    if version != MODEL_FORMAT_VERSION:
-        raise ValueError(f"unsupported model format_version: {version!r}")
+    dataio.check_keys(doc, "model document", _DOCUMENT_TYPES)
+    if doc["format_version"] != MODEL_FORMAT_VERSION:
+        raise ValueError(f"unsupported model format_version: {doc['format_version']!r}")
+    for key, types in _DOCUMENT_TYPES.items():
+        if not isinstance(doc[key], types):
+            raise ValueError(f"model document field {key!r} has the wrong JSON type")
     spec = ClassifierSpec(kind=doc["kind"], hyperparameters=doc["hyperparameters"], seed=doc["seed"])
     encoder = None if doc["encoder"] is None else _restore(FeatureEncoder, doc["encoder"])
     inner = _restore(_ESTIMATORS[spec.kind], doc["model"])

@@ -12,6 +12,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
 import warnings
@@ -42,6 +43,10 @@ EXIT_COMPUTE = 3
 
 
 class ConfigError(Exception):
+    pass
+
+
+class _DataError(Exception):
     pass
 
 
@@ -101,7 +106,7 @@ def build_parser() -> _Parser:
 
     synth_p = sub.add_parser("synth", help="generate a synthetic cohort")
     synth_p.add_argument("--spec", help="SynthSpec JSON path (omit for the default cohort)")
-    synth_p.add_argument("--rows", type=int, help="row count override for the default cohort")
+    synth_p.add_argument("--rows", type=int, default=1000, help="rows of the default cohort (default 1000)")
     synth_p.add_argument("--out", required=True, help="output directory")
     synth_p.add_argument(
         "--seed", type=int, default=0, help="generation seed (overrides a spec file's when nonzero)"
@@ -143,8 +148,11 @@ def _selected_specs(args):
 
 
 def _load_table(args):
-    schema = load_schema_json(args.schema)
-    return load_csv(args.data, schema)
+    """The input table; a schema or CSV that cannot be read is a data error."""
+    try:
+        return load_csv(args.data, load_schema_json(args.schema))
+    except (OSError, ValueError, KeyError, csv.Error) as exc:
+        raise _DataError(str(exc)) from exc
 
 
 def _smote_config(args) -> SmoteConfig | None:
@@ -165,85 +173,70 @@ def _emit(out_dir: Path, stem: str, rows, fmt: str) -> None:
 
 
 def cmd_weigh(args) -> int:
-    table = _phase_data(_load_table, args)
+    table = _load_table(args)
     out_dir = _ensure_out(args.out)
-
-    def compute():
-        matrix = weigh_all(
-            table, n_bins=args.bins, relief_k=args.relief_k, seed=derive_seed(args.seed, "weigh")
-        )
-        _emit(out_dir, "weights", weight_matrix_rows(matrix), args.format)
-
-    _phase_compute(compute)
+    matrix = weigh_all(
+        table, n_bins=args.bins, relief_k=args.relief_k, seed=derive_seed(args.seed, "weigh")
+    )
+    _emit(out_dir, "weights", weight_matrix_rows(matrix), args.format)
     print(f"wrote weight report for {len(table.feature_names())} attributes to {out_dir}")
     return 0
 
 
 def cmd_ablate(args) -> int:
-    table = _phase_data(_load_table, args)
+    table = _load_table(args)
     out_dir = _ensure_out(args.out)
     specs = _selected_specs(args)
     if args.feature not in table.feature_names():
         raise ConfigError(f"--feature {args.feature!r} is not a feature column")
-
-    def compute():
-        plan = stratified_folds(table, args.folds, derive_seed(args.seed, "folds"))
-        report = ablation(table, args.feature, specs, plan, _smote_config(args))
-        for stem, rows in (
-            ("without", eval_report_rows(report.without_report)),
-            ("with", eval_report_rows(report.with_report)),
-            ("delta", delta_rows(report)),
-        ):
-            _emit(out_dir, stem, rows, args.format)
-        if args.save_model:
-            model_dir = out_dir / "models"
-            model_dir.mkdir(exist_ok=True)
-            for spec in specs:
-                model = classifiers.fit(spec, table)
-                doc = model_to_json(model)
-                with open(model_dir / f"{spec.kind}.json", "w", encoding="utf-8") as fh:
-                    json.dump(doc, fh, indent=2, sort_keys=True)
-                    fh.write("\n")
-        return report
-
-    report = _phase_compute(compute)
+    plan = stratified_folds(table, args.folds, derive_seed(args.seed, "folds"))
+    report = ablation(table, args.feature, specs, plan, _smote_config(args))
+    for stem, rows in (
+        ("without", eval_report_rows(report.without_report)),
+        ("with", eval_report_rows(report.with_report)),
+        ("delta", delta_rows(report)),
+    ):
+        _emit(out_dir, stem, rows, args.format)
+    if args.save_model:
+        model_dir = _ensure_out(out_dir / "models")
+        for spec in specs:
+            model = classifiers.fit(spec, table)
+            doc = model_to_json(model)
+            with open(model_dir / f"{spec.kind}.json", "w", encoding="utf-8") as fh:
+                json.dump(doc, fh, indent=2, sort_keys=True)
+                fh.write("\n")
     deltas = ", ".join(f"{m} {report.delta.get(m):+.4f}" for m in METRIC_NAMES)
     print(f"ablation of {args.feature!r} complete ({deltas}); reports in {out_dir}")
     return 0
 
 
 def cmd_groups(args) -> int:
-    table = _phase_data(_load_table, args)
+    table = _load_table(args)
     out_dir = _ensure_out(args.out)
     specs = _selected_specs(args)
-
-    def compute():
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            rankings = per_group_rankings(
-                table,
-                top_n=5,
-                n_bins=args.bins,
-                relief_k=args.relief_k,
-                seed=derive_seed(args.seed, "groups-rank"),
-            )
-            winners = best_classifier_per_group(
-                table,
-                specs,
-                k=args.folds,
-                seed=derive_seed(args.seed, "groups-best"),
-                smote_cfg=_smote_config(args),
-            )
-        everyone = observed_groups(table)
-        for stem, to_rows, results in (
-            ("group_rankings", group_ranking_rows, rankings),
-            ("group_winners", group_winner_rows, winners),
-        ):
-            skipped = [g for g in everyone if g not in results]
-            _emit(out_dir, stem, to_rows(results, skipped), args.format)
-        return rankings, winners
-
-    rankings, winners = _phase_compute(compute)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rankings = per_group_rankings(
+            table,
+            top_n=5,
+            n_bins=args.bins,
+            relief_k=args.relief_k,
+            seed=derive_seed(args.seed, "groups-rank"),
+        )
+        winners = best_classifier_per_group(
+            table,
+            specs,
+            k=args.folds,
+            seed=derive_seed(args.seed, "groups-best"),
+            smote_cfg=_smote_config(args),
+        )
+    everyone = observed_groups(table)
+    for stem, to_rows, results in (
+        ("group_rankings", group_ranking_rows, rankings),
+        ("group_winners", group_winner_rows, winners),
+    ):
+        skipped = [g for g in everyone if g not in results]
+        _emit(out_dir, stem, to_rows(results, skipped), args.format)
     print(f"ranked {len(rankings)} groups, selected winners for {len(winners)}; reports in {out_dir}")
     return 0
 
@@ -254,32 +247,25 @@ def cmd_synth(args) -> int:
     if args.spec is not None:
         try:
             spec = synth.load_spec_json(args.spec)
-        except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
-            print(f"error: invalid synth spec: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
+        except (OSError, ValueError, TypeError, AttributeError) as exc:
+            raise ConfigError(f"invalid synth spec: {exc}") from exc
         if args.seed:
             spec = synth.with_seed(spec, args.seed)
     else:
-        rows = 1000 if args.rows is None else args.rows
         try:
-            spec = synth.default_cohort_spec(n_rows=rows, seed=args.seed)
+            spec = synth.default_cohort_spec(n_rows=args.rows, seed=args.seed)
         except ValueError as exc:
-            raise ConfigError(f"--rows {rows}: {exc}") from exc
+            raise ConfigError(f"--rows {args.rows}: {exc}") from exc
     out_dir = _ensure_out(args.out)
-
-    def compute():
-        table, truth = synth.generate_with_truth(spec)
-        with open(out_dir / "cohort.csv", "w", encoding="utf-8", newline="") as fh:
-            fh.write(table_to_csv_text(table))
-        with open(out_dir / "schema.json", "w", encoding="utf-8") as fh:
-            json.dump(schema_to_json(table.schema), fh, indent=2)
-            fh.write("\n")
-        with open(out_dir / "truth.json", "w", encoding="utf-8") as fh:
-            json.dump(truth, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        return table, truth
-
-    table, truth = _phase_compute(compute)
+    table, truth = synth.generate_with_truth(spec)
+    with open(out_dir / "cohort.csv", "w", encoding="utf-8", newline="") as fh:
+        fh.write(table_to_csv_text(table))
+    with open(out_dir / "schema.json", "w", encoding="utf-8") as fh:
+        json.dump(schema_to_json(table.schema), fh, indent=2)
+        fh.write("\n")
+    with open(out_dir / "truth.json", "w", encoding="utf-8") as fh:
+        json.dump(truth, fh, indent=2, sort_keys=True)
+        fh.write("\n")
     counts = ", ".join(f"{g}={c}" for g, c in truth["group_counts"].items())
     print(
         f"generated {table.n_rows} rows, prevalence {truth['realized_prevalence']:.4f}; "
@@ -290,14 +276,12 @@ def cmd_synth(args) -> int:
 
 def cmd_report(args) -> int:
     src = Path(args.data)
-
-    def load():
+    try:
         rows = read_csv_rows(src)
-        if not rows:
-            raise ValueError(f"{src} is empty")
-        return rows
-
-    rows = _phase_data(load)
+    except (OSError, ValueError, csv.Error) as exc:
+        raise _DataError(str(exc)) from exc
+    if not rows:
+        raise _DataError(f"{src} is empty")
     out_dir = _ensure_out(args.out)
     out_path = out_dir / (src.stem + ".md")
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
@@ -306,33 +290,12 @@ def cmd_report(args) -> int:
     return 0
 
 
-class _DataError(Exception):
-    pass
-
-
-class _ComputeError(Exception):
-    pass
-
-
-def _phase_data(fn, *fn_args):
-    try:
-        return fn(*fn_args)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
-        raise _DataError(str(exc)) from exc
-
-
-def _phase_compute(fn):
-    try:
-        return fn()
-    except _DataError:
-        raise
-    except Exception as exc:
-        raise _ComputeError(f"{type(exc).__name__}: {exc}") from exc
-
-
 def _ensure_out(out) -> Path:
     out_dir = Path(out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out {out} is not a usable directory: {exc.strerror}") from exc
     return out_dir
 
 
@@ -355,8 +318,8 @@ def main(argv=None) -> int:
     except _DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except _ComputeError as exc:
-        print(f"compute error: {exc}", file=sys.stderr)
+    except Exception as exc:  # anything else failed while computing
+        print(f"compute error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_COMPUTE
 
 

@@ -5,6 +5,9 @@ and exposes its label as the 0/1 array `Table.y`. Ingestion imputes missing
 numeric cells with the column median and missing categorical cells with the
 column mode, and records how many cells were filled per column. Fold plans
 are tuples of fold numbers; folds and splits are read from them as arrays.
+
+A schema file is {"columns": [...]}: per column, an object of ColumnSchema's
+fields as strings (those without a default are required) and no other key.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ import json
 import math
 import random
 import statistics
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -67,40 +70,45 @@ def validate_schema(columns: list[ColumnSchema]) -> None:
         raise ValueError("schema allows at most one group column")
 
 
+def check_keys(doc, what: str, allowed, required=None) -> None:
+    """Refuse `doc` unless it is a JSON object that holds every key of `required`
+    (by default, all of `allowed`) and no key outside `allowed`."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(doc).__name__}")
+    unknown = doc.keys() - set(allowed)
+    if unknown:
+        raise ValueError(f"{what}: unknown key(s) {sorted(unknown)}")
+    missing = set(allowed if required is None else required) - doc.keys()
+    if missing:
+        raise ValueError(f"{what}: missing key(s) {sorted(missing)}")
+
+
+def check_fields(doc, what: str, cls) -> None:
+    """Refuse `doc` unless it holds every field of dataclass `cls` that has no
+    default, and no key that is not a field."""
+    required = [f.name for f in fields(cls) if f.default is MISSING and f.default_factory is MISSING]
+    check_keys(doc, what, [f.name for f in fields(cls)], required)
+
+
 def load_schema_json(path: str | Path) -> list[ColumnSchema]:
-    """Read a schema file: {"columns": [{"name", "kind", "role", "positive_label"?}]}."""
+    """Read a schema file (see the module docstring)."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    entries = doc.get("columns") if isinstance(doc, dict) else None
-    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
-        raise ValueError(f"{path}: schema file must be an object with a 'columns' list of objects")
+    if not isinstance(doc, dict) or doc.keys() != {"columns"} or not isinstance(doc["columns"], list):
+        raise ValueError(f"{path}: schema file must be an object whose only key is a 'columns' list")
     columns = []
-    for entry in entries:
-        if not {"name", "kind"} <= entry.keys():
-            raise ValueError(f"{path}: every column needs a 'name' and a 'kind'")
-        for key in ("name", "kind", "role", "positive_label"):
-            if key in entry and not isinstance(entry[key], str):
-                raise ValueError(f"{path}: column field {key!r} must be a string")
-        columns.append(
-            ColumnSchema(
-                name=entry["name"],
-                kind=entry["kind"],
-                role=entry.get("role", ROLE_FEATURE),
-                positive_label=entry.get("positive_label"),
-            )
-        )
+    for entry in doc["columns"]:
+        check_fields(entry, f"{path}: column", ColumnSchema)
+        not_text = sorted(k for k, v in entry.items() if not isinstance(v, str))
+        if not_text:
+            raise ValueError(f"{path}: column field(s) {not_text} must be strings")
+        columns.append(ColumnSchema(**entry))
     validate_schema(columns)
     return columns
 
 
 def schema_to_json(columns: list[ColumnSchema]) -> dict:
-    out = []
-    for c in columns:
-        entry = {"name": c.name, "kind": c.kind, "role": c.role}
-        if c.positive_label is not None:
-            entry["positive_label"] = c.positive_label
-        out.append(entry)
-    return {"columns": out}
+    return {"columns": [{k: v for k, v in asdict(c).items() if v is not None} for c in columns]}
 
 
 @dataclass(frozen=True, eq=False)

@@ -7,17 +7,22 @@ noise and a group intercept offset, and draws the label from the resulting
 probability. A global intercept is solved by bisection so the realized
 positive count lands on round(n * prevalence). Everything is deterministic
 given the SynthSpec seed.
+
+A spec document holds SynthSpec's fields (those without a default are
+required) and no other key; a feature entry holds `name`, `kind` and exactly
+its kind's fields (`mean`, `sd` or `values`, `probabilities`).
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
 from .dataio import (
-    CATEGORICAL, NUMERIC, ROLE_FEATURE, ROLE_GROUP, ROLE_LABEL, ColumnSchema, Table, is_finite_number,
+    CATEGORICAL, NUMERIC, ROLE_FEATURE, ROLE_GROUP, ROLE_LABEL, ColumnSchema, Table, check_fields,
+    check_keys, is_finite_number,
 )
 
 DEFAULT_GROUP_WEIGHTS = {
@@ -223,8 +228,22 @@ def _nine_attribute_features() -> tuple[FeatureDef, ...]:
     )
 
 
-def _shared_coefficients(terms: dict[str, float]) -> dict:
-    return {g: dict(terms) for g in DEFAULT_GROUP_WEIGHTS}
+def _nine_attribute_spec(
+    terms: dict, offset: float | None, noise_sd: float, n_rows: int, seed: int
+) -> SynthSpec:
+    """The nine-attribute cohort: all groups share `terms`; offsets alternate +/-offset."""
+    return SynthSpec(
+        n_rows=n_rows,
+        group_column="ethnicity",
+        group_distribution=_normalized(DEFAULT_GROUP_WEIGHTS),
+        features=_nine_attribute_features(),
+        coefficients={g: dict(terms) for g in DEFAULT_GROUP_WEIGHTS},
+        group_offsets={} if offset is None else {
+            g: offset if i % 2 == 0 else -offset for i, g in enumerate(DEFAULT_GROUP_WEIGHTS)
+        },
+        noise_sd=noise_sd,
+        seed=seed,
+    )
 
 
 def default_cohort_spec(n_rows: int = 1000, seed: int = 0) -> SynthSpec:
@@ -239,20 +258,7 @@ def default_cohort_spec(n_rows: int = 1000, seed: int = 0) -> SynthSpec:
         "bmi": 0.3,
         "ldl": 0.2,
     }
-    offsets = {
-        g: 0.3 if i % 2 == 0 else -0.3 for i, g in enumerate(DEFAULT_GROUP_WEIGHTS)
-    }
-    return SynthSpec(
-        n_rows=n_rows,
-        group_column="ethnicity",
-        group_distribution=_normalized(DEFAULT_GROUP_WEIGHTS),
-        features=_nine_attribute_features(),
-        coefficients=_shared_coefficients(terms),
-        group_offsets=offsets,
-        noise_sd=1.0,
-        prevalence=0.64,
-        seed=seed,
-    )
+    return _nine_attribute_spec(terms, 0.3, 1.0, n_rows, seed)
 
 
 def planted_ablation_spec(effect: float, n_rows: int = 5000, seed: int = 0) -> SynthSpec:
@@ -274,20 +280,7 @@ def planted_ablation_spec(effect: float, n_rows: int = 5000, seed: int = 0) -> S
         "bmi": 0.25,
         "ldl": 0.2,
     }
-    offsets = {
-        g: effect if i % 2 == 0 else -effect for i, g in enumerate(DEFAULT_GROUP_WEIGHTS)
-    }
-    return SynthSpec(
-        n_rows=n_rows,
-        group_column="ethnicity",
-        group_distribution=_normalized(DEFAULT_GROUP_WEIGHTS),
-        features=_nine_attribute_features(),
-        coefficients=_shared_coefficients(terms),
-        group_offsets=offsets,
-        noise_sd=1.0,
-        prevalence=0.64,
-        seed=seed,
-    )
+    return _nine_attribute_spec(terms, effect, 1.0, n_rows, seed)
 
 
 def planted_separable_spec(n_rows: int = 2000, seed: int = 0) -> SynthSpec:
@@ -300,75 +293,33 @@ def planted_separable_spec(n_rows: int = 2000, seed: int = 0) -> SynthSpec:
         "dm=yes": 1.8,
         "bmi": 1.2,
     }
-    return SynthSpec(
-        n_rows=n_rows,
-        group_column="ethnicity",
-        group_distribution=_normalized(DEFAULT_GROUP_WEIGHTS),
-        features=_nine_attribute_features(),
-        coefficients=_shared_coefficients(terms),
-        group_offsets={},
-        noise_sd=0.1,
-        prevalence=0.64,
-        seed=seed,
-    )
+    return _nine_attribute_spec(terms, None, 0.1, n_rows, seed)
+
+
+# The FeatureDef fields a feature entry of each kind leaves out: a numeric
+# feature has no categories, a categorical one no mean or sd.
+_UNUSED_FIELDS = {NUMERIC: {"values", "probabilities"}, CATEGORICAL: {"mean", "sd"}}
 
 
 def spec_to_json(spec: SynthSpec) -> dict:
-    return {
-        "n_rows": spec.n_rows,
-        "group_column": spec.group_column,
-        "group_distribution": dict(spec.group_distribution),
-        "features": [
-            {
-                "name": f.name,
-                "kind": f.kind,
-                **(
-                    {"mean": f.mean, "sd": f.sd}
-                    if f.kind == NUMERIC
-                    else {"values": list(f.values), "probabilities": list(f.probabilities)}
-                ),
-            }
-            for f in spec.features
-        ],
-        "coefficients": {g: dict(t) for g, t in spec.coefficients.items()},
-        "group_offsets": dict(spec.group_offsets),
-        "noise_sd": spec.noise_sd,
-        "prevalence": spec.prevalence,
-        "label_column": spec.label_column,
-        "positive_label": spec.positive_label,
-        "negative_label": spec.negative_label,
-        "seed": spec.seed,
-    }
+    doc = asdict(spec)
+    doc["features"] = [
+        {k: v for k, v in f.items() if k not in _UNUSED_FIELDS[f["kind"]]} for f in doc["features"]
+    ]
+    return json.loads(json.dumps(doc))
+
+
+def _feature_from_json(doc) -> FeatureDef:
+    kind = doc.get("kind") if isinstance(doc, dict) else None
+    if kind not in _UNUSED_FIELDS:
+        raise ValueError(f"each feature must be an object whose kind is {NUMERIC!r} or {CATEGORICAL!r}")
+    check_keys(doc, f"{kind} feature", {f.name for f in fields(FeatureDef)} - _UNUSED_FIELDS[kind])
+    return FeatureDef(**{k: tuple(v) if isinstance(v, list) else v for k, v in doc.items()})
 
 
 def spec_from_json(doc: dict) -> SynthSpec:
-    features = []
-    for f in doc["features"]:
-        if f["kind"] == NUMERIC:
-            features.append(FeatureDef(name=f["name"], kind=NUMERIC, mean=f["mean"], sd=f["sd"]))
-        else:
-            features.append(
-                FeatureDef(
-                    name=f["name"],
-                    kind=f["kind"],
-                    values=tuple(f["values"]),
-                    probabilities=tuple(f["probabilities"]),
-                )
-            )
-    return SynthSpec(
-        n_rows=doc["n_rows"],
-        group_column=doc["group_column"],
-        group_distribution=dict(doc["group_distribution"]),
-        features=tuple(features),
-        coefficients={g: dict(t) for g, t in doc["coefficients"].items()},
-        group_offsets=dict(doc.get("group_offsets", {})),
-        noise_sd=doc.get("noise_sd", 1.0),
-        prevalence=doc["prevalence"],
-        label_column=doc.get("label_column", "cad"),
-        positive_label=doc.get("positive_label", "yes"),
-        negative_label=doc.get("negative_label", "no"),
-        seed=doc.get("seed", 0),
-    )
+    check_fields(doc, "synth spec", SynthSpec)
+    return SynthSpec(**doc | {"features": tuple(_feature_from_json(f) for f in doc["features"])})
 
 
 def load_spec_json(path) -> SynthSpec:

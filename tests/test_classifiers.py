@@ -497,6 +497,17 @@ class TestModelJson:
                 with pytest.raises(ValueError, match="document"):
                     fr.model_from_json(doc | {part: bad})
 
+    def test_malformed_document_refused(self):
+        t = toy_table(n=30, seed=24)
+        doc = fr.model_to_json(fr.fit(ClassifierSpec(kind="glm"), t))
+        missing = {k: v for k, v in doc.items() if k != "features"}
+        for bad in (
+            [doc], doc | {"model": []}, doc | {"hyperparameters": []}, doc | {"encoder": []},
+            missing, doc | {"zzz": 1},
+        ):
+            with pytest.raises(ValueError, match="document"):
+                fr.model_from_json(bad)
+
     def test_rule_bin_edges_must_increase(self):
         t = toy_table(n=60, seed=23)
         doc = fr.model_to_json(fr.fit(ClassifierSpec(kind="rule_induction"), t))

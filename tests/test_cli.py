@@ -4,12 +4,14 @@ import json
 
 import pytest
 
+import featrank as fr
 from featrank.classifiers import model_from_json
 from featrank.cli import main
 from featrank.reporting import read_csv_rows, rows_to_markdown
 
 
 LABEL_ENTRY = {"name": "cad", "kind": "categorical", "role": "label", "positive_label": "yes"}
+SPEC_DOC = fr.spec_to_json(fr.default_cohort_spec(n_rows=120))
 
 
 def run(*argv):
@@ -42,8 +44,6 @@ class TestSynth:
         assert (a / "truth.json").read_bytes() == (b / "truth.json").read_bytes()
 
     def test_spec_file_with_seed_override(self, tmp_path, cohort):
-        import featrank as fr
-
         spec = fr.default_cohort_spec(n_rows=120, seed=0)
         spec_path = tmp_path / "spec.json"
         spec_path.write_text(json.dumps(fr.spec_to_json(spec)))
@@ -71,17 +71,17 @@ class TestSynth:
             {"n_rows": 150.5},
             {"coefficients": {"Fars": {"age": "1"}}},
             {"noise_sd": float("nan")},
+            {"noise-sd": 0.0},
+            {"features": [SPEC_DOC["features"][0] | {"values": ["a", "b"]}] + SPEC_DOC["features"][1:]},
         ],
         ids=[
             "list", "features-string", "coefficients-list", "probability-string",
             "offset-string", "seed-string", "seed-negative", "rows-fraction",
-            "coefficient-string", "noise-nan",
+            "coefficient-string", "noise-nan", "unknown-key", "numeric-feature-values",
         ],
     )
     def test_malformed_spec_is_config_error(self, tmp_path, capsys, change):
-        import featrank as fr
-
-        doc = [] if change is None else fr.spec_to_json(fr.default_cohort_spec(n_rows=120)) | change
+        doc = [] if change is None else SPEC_DOC | change
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
         assert run("synth", "--spec", str(bad), "--out", str(tmp_path / "o")) == 1
@@ -285,3 +285,25 @@ class TestParser:
     def test_unknown_flag_is_config_error(self, tmp_path, capsys):
         assert run("synth", "--out", str(tmp_path), "--frobnicate") == 1
         assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("weigh", "--data", "CSV", "--schema", "SCHEMA"),
+        ("ablate", "--data", "CSV", "--schema", "SCHEMA", "--feature", "ethnicity", "--folds", "2"),
+        ("groups", "--data", "CSV", "--schema", "SCHEMA", "--folds", "2"),
+        ("synth", "--rows", "150"),
+        ("report", "--data", "CSV"),
+    ],
+    ids=lambda c: c[0],
+)
+@pytest.mark.parametrize("below", [(), ("sub",)], ids=["file", "below-file"])
+def test_existing_file_as_out_is_config_error(cohort, tmp_path, capsys, command, below):
+    taken = tmp_path / "taken"
+    taken.write_text("x")
+    paths = {"CSV": str(cohort / "cohort.csv"), "SCHEMA": str(cohort / "schema.json")}
+    out = taken.joinpath(*below)
+    assert run(*(paths.get(a, a) for a in command), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err

@@ -109,6 +109,7 @@ CSV_MUTATIONS = {
     "empty_label": lambda h, r, s, rng: _set_cell(h, r, rng, _label(s), ""),
     "one_class_label": _one_class_label,
     "nul_in_categorical": _nul_in_categorical,
+    "oversize_cell": lambda h, r, s, rng: _set_cell(h, r, rng, _label(s), "y" * 200_000),
 }
 
 
@@ -132,6 +133,12 @@ def _column_entries(change):
     return mutate
 
 
+def _misspelled_role(entries, j, rng):
+    j = rng.choice([i for i, e in enumerate(entries) if e["role"] != "label"])  # a label needs its role
+    entries[j]["rol"] = entries[j].pop("role")
+    return entries
+
+
 def _wrong_field_type(entries, j, rng):
     key = rng.choice(sorted(entries[j]))
     entries[j][key] = rng.choice([1, 2.5, None, True, [entries[j][key]], {}])
@@ -148,6 +155,8 @@ SCHEMA_MUTATIONS = {
     "entry_is_string": _column_entries(lambda e, j, rng: e[:j] + [e[j]["name"]] + e[j + 1 :]),
     "entry_is_list": _column_entries(lambda e, j, rng: e[:j] + [list(e[j].values())] + e[j + 1 :]),
     "field_wrong_type": _column_entries(_wrong_field_type),
+    "field_misspelled": _column_entries(_misspelled_role),
+    "unknown_field": _column_entries(lambda e, j, rng: e[:j] + [e[j] | {"zzz": "x"}] + e[j + 1 :]),
     "name_missing": _column_entries(lambda e, j, rng: e[:j] + [{"kind": e[j]["kind"]}] + e[j + 1 :]),
     "column_dropped": _column_entries(lambda e, j, rng: e[:j] + e[j + 1 :]),
     "column_duplicated": _column_entries(lambda e, j, rng: e + [e[j]]),
@@ -218,7 +227,11 @@ def test_schema_mutation_refused(cohort, tmp_path, capsys, name):
     _assert_refused_everywhere(data, schema, tmp_path, capsys)
 
 
-@pytest.mark.parametrize("mutate", [lambda data, rng: b"", _non_utf8], ids=["empty", "non_utf8"])
+@pytest.mark.parametrize(
+    "mutate",
+    [lambda data, rng: b"", _non_utf8, lambda data, rng: data + b"y" * 200_000],
+    ids=["empty", "non_utf8", "oversize_cell"],
+)
 def test_report_refuses_unreadable_csv(cohort, tmp_path, capsys, mutate):
     data, _ = _write(tmp_path, *cohort)
     data.write_bytes(mutate(data.read_bytes(), random.Random(f"{SEED}-report")))

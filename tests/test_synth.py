@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from featrank.dataio import CATEGORICAL, NUMERIC, observed_groups
+from featrank.dataio import CATEGORICAL, NUMERIC, load_schema_json, observed_groups, schema_to_json
 from featrank.synth import (
     FeatureDef,
     SynthSpec,
@@ -18,6 +18,103 @@ from featrank.synth import (
     spec_to_json,
     with_seed,
 )
+
+
+# default_cohort_spec(n_rows=120, seed=3) as documents, byte for byte: its spec as
+# json.dumps(spec_to_json(spec)) writes it, and the schema.json `featrank synth` writes.
+SPEC_TEXT = (
+    '{"n_rows": 120, "group_column": "ethnicity", '
+    '"group_distribution": {"Fars": 0.5194805194805194, "Azari": 0.13246753246753246, '
+    '"Kurd": 0.1038961038961039, "Gilak": 0.06233766233766234, "Lor": 0.03636363636363636, '
+    '"Arab": 0.03636363636363636, "Bakhtiari": 0.03636363636363636, '
+    '"Qashghaei": 0.03636363636363636, "Balouch": 0.03636363636363636}, '
+    '"features": [{"name": "age", "kind": "numeric", "mean": 45.0, "sd": 8.0}, '
+    '{"name": "wc", "kind": "numeric", "mean": 95.0, "sd": 12.0}, {"name": "bmi", '
+    '"kind": "numeric", "mean": 27.0, "sd": 4.0}, {"name": "ldl", "kind": "numeric", '
+    '"mean": 110.0, "sd": 30.0}, {"name": "gender", "kind": "categorical", '
+    '"values": ["female", "male"], "probabilities": [0.5, 0.5]}, {"name": "smoking", '
+    '"kind": "categorical", "values": ["yes", "no"], "probabilities": [0.25, 0.75]}, '
+    '{"name": "dm", "kind": "categorical", "values": ["yes", "no"], "probabilities": [0.3, '
+    '0.7]}, {"name": "hbp", "kind": "categorical", "values": ["yes", "no"], '
+    '"probabilities": [0.35, 0.65]}], "coefficients": {"Fars": {"gender=male": 1.2, '
+    '"age": 0.9, "wc": 0.7, "smoking=yes": 0.5, "dm=yes": 0.45, "hbp=yes": 0.35, '
+    '"bmi": 0.3, "ldl": 0.2}, "Azari": {"gender=male": 1.2, "age": 0.9, "wc": 0.7, '
+    '"smoking=yes": 0.5, "dm=yes": 0.45, "hbp=yes": 0.35, "bmi": 0.3, "ldl": 0.2}, '
+    '"Kurd": {"gender=male": 1.2, "age": 0.9, "wc": 0.7, "smoking=yes": 0.5, '
+    '"dm=yes": 0.45, "hbp=yes": 0.35, "bmi": 0.3, "ldl": 0.2}, '
+    '"Gilak": {"gender=male": 1.2, "age": 0.9, "wc": 0.7, "smoking=yes": 0.5, '
+    '"dm=yes": 0.45, "hbp=yes": 0.35, "bmi": 0.3, "ldl": 0.2}, "Lor": {"gender=male": 1.2, '
+    '"age": 0.9, "wc": 0.7, "smoking=yes": 0.5, "dm=yes": 0.45, "hbp=yes": 0.35, '
+    '"bmi": 0.3, "ldl": 0.2}, "Arab": {"gender=male": 1.2, "age": 0.9, "wc": 0.7, '
+    '"smoking=yes": 0.5, "dm=yes": 0.45, "hbp=yes": 0.35, "bmi": 0.3, "ldl": 0.2}, '
+    '"Bakhtiari": {"gender=male": 1.2, "age": 0.9, "wc": 0.7, "smoking=yes": 0.5, '
+    '"dm=yes": 0.45, "hbp=yes": 0.35, "bmi": 0.3, "ldl": 0.2}, '
+    '"Qashghaei": {"gender=male": 1.2, "age": 0.9, "wc": 0.7, "smoking=yes": 0.5, '
+    '"dm=yes": 0.45, "hbp=yes": 0.35, "bmi": 0.3, "ldl": 0.2}, '
+    '"Balouch": {"gender=male": 1.2, "age": 0.9, "wc": 0.7, "smoking=yes": 0.5, '
+    '"dm=yes": 0.45, "hbp=yes": 0.35, "bmi": 0.3, "ldl": 0.2}}, '
+    '"group_offsets": {"Fars": 0.3, "Azari": -0.3, "Kurd": 0.3, "Gilak": -0.3, "Lor": 0.3, '
+    '"Arab": -0.3, "Bakhtiari": 0.3, "Qashghaei": -0.3, "Balouch": 0.3}, "noise_sd": 1.0, '
+    '"prevalence": 0.64, "label_column": "cad", "positive_label": "yes", '
+    '"negative_label": "no", "seed": 3}'
+)
+SCHEMA_TEXT = """\
+{
+  "columns": [
+    {
+      "name": "age",
+      "kind": "numeric",
+      "role": "feature"
+    },
+    {
+      "name": "wc",
+      "kind": "numeric",
+      "role": "feature"
+    },
+    {
+      "name": "bmi",
+      "kind": "numeric",
+      "role": "feature"
+    },
+    {
+      "name": "ldl",
+      "kind": "numeric",
+      "role": "feature"
+    },
+    {
+      "name": "gender",
+      "kind": "categorical",
+      "role": "feature"
+    },
+    {
+      "name": "smoking",
+      "kind": "categorical",
+      "role": "feature"
+    },
+    {
+      "name": "dm",
+      "kind": "categorical",
+      "role": "feature"
+    },
+    {
+      "name": "hbp",
+      "kind": "categorical",
+      "role": "feature"
+    },
+    {
+      "name": "ethnicity",
+      "kind": "categorical",
+      "role": "group"
+    },
+    {
+      "name": "cad",
+      "kind": "categorical",
+      "role": "label",
+      "positive_label": "yes"
+    }
+  ]
+}
+"""
 
 
 def tiny_spec(**overrides) -> SynthSpec:
@@ -201,6 +298,15 @@ class TestSpecJson:
         original = default_cohort_spec(n_rows=300, seed=9)
         path.write_text(json.dumps(spec_to_json(original)), encoding="utf-8")
         assert load_spec_json(path) == original
+
+    def test_documents_written_as_literals_load_and_write_back(self, tmp_path):
+        spec = default_cohort_spec(n_rows=120, seed=3)
+        (tmp_path / "spec.json").write_text(SPEC_TEXT, encoding="utf-8")
+        (tmp_path / "schema.json").write_text(SCHEMA_TEXT, encoding="utf-8")
+        assert load_spec_json(tmp_path / "spec.json") == spec
+        assert load_schema_json(tmp_path / "schema.json") == list(spec.schema())
+        assert json.dumps(spec_to_json(spec)) == SPEC_TEXT
+        assert json.dumps(schema_to_json(spec.schema()), indent=2) + "\n" == SCHEMA_TEXT
 
     def test_round_trip_generates_identical_tables(self):
         spec = tiny_spec()

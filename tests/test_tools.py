@@ -47,3 +47,18 @@ def test_changed_model_document_is_listed(tmp_path):
     assert result.returncode == 1
     assert result.stdout.count("differs:") == 1, result.stdout
     assert "differs: reports/warmup/models/glm.json" in result.stdout
+
+
+def test_changed_schema_document_is_listed(tmp_path):
+    changed = tmp_path / "src"
+    shutil.copytree(ROOT / "src", changed, ignore=shutil.ignore_patterns("__pycache__"))
+    with open(changed / "featrank" / "dataio.py", "a", encoding="utf-8") as fh:
+        fh.write(  # the same columns, each entry's keys in reverse order
+            "\n_plain_schema = schema_to_json\n"
+            "schema_to_json = lambda cols: {'columns': [dict(reversed(e.items())) for e in "
+            "_plain_schema(cols)['columns']]}\n"
+        )
+    result = compare(ROOT / "src", changed, tmp_path)
+    assert result.returncode == 1
+    assert result.stdout.count("differs:") == 1, result.stdout
+    assert "differs: cohorts/warmup/schema.json" in result.stdout
