@@ -244,6 +244,14 @@ def model_from_json(doc: dict) -> Model:
     for key, types in _DOCUMENT_TYPES.items():
         if not isinstance(doc[key], types):
             raise ValueError(f"model document field {key!r} has the wrong JSON type")
+    features, kinds = doc["features"], doc["feature_kinds"]
+    if not all(isinstance(f, str) for f in features) or len(set(features)) != len(features):
+        raise ValueError("model document: features must be a list of distinct strings")
+    if len(kinds) != len(features) or not all(k in (dataio.NUMERIC, dataio.CATEGORICAL) for k in kinds):
+        raise ValueError("model document: feature_kinds must be numeric or categorical per feature")
+    enc = doc["encoder"]
+    if enc is not None and (enc.get("names") != features or enc.get("kinds") != kinds):
+        raise ValueError("model document: encoder names and kinds must equal features and feature_kinds")
     spec = ClassifierSpec(kind=doc["kind"], hyperparameters=doc["hyperparameters"], seed=doc["seed"])
     encoder = None if doc["encoder"] is None else _restore(FeatureEncoder, doc["encoder"])
     inner = _restore(_ESTIMATORS[spec.kind], doc["model"])
@@ -252,8 +260,8 @@ def model_from_json(doc: dict) -> Model:
             BinEdges(column=name, edges=tuple(edges))  # refuses edges not strictly increasing
     return Model(
         spec=spec,
-        features=tuple(doc["features"]),
-        kinds=tuple(doc["feature_kinds"]),
+        features=tuple(features),
+        kinds=tuple(kinds),
         encoder=encoder,
         inner=inner,
     )

@@ -247,7 +247,7 @@ def cmd_synth(args) -> int:
     if args.spec is not None:
         try:
             spec = synth.load_spec_json(args.spec)
-        except (OSError, ValueError, TypeError, AttributeError) as exc:
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"invalid synth spec: {exc}") from exc
         if args.seed:
             spec = synth.with_seed(spec, args.seed)

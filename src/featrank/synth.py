@@ -10,7 +10,8 @@ given the SynthSpec seed.
 
 A spec document holds SynthSpec's fields (those without a default are
 required) and no other key; a feature entry holds `name`, `kind` and exactly
-its kind's fields (`mean`, `sd` or `values`, `probabilities`).
+its kind's fields (`mean`, `sd` or `values`, `probabilities`). Each value has
+the JSON type of its field: a tuple field is a list.
 """
 
 from __future__ import annotations
@@ -70,6 +71,10 @@ class FeatureDef:
         else:
             if len(self.values) < 2 or len(self.values) != len(self.probabilities):
                 raise ValueError(f"{self.name}: values and probabilities must align (>= 2 values)")
+            if not all(isinstance(v, str) for v in self.values):
+                raise ValueError(f"{self.name}: values must be strings")
+            for p in self.probabilities:
+                _check_finite(f"{self.name}: probability", p)
             if not abs(sum(self.probabilities) - 1.0) <= 1e-9 or min(self.probabilities) < 0:
                 raise ValueError(f"{self.name}: probabilities must be a distribution")
 
@@ -101,6 +106,8 @@ class SynthSpec:
         probs = self.group_distribution
         if not probs:
             raise ValueError("group_distribution must be nonempty")
+        for group, p in probs.items():
+            _check_finite(f"group_distribution of group {group!r}", p)
         if not abs(sum(probs.values()) - 1.0) <= 1e-9 or min(probs.values()) < 0:
             raise ValueError("group probabilities must sum to 1")
         names = [f.name for f in self.features]
@@ -116,6 +123,8 @@ class SynthSpec:
         for group, terms in self.coefficients.items():
             if group not in probs:
                 raise ValueError(f"coefficients reference unknown group {group!r}")
+            if not isinstance(terms, dict):
+                raise ValueError(f"coefficients of group {group!r} must be an object of weights")
             bad = set(terms) - valid_terms
             if bad:
                 raise ValueError(f"unknown coefficient terms: {sorted(bad)}")
@@ -300,6 +309,16 @@ def planted_separable_spec(n_rows: int = 2000, seed: int = 0) -> SynthSpec:
 # feature has no categories, a categorical one no mean or sd.
 _UNUSED_FIELDS = {NUMERIC: {"values", "probabilities"}, CATEGORICAL: {"mean", "sd"}}
 
+# The JSON type of each field type named in SynthSpec and FeatureDef; a tuple
+# field is a JSON list.
+_JSON_TYPES = {
+    "int": (int, "an integer"),
+    "float": ((int, float), "a number"),
+    "str": (str, "a string"),
+    "dict": (dict, "an object"),
+    "tuple": (list, "a list"),
+}
+
 
 def spec_to_json(spec: SynthSpec) -> dict:
     doc = asdict(spec)
@@ -314,11 +333,21 @@ def _feature_from_json(doc) -> FeatureDef:
     if kind not in _UNUSED_FIELDS:
         raise ValueError(f"each feature must be an object whose kind is {NUMERIC!r} or {CATEGORICAL!r}")
     check_keys(doc, f"{kind} feature", {f.name for f in fields(FeatureDef)} - _UNUSED_FIELDS[kind])
+    _check_json_types(doc, f"{kind} feature", FeatureDef)
     return FeatureDef(**{k: tuple(v) if isinstance(v, list) else v for k, v in doc.items()})
+
+
+def _check_json_types(doc: dict, what: str, cls) -> None:
+    """Refuse a value of `doc` whose JSON type does not fit its field of dataclass `cls`."""
+    for f in fields(cls):
+        types, name = _JSON_TYPES[f.type.split("[")[0]]
+        if f.name in doc and not isinstance(doc[f.name], types):
+            raise ValueError(f"{what}: {f.name} must be {name}, got {type(doc[f.name]).__name__}")
 
 
 def spec_from_json(doc: dict) -> SynthSpec:
     check_fields(doc, "synth spec", SynthSpec)
+    _check_json_types(doc, "synth spec", SynthSpec)
     return SynthSpec(**doc | {"features": tuple(_feature_from_json(f) for f in doc["features"])})
 
 

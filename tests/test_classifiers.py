@@ -504,6 +504,11 @@ class TestModelJson:
         for bad in (
             [doc], doc | {"model": []}, doc | {"hyperparameters": []}, doc | {"encoder": []},
             missing, doc | {"zzz": 1},
+            doc | {"features": [1, 2]}, doc | {"features": ["signal", "signal"]},
+            doc | {"feature_kinds": ["numeric"]},
+            doc | {"feature_kinds": ["numeric", "numeric", "text"]},
+            doc | {"encoder": doc["encoder"] | {"names": 5}},
+            doc | {"encoder": doc["encoder"] | {"kinds": doc["feature_kinds"][::-1]}},
         ):
             with pytest.raises(ValueError, match="document"):
                 fr.model_from_json(bad)

@@ -1,7 +1,9 @@
 """The blocked k-nearest kernel shared by Relief and SMOTE: exact order, bounded memory."""
 
 import random
+import sys
 import tracemalloc
+from concurrent import futures
 
 import numpy as np
 import pytest
@@ -102,6 +104,67 @@ def test_k_nearest_matches_stable_argsort_on_integer_distances(seed, block, monk
     for k in (1, 2, 5, 29):
         expected = candidates[np.argsort(dist, axis=1, kind="stable")[:, :k]]
         assert (k_nearest(codes, anchors, candidates, k) == expected).all()
+
+
+def test_threaded_search_equals_oracles_under_frequent_switches(monkeypatch):
+    # more workers than CPUs, one anchor per block, a thread switch every microsecond
+    pools = []
+
+    class RecordingPool(futures.ThreadPoolExecutor):
+        def __init__(self, workers):
+            pools.append(workers)
+            super().__init__(workers)
+
+    monkeypatch.setattr(neighbors, "_cpus", lambda: 8)
+    monkeypatch.setattr(neighbors, "BLOCK_CELLS", 1)
+    monkeypatch.setattr(futures, "ThreadPoolExecutor", RecordingPool)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            n = 60
+            codes = [("f%d" % i, rng.integers(0, 3, n)) for i in range(3)]
+            candidates = np.sort(rng.choice(n, size=40, replace=False))
+            anchors = rng.permutation(n)[:45]
+            dist = sum((c[anchors, None] != c[None, candidates]).astype(np.int64) for _, c in codes)
+            dist[anchors[:, None] == candidates[None, :]] = 99
+            for k in (1, 4, 39):
+                expected = candidates[np.argsort(dist, axis=1, kind="stable")[:, :k]]
+                assert (k_nearest(codes, anchors, candidates, k) == expected).all()
+        for t in (make(seed) for make in TABLES for seed in (0, 1)):
+            assert weight_relief(t, k_neighbors=3, seed=0) == oracle_relief_argsort(t, 3)
+    finally:
+        sys.setswitchinterval(interval)
+    assert pools and set(pools) == {8}
+
+
+def test_worker_exception_is_reraised(monkeypatch):
+    n = 12
+    rows = [("row", np.arange(n))]  # each row's own code, so diff sees the block's anchors
+    real_diff = neighbors.diff
+
+    def failing_diff(a, b, out=None):
+        if (a == n - 1).any():  # only in the last block
+            raise RuntimeError("diff failed")
+        return real_diff(a, b, out=out)
+
+    monkeypatch.setattr(neighbors, "_cpus", lambda: 2)
+    monkeypatch.setattr(neighbors, "BLOCK_CELLS", 1)
+    monkeypatch.setattr(neighbors, "diff", failing_diff)
+    with pytest.raises(RuntimeError, match="diff failed"):
+        k_nearest(rows, np.arange(n), np.arange(n), 2)
+
+
+def test_one_block_call_starts_no_thread(monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a one-block call started a thread pool")
+
+    monkeypatch.setattr(neighbors, "_cpus", lambda: 8)
+    monkeypatch.setattr(futures, "ThreadPoolExecutor", no_pool)
+    t = rounded_mixed(0)
+    assert _all_minority_neighbors(t, 3) == oracle_minority_neighbors(t, 3)
+    assert weight_relief(t, k_neighbors=3, seed=0) == oracle_relief_argsort(t, 3)
 
 
 def test_encode_normalizes_numerics_and_codes_sorted_categories():

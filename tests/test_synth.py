@@ -308,6 +308,33 @@ class TestSpecJson:
         assert json.dumps(spec_to_json(spec)) == SPEC_TEXT
         assert json.dumps(schema_to_json(spec.schema()), indent=2) + "\n" == SCHEMA_TEXT
 
+    @pytest.mark.parametrize(
+        "field, change",
+        [
+            ("coefficients", {"coefficients": []}),
+            ("group_offsets", {"group_offsets": []}),
+            ("features", {"features": 5}),
+            ("prevalence", {"prevalence": "x"}),
+            ("label_column", {"label_column": 5}),
+            ("group_distribution", {"group_distribution": {"a": "0.5", "b": 0.5}}),
+            ("coefficients of group 'a'", {"coefficients": {"a": []}}),
+        ],
+    )
+    def test_wrong_json_type_is_value_error_naming_the_field(self, field, change):
+        with pytest.raises(ValueError, match=field):
+            spec_from_json(spec_to_json(tiny_spec()) | change)
+
+    @pytest.mark.parametrize(
+        "field, change",
+        [("name", {"name": 5}), ("values", {"values": "uv"}), ("values", {"values": [1, 2]}),
+         ("probabilit", {"probabilities": ["0.5", "0.5"]})],
+    )
+    def test_wrong_feature_json_type_is_value_error(self, field, change):
+        doc = spec_to_json(tiny_spec())
+        doc["features"][1] |= change
+        with pytest.raises(ValueError, match=field):
+            spec_from_json(doc)
+
     def test_round_trip_generates_identical_tables(self):
         spec = tiny_spec()
         back = spec_from_json(spec_to_json(spec))
