@@ -51,7 +51,8 @@ _ESTIMATORS = {
 }
 
 # Each class's constructor parameters and their defaults, read once from its
-# signature. A hyperparameter whose default is an int takes positive integers.
+# signature. A hyperparameter's type is that of its attribute in the class's
+# DOCUMENT_TYPES, and an integer one must be positive.
 _PARAMETERS = {
     cls: {name: p.default for name, p in inspect.signature(cls).parameters.items()}
     for cls in (*_ESTIMATORS.values(), FeatureEncoder)
@@ -70,15 +71,14 @@ class ClassifierSpec:
     def __post_init__(self):
         if self.kind not in CLASSIFIERS:
             raise ValueError(f"unknown classifier kind {self.kind!r}")
-        defaults = _PARAMETERS[_ESTIMATORS[self.kind]]
+        cls = _ESTIMATORS[self.kind]
         for key, value in self.hyperparameters.items():
-            if key not in defaults:
+            if key not in _PARAMETERS[cls]:
                 raise ValueError(f"{self.kind} does not accept hyperparameter {key!r}")
-            if isinstance(defaults[key], int):
-                if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            dataio.check_type(value, cls.DOCUMENT_TYPES[key], f"{self.kind} hyperparameter {key}")
+            if cls.DOCUMENT_TYPES[key] is int:
+                if value < 1:
                     raise ValueError(f"{key} must be a positive integer")
-            elif not dataio.is_finite_number(value):
-                raise ValueError(f"{key} must be a finite number")
             elif key in _POSITIVE_FLOAT_KEYS:
                 if not value > 0:
                     raise ValueError(f"{key} must be positive")
@@ -168,8 +168,7 @@ def predict(model: Model, row: dict) -> float:
             raise ValueError(f"row is missing feature {f!r}")
         v = row[f]
         if kind == dataio.NUMERIC:
-            if not dataio.is_finite_number(v):
-                raise ValueError(f"feature {f!r} requires a finite number")
+            dataio.check_type(v, float, f"feature {f!r}")
             columns.append((np.array([float(v)]), None))
         else:
             if not isinstance(v, str):
@@ -200,12 +199,13 @@ def _document(obj) -> dict:
 
 def _restore(cls, doc: dict):
     """Construct an estimator or encoder from the constructor parameters in its
-    document, then set the fitted attributes."""
+    document, then set the fitted attributes. The document holds exactly the
+    attributes of the class's DOCUMENT_TYPES, each of its type there."""
+    what = f"{cls.__name__} document"
+    dataio.check_keys(doc, what, cls.DOCUMENT_TYPES)
+    dataio.check_types(doc, cls.DOCUMENT_TYPES, what)
     params = _PARAMETERS[cls]
-    if not params.keys() <= doc.keys():
-        raise ValueError(f"{cls.__name__} document lacks {sorted(params.keys() - doc.keys())}")
     obj = cls(**{name: doc[name] for name in params})
-    dataio.check_keys(doc, f"{cls.__name__} document", vars(obj))
     for name in doc.keys() - params.keys():
         setattr(obj, name, doc[name])
     return obj
@@ -230,23 +230,21 @@ _DOCUMENT_TYPES = {
     "kind": str,
     "hyperparameters": dict,
     "seed": int,
-    "features": list,
-    "feature_kinds": list,
-    "encoder": (dict, type(None)),
+    "features": list[str],
+    "feature_kinds": list[str],
+    "encoder": dict | None,
     "model": dict,
 }
 
 
 def model_from_json(doc: dict) -> Model:
     dataio.check_keys(doc, "model document", _DOCUMENT_TYPES)
+    dataio.check_types(doc, _DOCUMENT_TYPES, "model document")
     if doc["format_version"] != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model format_version: {doc['format_version']!r}")
-    for key, types in _DOCUMENT_TYPES.items():
-        if not isinstance(doc[key], types):
-            raise ValueError(f"model document field {key!r} has the wrong JSON type")
     features, kinds = doc["features"], doc["feature_kinds"]
-    if not all(isinstance(f, str) for f in features) or len(set(features)) != len(features):
-        raise ValueError("model document: features must be a list of distinct strings")
+    if len(set(features)) != len(features):
+        raise ValueError("model document: features must be distinct")
     if len(kinds) != len(features) or not all(k in (dataio.NUMERIC, dataio.CATEGORICAL) for k in kinds):
         raise ValueError("model document: feature_kinds must be numeric or categorical per feature")
     enc = doc["encoder"]
@@ -255,6 +253,11 @@ def model_from_json(doc: dict) -> Model:
     spec = ClassifierSpec(kind=doc["kind"], hyperparameters=doc["hyperparameters"], seed=doc["seed"])
     encoder = None if doc["encoder"] is None else _restore(FeatureEncoder, doc["encoder"])
     inner = _restore(_ESTIMATORS[spec.kind], doc["model"])
+    for key, value in spec.params().items():
+        if doc["model"][key] != value:
+            raise ValueError(
+                f"model document: model {key} {doc['model'][key]!r} is not the hyperparameter {value!r}"
+            )
     if spec.kind == "rule_induction":
         for name, edges in inner.bins.items():
             BinEdges(column=name, edges=tuple(edges))  # refuses edges not strictly increasing

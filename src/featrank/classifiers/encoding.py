@@ -18,6 +18,12 @@ class FeatureEncoder:
     """Maps feature columns, (array, categories) pairs as `Table.encoded`
     returns them, to a float design matrix."""
 
+    # The JSON type of each attribute in a saved model document.
+    DOCUMENT_TYPES = {
+        "names": list[str], "kinds": list[str], "categories": dict[str, list[str]],
+        "standardize": bool, "means": list[float] | None, "scales": list[float] | None,
+    }
+
     def __init__(self, names, kinds, categories, standardize, means=None, scales=None):
         self.names = tuple(names)
         self.kinds = tuple(kinds)

@@ -25,6 +25,9 @@ def _cross_entropy(p: np.ndarray, y: np.ndarray):
 
 
 class LogisticGlm:
+    # The JSON type of each attribute in a saved model document.
+    DOCUMENT_TYPES = {"l2": float, "tol": float, "max_iter": int, "coef": list[float]}
+
     def __init__(self, l2: float = 1e-4, tol: float = 1e-6, max_iter: int = 500):
         self.l2 = l2
         self.tol = tol

@@ -37,6 +37,12 @@ def _grads(params, x_mat, y):
 
 
 class Mlp:
+    # The JSON type of each attribute in a saved model document.
+    DOCUMENT_TYPES = {
+        "hidden": int, "learning_rate": float, "epochs": int, "batch_size": int, "init_scale": float,
+        "w1": list[list[float]], "b1": list[float], "w2": list[float], "b2": float,
+    }
+
     def __init__(
         self,
         hidden: int = 16,

@@ -18,6 +18,12 @@ from ..weighting import equal_frequency_edges
 
 
 class RuleInduction:
+    # The JSON type of each attribute in a saved model document.
+    DOCUMENT_TYPES = {
+        "n_bins": int, "min_coverage": int, "names": list[str], "kinds": list[str],
+        "bins": dict[str, list[float]], "rules": list[dict], "default_score": float,
+    }
+
     def __init__(self, n_bins: int = 10, min_coverage: int = 5):
         self.n_bins = n_bins
         self.min_coverage = min_coverage

@@ -296,6 +296,9 @@ def _tree_apply(node, x_mat) -> np.ndarray:
 class DecisionTree:
     """Single classification tree; leaf value = positive-class fraction."""
 
+    # The JSON type of each attribute in a saved model document.
+    DOCUMENT_TYPES = {"max_depth": int, "min_leaf": int, "root": dict}
+
     def __init__(self, max_depth: int = 8, min_leaf: int = 5):
         self.max_depth = max_depth
         self.min_leaf = min_leaf
@@ -321,6 +324,9 @@ class RandomForest:
     The score is the fraction of trees whose leaf majority is positive
     (leaf fraction >= 0.5 counts as a positive vote).
     """
+
+    # The JSON type of each attribute in a saved model document.
+    DOCUMENT_TYPES = {"n_trees": int, "max_depth": int, "min_leaf": int, "roots": list[dict]}
 
     def __init__(self, n_trees: int = 100, max_depth: int = 8, min_leaf: int = 5):
         self.n_trees = n_trees
@@ -358,6 +364,12 @@ class GradientBoostedTrees:
     logistic link applied to the shrunken ensemble sum plus the prior
     log-odds.
     """
+
+    # The JSON type of each attribute in a saved model document.
+    DOCUMENT_TYPES = {
+        "n_rounds": int, "max_depth": int, "min_leaf": int, "shrinkage": float,
+        "prior_log_odds": float, "roots": list[dict],
+    }
 
     def __init__(self, n_rounds: int = 100, max_depth: int = 3, min_leaf: int = 5, shrinkage: float = 0.1):
         self.n_rounds = n_rounds

@@ -13,10 +13,13 @@ fields as strings (those without a default are required) and no other key.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import random
+import reprlib
 import statistics
+import typing
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
@@ -40,6 +43,7 @@ class ColumnSchema:
     positive_label: str | None = None
 
     def __post_init__(self):
+        check_types(vars(self), field_types(ColumnSchema), "column")
         if not self.name:
             raise ValueError("column name must be non-empty")
         if self.kind not in (NUMERIC, CATEGORICAL):
@@ -68,6 +72,46 @@ def validate_schema(columns: list[ColumnSchema]) -> None:
     groups = [c for c in columns if c.role == ROLE_GROUP]
     if len(groups) > 1:
         raise ValueError("schema allows at most one group column")
+
+
+def check_types(values, declared: dict, what: str) -> None:
+    """Refuse `values` unless each name of `declared` holds a value of its type.
+    `float` is a finite number and `int` an int, neither a bool; `X | None` also
+    takes None; `list[X]`, `tuple[X, ...]` and `dict[str, X]` check each item."""
+    for name, declared_type in declared.items():
+        check_type(values[name], declared_type, f"{what}: {name}")
+
+
+def check_type(value, declared_type, where: str) -> None:
+    """Refuse `value` unless it has `declared_type` (see `check_types`)."""
+    none_ok, cls, item_type = _shape(declared_type)
+    if value is None and none_ok:
+        return
+    if cls is float:
+        ok = not isinstance(value, bool) and isinstance(value, (int, float)) and math.isfinite(value)
+    else:
+        ok = isinstance(value, cls) and not (cls is int and isinstance(value, bool))
+    if not ok:
+        expected = "a finite number" if cls is float else cls.__name__
+        raise ValueError(f"{where} must be {expected}, got {reprlib.repr(value)}")
+    if item_type is not None:
+        for key, item in value.items() if cls is dict else enumerate(value):
+            check_type(item, item_type, f"{where}[{key!r}]")
+
+
+@functools.cache
+def _shape(declared_type) -> tuple:
+    """(whether None fits, the class a value must have, its items' type or None)."""
+    args = typing.get_args(declared_type)
+    if type(None) in args:  # X | None
+        (declared_type,) = set(args) - {type(None)}
+        return True, *_shape(declared_type)[1:]
+    cls = typing.get_origin(declared_type) or declared_type
+    return False, cls, (args[-1] if cls is dict else args[0]) if args else None
+
+
+# The declared type of each field of a dataclass, read once per class.
+field_types = functools.cache(typing.get_type_hints)
 
 
 def check_keys(doc, what: str, allowed, required=None) -> None:
@@ -99,9 +143,8 @@ def load_schema_json(path: str | Path) -> list[ColumnSchema]:
     columns = []
     for entry in doc["columns"]:
         check_fields(entry, f"{path}: column", ColumnSchema)
-        not_text = sorted(k for k, v in entry.items() if not isinstance(v, str))
-        if not_text:
-            raise ValueError(f"{path}: column field(s) {not_text} must be strings")
+        if None in entry.values():  # an unset positive_label is written by leaving it out
+            raise ValueError(f"{path}: column fields must not be null")
         columns.append(ColumnSchema(**entry))
     validate_schema(columns)
     return columns
@@ -228,11 +271,6 @@ class Table:
             tuple(self.data[i] for i in idx),
             tuple(self.categories[i] for i in idx),
         )
-
-
-def is_finite_number(value) -> bool:
-    """True for an int or float (not a bool) that is neither NaN nor infinite."""
-    return not isinstance(value, bool) and isinstance(value, (int, float)) and math.isfinite(value)
 
 
 def _parse_numeric(text: str, column: str, line: int) -> float:

@@ -12,7 +12,7 @@ fold alone, and it leaves the included feature as the arms' only difference.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -241,13 +241,7 @@ def ablation(
     folds = _folds(table, plan, smote_cfg)
     config = {
         "folds": plan.k,
-        "smote": None
-        if smote_cfg is None
-        else {
-            "k_neighbors": smote_cfg.k_neighbors,
-            "target_ratio": smote_cfg.target_ratio,
-            "seed": smote_cfg.seed,
-        },
+        "smote": None if smote_cfg is None else asdict(smote_cfg),
         "seeds": {spec.kind: spec.seed for spec in specs},
     }
     reports = []

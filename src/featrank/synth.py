@@ -23,7 +23,7 @@ import numpy as np
 
 from .dataio import (
     CATEGORICAL, NUMERIC, ROLE_FEATURE, ROLE_GROUP, ROLE_LABEL, ColumnSchema, Table, check_fields,
-    check_keys, is_finite_number,
+    check_keys, check_type, check_types, field_types,
 )
 
 DEFAULT_GROUP_WEIGHTS = {
@@ -37,11 +37,6 @@ DEFAULT_GROUP_WEIGHTS = {
     "Qashghaei": 3.5,
     "Balouch": 3.5,
 }
-
-
-def _check_finite(what: str, value) -> None:
-    if not is_finite_number(value):
-        raise ValueError(f"{what} must be a finite number, got {value!r}")
 
 
 def _normalized(weights: dict[str, float]) -> dict[str, float]:
@@ -61,20 +56,15 @@ class FeatureDef:
     probabilities: tuple[float, ...] = ()
 
     def __post_init__(self):
+        check_types(vars(self), field_types(FeatureDef), "feature")
         if self.kind not in (NUMERIC, CATEGORICAL):
             raise ValueError(f"unknown feature kind {self.kind!r}")
-        for what, value in (("mean", self.mean), ("sd", self.sd)):
-            _check_finite(f"{self.name}: {what}", value)
         if self.kind == NUMERIC:
             if self.sd < 0:
                 raise ValueError(f"{self.name}: sd must be nonnegative")
         else:
             if len(self.values) < 2 or len(self.values) != len(self.probabilities):
                 raise ValueError(f"{self.name}: values and probabilities must align (>= 2 values)")
-            if not all(isinstance(v, str) for v in self.values):
-                raise ValueError(f"{self.name}: values must be strings")
-            for p in self.probabilities:
-                _check_finite(f"{self.name}: probability", p)
             if not abs(sum(self.probabilities) - 1.0) <= 1e-9 or min(self.probabilities) < 0:
                 raise ValueError(f"{self.name}: probabilities must be a distribution")
 
@@ -86,7 +76,7 @@ class SynthSpec:
     group_distribution: dict[str, float]
     features: tuple[FeatureDef, ...]
     coefficients: dict  # group -> term -> weight; terms: numeric name or "name=value"
-    group_offsets: dict = field(default_factory=dict)
+    group_offsets: dict[str, float] = field(default_factory=dict)
     noise_sd: float = 1.0
     prevalence: float = 0.64
     label_column: str = "cad"
@@ -95,19 +85,17 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
+        check_types(vars(self), field_types(SynthSpec), "synth spec")
         for what, value, low in (("n_rows", self.n_rows, 100), ("seed", self.seed, 0)):
-            if isinstance(value, bool) or not isinstance(value, int) or value < low:
+            if value < low:
                 raise ValueError(f"{what} must be an integer of at least {low}, got {value!r}")
         if not 0.0 < self.prevalence < 1.0:
             raise ValueError("prevalence must lie in (0, 1)")
-        _check_finite("noise_sd", self.noise_sd)
         if self.noise_sd < 0:
             raise ValueError("noise_sd must be nonnegative")
         probs = self.group_distribution
         if not probs:
             raise ValueError("group_distribution must be nonempty")
-        for group, p in probs.items():
-            _check_finite(f"group_distribution of group {group!r}", p)
         if not abs(sum(probs.values()) - 1.0) <= 1e-9 or min(probs.values()) < 0:
             raise ValueError("group probabilities must sum to 1")
         names = [f.name for f in self.features]
@@ -123,17 +111,12 @@ class SynthSpec:
         for group, terms in self.coefficients.items():
             if group not in probs:
                 raise ValueError(f"coefficients reference unknown group {group!r}")
-            if not isinstance(terms, dict):
-                raise ValueError(f"coefficients of group {group!r} must be an object of weights")
+            check_type(terms, dict[str, float], f"synth spec: coefficients of group {group!r}")
             bad = set(terms) - valid_terms
             if bad:
                 raise ValueError(f"unknown coefficient terms: {sorted(bad)}")
-            for term, weight in terms.items():
-                _check_finite(f"coefficient {term!r} of group {group!r}", weight)
         if set(self.group_offsets) - set(probs):
             raise ValueError("group_offsets reference unknown groups")
-        for group, offset in self.group_offsets.items():
-            _check_finite(f"offset of group {group!r}", offset)
 
     def schema(self) -> tuple[ColumnSchema, ...]:
         cols = [ColumnSchema(name=f.name, kind=f.kind, role=ROLE_FEATURE) for f in self.features]
@@ -309,16 +292,6 @@ def planted_separable_spec(n_rows: int = 2000, seed: int = 0) -> SynthSpec:
 # feature has no categories, a categorical one no mean or sd.
 _UNUSED_FIELDS = {NUMERIC: {"values", "probabilities"}, CATEGORICAL: {"mean", "sd"}}
 
-# The JSON type of each field type named in SynthSpec and FeatureDef; a tuple
-# field is a JSON list.
-_JSON_TYPES = {
-    "int": (int, "an integer"),
-    "float": ((int, float), "a number"),
-    "str": (str, "a string"),
-    "dict": (dict, "an object"),
-    "tuple": (list, "a list"),
-}
-
 
 def spec_to_json(spec: SynthSpec) -> dict:
     doc = asdict(spec)
@@ -333,21 +306,12 @@ def _feature_from_json(doc) -> FeatureDef:
     if kind not in _UNUSED_FIELDS:
         raise ValueError(f"each feature must be an object whose kind is {NUMERIC!r} or {CATEGORICAL!r}")
     check_keys(doc, f"{kind} feature", {f.name for f in fields(FeatureDef)} - _UNUSED_FIELDS[kind])
-    _check_json_types(doc, f"{kind} feature", FeatureDef)
     return FeatureDef(**{k: tuple(v) if isinstance(v, list) else v for k, v in doc.items()})
-
-
-def _check_json_types(doc: dict, what: str, cls) -> None:
-    """Refuse a value of `doc` whose JSON type does not fit its field of dataclass `cls`."""
-    for f in fields(cls):
-        types, name = _JSON_TYPES[f.type.split("[")[0]]
-        if f.name in doc and not isinstance(doc[f.name], types):
-            raise ValueError(f"{what}: {f.name} must be {name}, got {type(doc[f.name]).__name__}")
 
 
 def spec_from_json(doc: dict) -> SynthSpec:
     check_fields(doc, "synth spec", SynthSpec)
-    _check_json_types(doc, "synth spec", SynthSpec)
+    check_type(doc["features"], list, "synth spec: features")
     return SynthSpec(**doc | {"features": tuple(_feature_from_json(f) for f in doc["features"])})
 
 

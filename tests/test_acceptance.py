@@ -327,7 +327,8 @@ def test_09_group_attribute_ranks_high_only_when_planted():
 
 
 def test_10_repeated_ablation_runs_are_byte_identical(tmp_path):
-    # the pipeline is single-threaded throughout, so scheduling cannot
+    # only the neighbour search runs on several threads, and each thread writes
+    # its own anchors' rows from their own distances, so scheduling cannot
     # perturb results; two full runs must agree byte for byte
     cohort = tmp_path / "cohort"
     assert cli_main(["synth", "--rows", "400", "--seed", "4", "--out", str(cohort)]) == 0

@@ -500,6 +500,7 @@ class TestModelJson:
     def test_malformed_document_refused(self):
         t = toy_table(n=30, seed=24)
         doc = fr.model_to_json(fr.fit(ClassifierSpec(kind="glm"), t))
+        gbt = fr.model_to_json(fr.fit(ClassifierSpec(kind="gbt"), t))
         missing = {k: v for k, v in doc.items() if k != "features"}
         for bad in (
             [doc], doc | {"model": []}, doc | {"hyperparameters": []}, doc | {"encoder": []},
@@ -509,6 +510,10 @@ class TestModelJson:
             doc | {"feature_kinds": ["numeric", "numeric", "text"]},
             doc | {"encoder": doc["encoder"] | {"names": 5}},
             doc | {"encoder": doc["encoder"] | {"kinds": doc["feature_kinds"][::-1]}},
+            doc | {"model": doc["model"] | {"coef": "x"}},
+            doc | {"encoder": doc["encoder"] | {"categories": 5}},
+            gbt | {"hyperparameters": {"shrinkage": 0.5}},
+            gbt | {"model": gbt["model"] | {"max_depth": "x"}},
         ):
             with pytest.raises(ValueError, match="document"):
                 fr.model_from_json(bad)

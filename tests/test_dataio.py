@@ -54,6 +54,17 @@ class TestColumnSchema:
         with pytest.raises(ValueError, match="non-empty"):
             ColumnSchema(name="", kind=NUMERIC)
 
+    @pytest.mark.parametrize(
+        "field, fields",
+        [
+            ("name", dict(name=5, kind=NUMERIC)),
+            ("positive_label", dict(name="cad", kind=CATEGORICAL, role="label", positive_label=1)),
+        ],
+    )
+    def test_wrong_type_is_value_error_naming_the_field(self, field, fields):
+        with pytest.raises(ValueError, match=field):
+            ColumnSchema(**fields)
+
 
 class TestValidateSchema:
     def test_duplicate_names(self):

@@ -5,6 +5,9 @@ cohort (which columns and rows it touches come from a seeded
 `random.Random`), runs `weigh`, `ablate` and `groups` in-process on it, and
 expects exit 1 or 2 with an error line: never exit 0, a compute error or an
 exception. `report` gets the malformed inputs a CSV renderer can see.
+The six model documents `ablate --save-model` writes for the cohort are
+mutated the same way, and `model_from_json` must refuse each with a
+`ValueError`.
 """
 
 import csv
@@ -15,6 +18,7 @@ import random
 import pytest
 
 import featrank as fr
+from featrank.classifiers import CLASSIFIERS, ClassifierSpec, model_from_json, model_to_json
 from featrank.cli import main
 from featrank.dataio import schema_to_json
 from featrank.reporting import table_to_csv_text
@@ -139,6 +143,12 @@ def _misspelled_role(entries, j, rng):
     return entries
 
 
+def _null_positive_label(entries, j, rng):
+    j = rng.choice([i for i, e in enumerate(entries) if e["role"] != "label"])  # a column left unset
+    entries[j]["positive_label"] = None
+    return entries
+
+
 def _wrong_field_type(entries, j, rng):
     key = rng.choice(sorted(entries[j]))
     entries[j][key] = rng.choice([1, 2.5, None, True, [entries[j][key]], {}])
@@ -156,6 +166,7 @@ SCHEMA_MUTATIONS = {
     "entry_is_list": _column_entries(lambda e, j, rng: e[:j] + [list(e[j].values())] + e[j + 1 :]),
     "field_wrong_type": _column_entries(_wrong_field_type),
     "field_misspelled": _column_entries(_misspelled_role),
+    "field_null": _column_entries(_null_positive_label),
     "unknown_field": _column_entries(lambda e, j, rng: e[:j] + [e[j] | {"zzz": "x"}] + e[j + 1 :]),
     "name_missing": _column_entries(lambda e, j, rng: e[:j] + [{"kind": e[j]["kind"]}] + e[j + 1 :]),
     "column_dropped": _column_entries(lambda e, j, rng: e[:j] + e[j + 1 :]),
@@ -237,3 +248,78 @@ def test_report_refuses_unreadable_csv(cohort, tmp_path, capsys, mutate):
     data.write_bytes(mutate(data.read_bytes(), random.Random(f"{SEED}-report")))
     code, err = _run("report", "--data", str(data), "--out", str(tmp_path / "out"), capsys=capsys)
     assert code == 2 and err.startswith("data error: "), (code, err)
+
+
+@pytest.fixture(scope="module")
+def model_documents(cohort, tmp_path_factory):
+    """kind -> the model document `ablate --save-model` writes for the cohort."""
+    tmp = tmp_path_factory.mktemp("models")
+    data, schema = _write(tmp, *cohort)
+    argv = ["ablate", "--feature", "ethnicity", "--folds", "2", "--save-model"]
+    assert main(argv + ["--data", str(data), "--schema", str(schema), "--out", str(tmp / "out")]) == 0
+    return {kind: json.loads((tmp / "out" / "models" / f"{kind}.json").read_text()) for kind in CLASSIFIERS}
+
+
+def _number_lists(doc):
+    """Every list of numbers among the model's and encoder's attributes, a matrix's rows too."""
+    found = []
+
+    def visit(value):
+        if isinstance(value, list) and value and all(isinstance(v, float) for v in value):
+            found.append(value)
+        elif isinstance(value, list):
+            for item in value:
+                visit(item)
+
+    for part in (doc["model"], doc["encoder"] or {}):
+        for value in part.values():
+            for item in value.values() if isinstance(value, dict) else [value]:
+                visit(item)
+    return found
+
+
+def _nan_in_vector(doc, rng):
+    vector = rng.choice(_number_lists(doc))
+    vector[rng.randrange(len(vector))] = float("nan")
+    return doc
+
+
+def _disagreeing_hyperparameter(doc, rng):
+    key = rng.choice(sorted(ClassifierSpec(kind=doc["kind"]).params()))
+    value = doc["model"][key]
+    doc[rng.choice(["hyperparameters", "model"])][key] = value + 1 if isinstance(value, int) else value / 2
+    return doc
+
+
+# name -> ((model document, rng) -> model document, the kinds it applies to); the
+# tree kinds save no list of numbers
+MODEL_MUTATIONS = {
+    "nan_in_vector": (_nan_in_vector, ("glm", "mlp", "rule_induction")),
+    "disagreeing_hyperparameter": (_disagreeing_hyperparameter, CLASSIFIERS),
+}
+
+
+def test_saved_models_load_and_write_back(model_documents):
+    for doc in model_documents.values():
+        assert model_to_json(model_from_json(doc)) == doc
+
+
+@pytest.mark.parametrize("kind", CLASSIFIERS)
+def test_every_saved_attribute_of_wrong_json_type_refused(model_documents, kind):
+    doc = model_documents[kind]
+    for part in ("model", "encoder"):
+        for key in doc[part] or {}:
+            bad = json.loads(json.dumps(doc))
+            bad[part][key] = "x"  # no saved attribute is a string
+            with pytest.raises(ValueError, match=key):
+                model_from_json(bad)
+
+
+@pytest.mark.parametrize(
+    "name, kind", [(name, kind) for name, (_, kinds) in MODEL_MUTATIONS.items() for kind in kinds]
+)
+def test_model_mutation_refused(model_documents, name, kind):
+    mutate = MODEL_MUTATIONS[name][0]
+    doc = mutate(json.loads(json.dumps(model_documents[kind])), random.Random(f"{SEED}-{name}-{kind}"))
+    with pytest.raises(ValueError):
+        model_from_json(doc)

@@ -1,5 +1,6 @@
 """Synthetic cohort generation and its planted ground truth."""
 
+import dataclasses
 import json
 
 import pytest
@@ -152,6 +153,10 @@ class TestFeatureDef:
         with pytest.raises(ValueError, match="distribution"):
             FeatureDef(name="c", kind=CATEGORICAL, values=("u", "v"), probabilities=(0.9, 0.3))
 
+    def test_values_list_is_value_error_naming_the_field(self):
+        with pytest.raises(ValueError, match="values"):
+            FeatureDef(name="c", kind=CATEGORICAL, values=["u", "v"], probabilities=(0.5, 0.5))
+
 
 class TestSynthSpecValidation:
     def test_minimum_rows(self):
@@ -195,6 +200,14 @@ class TestSynthSpecValidation:
     def test_group_offsets_reference_known_groups(self):
         with pytest.raises(ValueError, match="group_offsets"):
             tiny_spec(group_offsets={"zzz": 1.0})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [("prevalence", "x"), ("group_distribution", [1]), ("coefficients", [1])],
+    )
+    def test_wrong_type_in_process_is_value_error_naming_the_field(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            dataclasses.replace(default_cohort_spec(120), **{field: value})
 
 
 class TestSchema:

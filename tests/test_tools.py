@@ -62,3 +62,22 @@ def test_changed_schema_document_is_listed(tmp_path):
     assert result.returncode == 1
     assert result.stdout.count("differs:") == 1, result.stdout
     assert "differs: cohorts/warmup/schema.json" in result.stdout
+
+
+def test_refused_model_document_is_listed(tmp_path):
+    changed = tmp_path / "src"
+    shutil.copytree(ROOT / "src", changed, ignore=shutil.ignore_patterns("__pycache__"))
+    with open(changed / "featrank" / "classifiers" / "__init__.py", "a", encoding="utf-8") as fh:
+        fh.write(
+            "\n_plain_from_json = model_from_json\n"
+            "def model_from_json(doc):\n"
+            "    if doc['kind'] == 'glm':\n"
+            "        raise ValueError('glm refused')\n"
+            "    return _plain_from_json(doc)\n"
+        )
+    result = compare(ROOT / "src", changed, tmp_path)
+    assert result.returncode == 1
+    assert "differs:" not in result.stdout, result.stdout
+    for tree in ("old", "new"):
+        assert f"refused under {tree}: reports/warmup/models/glm.json: glm refused" in result.stdout
+    assert result.stdout.count("refused under") == 2, result.stdout

@@ -9,9 +9,11 @@ tree generates the benchmark's cohorts with `featrank synth --spec` (the recipe,
 seeds and sizes are read from perfbench/workloads.py) and runs the workload's
 command on each of them, in a fresh process per tree. The `ablate` warm-up
 cohort also runs with `--save-model`, so the six saved model documents are
-compared too. The script then lists every cohort or report file whose bytes
-differ between the trees. Exit code 0 means every file matched, 1 that some
-differ or a command failed.
+compared too, and NEW_SRC's `model_from_json` loads each tree's documents. The
+script then lists every cohort or report file whose bytes differ between the
+trees, and every model document that NEW_SRC refuses or does not write back
+equal. Exit code 0 means every file matched and loaded, 1 that some differ or
+a command failed.
 
 A change that claims the same results runs this against the tree it started
 from, for example a `git archive` of the parent commit.
@@ -74,6 +76,25 @@ def run_tree(src: Path, out: Path, workload_name: str, seed: int, count: int | N
     return 1 if failed else 0
 
 
+def unloadable_models(src: Path, outs) -> list[str]:
+    """Each model document under the `outs` directories that the program at src
+    refuses, or does not write back equal."""
+    sys.path.insert(0, str(src))
+    from featrank.classifiers import model_from_json, model_to_json
+
+    problems = []
+    for out in outs:
+        for path in sorted(out.rglob("models/*.json")):
+            name = f"under {out.name}: {path.relative_to(out)}"
+            doc = json.loads(path.read_text(encoding="utf-8"))
+            try:
+                if model_to_json(model_from_json(doc)) != doc:
+                    problems.append(f"not written back equal {name}")
+            except ValueError as exc:
+                problems.append(f"refused {name}: {exc}")
+    return problems
+
+
 def differing_files(a: Path, b: Path) -> list[str]:
     files_a = {p.relative_to(a) for p in a.rglob("*") if p.is_file()}
     files_b = {p.relative_to(b) for p in b.rglob("*") if p.is_file()}
@@ -102,6 +123,14 @@ def compare(args, work: Path) -> int:
                     status = 1
                 dirs.append(out)
             diffs = differing_files(*dirs)
+            loaded = subprocess.run(
+                [sys.executable, __file__, "--load", str(args.new_src), *map(str, dirs)],
+                capture_output=True, text=True,
+            )
+            if loaded.returncode != 0:
+                print(loaded.stderr, end="")
+                status = 1
+            diffs += loaded.stdout.splitlines()
             n_files = sum(1 for p in dirs[0].rglob("*") if p.is_file())
             verdict = "identical" if not diffs else f"{len(diffs)} differ"
             print(f"{workload} seed {seed}: {n_files} files, {verdict}")
@@ -116,6 +145,10 @@ def main(argv=None) -> int:
     if argv[:1] == ["--run"]:
         src, out, workload, seed, *count = argv[1:]
         return run_tree(Path(src), Path(out), workload, int(seed), int(count[0]) if count else None)
+    if argv[:1] == ["--load"]:
+        for line in unloadable_models(Path(argv[1]), map(Path, argv[2:])):
+            print(line)
+        return 0
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("old_src", type=Path, help="src/ directory of the reference tree")
     parser.add_argument("new_src", type=Path, help="src/ directory of the changed tree")
