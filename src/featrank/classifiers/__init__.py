@@ -5,16 +5,18 @@ and produces a Model whose scores are positive-class probabilities in [0,1].
 Training rows are put in a canonical order before any seeded sampling: one
 stable `np.lexsort` by the feature columns (first feature most significant,
 category codes sorting as their strings) and then the label. So fitted
-models do not depend on input row order. An estimator's constructor
-arguments are its hyperparameters, and a saved model is a versioned JSON
-document of the estimator's and the feature encoder's attributes.
+models do not depend on input row order. Each estimator and the feature
+encoder is a dataclass whose init fields are its hyperparameters. A saved
+model is a versioned JSON document of their fields, each annotated with its
+saved JSON type: a fitted estimator holds numpy arrays there until it is
+saved, and a loaded one holds lists. Fitted fields start empty (a default
+factory), so `vars()` lists every field in declaration order.
 """
 
 from __future__ import annotations
 
-import inspect
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -30,8 +32,6 @@ from .trees import DecisionTree, GradientBoostedTrees, RandomForest
 
 MODEL_FORMAT_VERSION = 1
 
-CLASSIFIERS = ("rule_induction", "mlp", "glm", "gbt", "decision_tree", "random_forest")
-
 CLASSIFIER_LABELS = {
     "rule_induction": "Rule Induction",
     "mlp": "Deep Learning",
@@ -41,21 +41,23 @@ CLASSIFIER_LABELS = {
     "random_forest": "Random Forest",
 }
 
+# Each kind's estimator, in reporting order.
 _ESTIMATORS = {
+    "rule_induction": RuleInduction,
+    "mlp": Mlp,
+    "glm": LogisticGlm,
+    "gbt": GradientBoostedTrees,
     "decision_tree": DecisionTree,
     "random_forest": RandomForest,
-    "gbt": GradientBoostedTrees,
-    "glm": LogisticGlm,
-    "mlp": Mlp,
-    "rule_induction": RuleInduction,
 }
+CLASSIFIERS = tuple(_ESTIMATORS)
+# The kinds whose encoder standardizes the design matrix.
+_STANDARDIZED_KINDS = ("glm", "mlp")
 
-# Each class's constructor parameters and their defaults, read once from its
-# signature. A hyperparameter's type is that of its attribute in the class's
-# DOCUMENT_TYPES, and an integer one must be positive.
+# Each estimator's init fields and their defaults. A hyperparameter's type is
+# that of its field, and an integer one must be positive.
 _PARAMETERS = {
-    cls: {name: p.default for name, p in inspect.signature(cls).parameters.items()}
-    for cls in (*_ESTIMATORS.values(), FeatureEncoder)
+    cls: {f.name: f.default for f in fields(cls) if f.init} for cls in _ESTIMATORS.values()
 }
 _POSITIVE_FLOAT_KEYS = {"learning_rate", "tol", "init_scale"}
 
@@ -75,8 +77,9 @@ class ClassifierSpec:
         for key, value in self.hyperparameters.items():
             if key not in _PARAMETERS[cls]:
                 raise ValueError(f"{self.kind} does not accept hyperparameter {key!r}")
-            dataio.check_type(value, cls.DOCUMENT_TYPES[key], f"{self.kind} hyperparameter {key}")
-            if cls.DOCUMENT_TYPES[key] is int:
+            declared = dataio.field_types(cls)[key]
+            dataio.check_type(value, declared, f"{self.kind} hyperparameter {key}")
+            if declared is int:
                 if value < 1:
                     raise ValueError(f"{key} must be a positive integer")
             elif key in _POSITIVE_FLOAT_KEYS:
@@ -131,15 +134,13 @@ def fit(spec: ClassifierSpec, train: Table, features=None) -> Model:
     columns = [(data[order], cats) for data, cats in columns]
     y = y[order]
 
-    params = spec.params()
+    inner = _ESTIMATORS[spec.kind](**spec.params())
     if spec.kind == "rule_induction":
-        inner = RuleInduction(**params).fit(columns, feats, kinds, y, spec.seed)
+        inner.fit(columns, feats, kinds, y, spec.seed)
         encoder = None
     else:
-        standardize = spec.kind in ("glm", "mlp")
-        encoder = FeatureEncoder.build(feats, kinds, columns, standardize)
-        x_mat = encoder.transform(columns)
-        inner = _ESTIMATORS[spec.kind](**params).fit(x_mat, y.astype(float), spec.seed)
+        encoder = FeatureEncoder.build(feats, kinds, columns, spec.kind in _STANDARDIZED_KINDS)
+        inner.fit(encoder.transform(columns), y.astype(float), spec.seed)
     return Model(spec=spec, features=tuple(feats), kinds=kinds, encoder=encoder, inner=inner)
 
 
@@ -198,16 +199,14 @@ def _document(obj) -> dict:
 
 
 def _restore(cls, doc: dict):
-    """Construct an estimator or encoder from the constructor parameters in its
-    document, then set the fitted attributes. The document holds exactly the
-    attributes of the class's DOCUMENT_TYPES, each of its type there."""
+    """Construct an estimator or encoder from the init fields in its document,
+    then set the other fields. The document holds exactly the class's fields,
+    each of its declared type."""
     what = f"{cls.__name__} document"
-    dataio.check_keys(doc, what, cls.DOCUMENT_TYPES)
-    dataio.check_types(doc, cls.DOCUMENT_TYPES, what)
-    params = _PARAMETERS[cls]
-    obj = cls(**{name: doc[name] for name in params})
-    for name in doc.keys() - params.keys():
-        setattr(obj, name, doc[name])
+    dataio.check_keys(doc, what, dataio.field_types(cls))
+    dataio.check_types(doc, dataio.field_types(cls), what)
+    obj = cls(**{f.name: doc[f.name] for f in fields(cls) if f.init})
+    vars(obj).update((f.name, doc[f.name]) for f in fields(cls) if not f.init)
     return obj
 
 
@@ -225,7 +224,7 @@ def model_to_json(model: Model) -> dict:
 
 
 # The JSON type of each top-level value of a saved model document.
-_DOCUMENT_TYPES = {
+_TOP_LEVEL_TYPES = {
     "format_version": int,
     "kind": str,
     "hyperparameters": dict,
@@ -238,8 +237,8 @@ _DOCUMENT_TYPES = {
 
 
 def model_from_json(doc: dict) -> Model:
-    dataio.check_keys(doc, "model document", _DOCUMENT_TYPES)
-    dataio.check_types(doc, _DOCUMENT_TYPES, "model document")
+    dataio.check_keys(doc, "model document", _TOP_LEVEL_TYPES)
+    dataio.check_types(doc, _TOP_LEVEL_TYPES, "model document")
     if doc["format_version"] != MODEL_FORMAT_VERSION:
         raise ValueError(f"unsupported model format_version: {doc['format_version']!r}")
     features, kinds = doc["features"], doc["feature_kinds"]
@@ -247,10 +246,9 @@ def model_from_json(doc: dict) -> Model:
         raise ValueError("model document: features must be distinct")
     if len(kinds) != len(features) or not all(k in (dataio.NUMERIC, dataio.CATEGORICAL) for k in kinds):
         raise ValueError("model document: feature_kinds must be numeric or categorical per feature")
-    enc = doc["encoder"]
-    if enc is not None and (enc.get("names") != features or enc.get("kinds") != kinds):
-        raise ValueError("model document: encoder names and kinds must equal features and feature_kinds")
     spec = ClassifierSpec(kind=doc["kind"], hyperparameters=doc["hyperparameters"], seed=doc["seed"])
+    if (doc["encoder"] is None) != (spec.kind == "rule_induction"):
+        raise ValueError("model document: encoder must be null for rule_induction and only for it")
     encoder = None if doc["encoder"] is None else _restore(FeatureEncoder, doc["encoder"])
     inner = _restore(_ESTIMATORS[spec.kind], doc["model"])
     for key, value in spec.params().items():
@@ -258,9 +256,7 @@ def model_from_json(doc: dict) -> Model:
             raise ValueError(
                 f"model document: model {key} {doc['model'][key]!r} is not the hyperparameter {value!r}"
             )
-    if spec.kind == "rule_induction":
-        for name, edges in inner.bins.items():
-            BinEdges(column=name, edges=tuple(edges))  # refuses edges not strictly increasing
+    _check_agreement(spec.kind, features, kinds, encoder, inner)
     return Model(
         spec=spec,
         features=tuple(features),
@@ -268,3 +264,37 @@ def model_from_json(doc: dict) -> Model:
         encoder=encoder,
         inner=inner,
     )
+
+
+def _check_agreement(kind, features, kinds, encoder, inner) -> None:
+    """Refuse a loaded model whose parts disagree with each other or with its
+    features. Tree nodes and rule dicts are not checked."""
+    numeric = {f for f, k in zip(features, kinds) if k == dataio.NUMERIC}
+    if encoder is None:
+        part, named, keyed, keys = "model", inner, "bins", numeric
+    else:
+        part, named, keyed, keys = "encoder", encoder, "categories", set(features) - numeric
+    if list(named.names) != features or list(named.kinds) != kinds:
+        raise ValueError(f"model document: {part} names and kinds must equal features and feature_kinds")
+    if getattr(named, keyed).keys() != keys:
+        raise ValueError(f"model document: {part} {keyed} must have the keys {sorted(keys)}")
+    if encoder is None:
+        for name, edges in inner.bins.items():
+            BinEdges(column=name, edges=tuple(edges))  # refuses edges not strictly increasing
+        return
+    standardize = kind in _STANDARDIZED_KINDS
+    if encoder.standardize != standardize:
+        raise ValueError(f"model document: a {kind} encoder must have standardize {json.dumps(standardize)}")
+    width = len(encoder.expanded_names)
+    # vector name -> (vector or None, its length, or None where it must be null)
+    stats = width if standardize else None
+    expected = {"means": (encoder.means, stats), "scales": (encoder.scales, stats)}
+    if kind == "glm":
+        expected["coef"] = (inner.coef, width + 1)
+    elif kind == "mlp":
+        expected.update(w1=(inner.w1, width), b1=(inner.b1, inner.hidden), w2=(inner.w2, inner.hidden))
+        expected.update({f"w1[{i}]": (row, inner.hidden) for i, row in enumerate(inner.w1)})
+    for name, (vector, length) in expected.items():
+        if (None if vector is None else len(vector)) != length:
+            want = "null" if length is None else f"of length {length}"
+            raise ValueError(f"model document: {name} must be {want} ({width} encoded columns)")

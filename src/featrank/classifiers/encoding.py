@@ -9,28 +9,31 @@ with training statistics; constant columns are centered and left unscaled.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .. import dataio
 
 
+@dataclass(eq=False)
 class FeatureEncoder:
     """Maps feature columns, (array, categories) pairs as `Table.encoded`
     returns them, to a float design matrix."""
 
-    # The JSON type of each attribute in a saved model document.
-    DOCUMENT_TYPES = {
-        "names": list[str], "kinds": list[str], "categories": dict[str, list[str]],
-        "standardize": bool, "means": list[float] | None, "scales": list[float] | None,
-    }
+    names: list[str]
+    kinds: list[str]
+    categories: dict[str, list[str]]
+    standardize: bool
+    means: list[float] | None = None
+    scales: list[float] | None = None
 
-    def __init__(self, names, kinds, categories, standardize, means=None, scales=None):
-        self.names = tuple(names)
-        self.kinds = tuple(kinds)
-        self.categories = {k: tuple(v) for k, v in categories.items()}
-        self.standardize = bool(standardize)
-        self.means = None if means is None else np.asarray(means, dtype=float)
-        self.scales = None if scales is None else np.asarray(scales, dtype=float)
+    def __post_init__(self):
+        self.names = tuple(self.names)
+        self.kinds = tuple(self.kinds)
+        self.categories = {k: tuple(v) for k, v in self.categories.items()}
+        self.means = None if self.means is None else np.asarray(self.means, dtype=float)
+        self.scales = None if self.scales is None else np.asarray(self.scales, dtype=float)
 
     @classmethod
     def build(cls, names, kinds, columns, standardize: bool) -> "FeatureEncoder":

@@ -9,6 +9,8 @@ iteration cap.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 import numpy as np
 
 _P_EPS = 1e-12
@@ -24,15 +26,12 @@ def _cross_entropy(p: np.ndarray, y: np.ndarray):
     return -np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))
 
 
+@dataclass(eq=False)
 class LogisticGlm:
-    # The JSON type of each attribute in a saved model document.
-    DOCUMENT_TYPES = {"l2": float, "tol": float, "max_iter": int, "coef": list[float]}
-
-    def __init__(self, l2: float = 1e-4, tol: float = 1e-6, max_iter: int = 500):
-        self.l2 = l2
-        self.tol = tol
-        self.max_iter = max_iter
-        self.coef: np.ndarray | None = None  # [intercept, weights...]
+    l2: float = 1e-4
+    tol: float = 1e-6
+    max_iter: int = 500
+    coef: list[float] = field(init=False, default_factory=list)  # [intercept, weights...]
 
     def _objective(self, xd, y, w):
         return _cross_entropy(_sigmoid(xd @ w), y) + 0.5 * self.l2 * float(w[1:] @ w[1:])

@@ -8,6 +8,8 @@ the check evaluates the loss itself.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 import numpy as np
 
 from .linear import _cross_entropy, _sigmoid
@@ -36,27 +38,17 @@ def _grads(params, x_mat, y):
     return g_w1, g_b1, g_w2, g_b2
 
 
+@dataclass(eq=False)
 class Mlp:
-    # The JSON type of each attribute in a saved model document.
-    DOCUMENT_TYPES = {
-        "hidden": int, "learning_rate": float, "epochs": int, "batch_size": int, "init_scale": float,
-        "w1": list[list[float]], "b1": list[float], "w2": list[float], "b2": float,
-    }
-
-    def __init__(
-        self,
-        hidden: int = 16,
-        learning_rate: float = 0.01,
-        epochs: int = 200,
-        batch_size: int = 32,
-        init_scale: float = 0.1,
-    ):
-        self.hidden = hidden
-        self.learning_rate = learning_rate
-        self.epochs = epochs
-        self.batch_size = batch_size
-        self.init_scale = init_scale
-        self.w1 = self.b1 = self.w2 = self.b2 = None
+    hidden: int = 16
+    learning_rate: float = 0.01
+    epochs: int = 200
+    batch_size: int = 32
+    init_scale: float = 0.1
+    w1: list[list[float]] = field(init=False, default_factory=list)
+    b1: list[float] = field(init=False, default_factory=list)
+    w2: list[float] = field(init=False, default_factory=list)
+    b2: float = field(init=False, default_factory=float)
 
     def _init_params(self, n_inputs: int, rng: np.random.Generator):
         s = self.init_scale
@@ -98,13 +90,7 @@ def gradient_check(mlp: Mlp, x_mat, y, epsilon: float, seed: int = 0, n_coords: 
         raise ValueError("epsilon must be within [1e-7, 1e-3]")
     y = np.asarray(y, dtype=float)
     rng = np.random.default_rng(seed)
-    d, h = x_mat.shape[1], mlp.hidden
-    params = [
-        rng.uniform(-0.5, 0.5, size=(d, h)),
-        rng.uniform(-0.5, 0.5, size=h),
-        rng.uniform(-0.5, 0.5, size=h),
-        float(rng.uniform(-0.5, 0.5)),
-    ]
+    params = Mlp(hidden=mlp.hidden, init_scale=0.5)._init_params(x_mat.shape[1], rng)
 
     grads = _grads(params, x_mat, y)
     flat_analytic = np.concatenate([np.ravel(g) for g in grads])
@@ -113,19 +99,13 @@ def gradient_check(mlp: Mlp, x_mat, y, epsilon: float, seed: int = 0, n_coords: 
     coords = (
         np.arange(total) if total <= n_coords else np.sort(rng.choice(total, n_coords, False))
     )
+    offsets = np.cumsum([np.size(p) for p in params])[:-1]
 
     def loss_with(flat):
-        d = x_mat.shape[1]
-        h = mlp.hidden
-        w1 = flat[: d * h].reshape(d, h)
-        b1 = flat[d * h : d * h + h]
-        w2 = flat[d * h + h : d * h + 2 * h]
-        b2 = float(flat[-1])
-        return _loss((w1, b1, w2, b2), x_mat, y)
+        w1, b1, w2, b2 = np.split(flat, offsets)
+        return _loss((w1.reshape(params[0].shape), b1, w2, b2.item()), x_mat, y)
 
-    flat = np.concatenate(
-        [np.ravel(params[0]), np.ravel(params[1]), np.ravel(params[2]), [params[3]]]
-    )
+    flat = np.concatenate([np.ravel(p) for p in params])
     worst = 0.0
     for c in coords:
         bumped = flat.copy()

@@ -11,27 +11,24 @@ fraction as its score.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
 import numpy as np
 
 from .. import dataio
 from ..weighting import equal_frequency_edges
 
 
+@dataclass(eq=False)
 class RuleInduction:
-    # The JSON type of each attribute in a saved model document.
-    DOCUMENT_TYPES = {
-        "n_bins": int, "min_coverage": int, "names": list[str], "kinds": list[str],
-        "bins": dict[str, list[float]], "rules": list[dict], "default_score": float,
-    }
-
-    def __init__(self, n_bins: int = 10, min_coverage: int = 5):
-        self.n_bins = n_bins
-        self.min_coverage = min_coverage
-        self.names: tuple[str, ...] = ()
-        self.kinds: tuple[str, ...] = ()
-        self.bins: dict[str, list[float]] = {}  # numeric feature -> ascending bin edges
-        self.rules: list[dict] = []
-        self.default_score = 0.5
+    n_bins: int = 10
+    min_coverage: int = 5
+    names: list[str] = field(init=False, default_factory=tuple)
+    kinds: list[str] = field(init=False, default_factory=tuple)
+    # numeric feature -> ascending bin edges
+    bins: dict[str, list[float]] = field(init=False, default_factory=dict)
+    rules: list[dict] = field(init=False, default_factory=list)
+    default_score: float = field(init=False, default_factory=float)
 
     def _symbol_columns(self, columns) -> list[tuple]:
         """Each feature as (int array, symbols): the rule symbol of row i is

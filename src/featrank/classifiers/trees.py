@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import math
 import random
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -293,16 +294,13 @@ def _tree_apply(node, x_mat) -> np.ndarray:
     return out
 
 
+@dataclass(eq=False)
 class DecisionTree:
     """Single classification tree; leaf value = positive-class fraction."""
 
-    # The JSON type of each attribute in a saved model document.
-    DOCUMENT_TYPES = {"max_depth": int, "min_leaf": int, "root": dict}
-
-    def __init__(self, max_depth: int = 8, min_leaf: int = 5):
-        self.max_depth = max_depth
-        self.min_leaf = min_leaf
-        self.root = None
+    max_depth: int = 8
+    min_leaf: int = 5
+    root: dict = field(init=False, default_factory=dict)
 
     def fit(self, x_mat, y, seed: int = 0):
         del seed
@@ -318,6 +316,7 @@ class DecisionTree:
         return _tree_apply(self.root, x_mat)
 
 
+@dataclass(eq=False)
 class RandomForest:
     """Bagged trees on bootstrap samples with per-split feature subsets.
 
@@ -325,14 +324,10 @@ class RandomForest:
     (leaf fraction >= 0.5 counts as a positive vote).
     """
 
-    # The JSON type of each attribute in a saved model document.
-    DOCUMENT_TYPES = {"n_trees": int, "max_depth": int, "min_leaf": int, "roots": list[dict]}
-
-    def __init__(self, n_trees: int = 100, max_depth: int = 8, min_leaf: int = 5):
-        self.n_trees = n_trees
-        self.max_depth = max_depth
-        self.min_leaf = min_leaf
-        self.roots: list = []
+    n_trees: int = 100
+    max_depth: int = 8
+    min_leaf: int = 5
+    roots: list[dict] = field(init=False, default_factory=list)
 
     def fit(self, x_mat, y, seed: int = 0):
         t = _binary_target(y)
@@ -356,6 +351,7 @@ class RandomForest:
         return votes / len(self.roots)
 
 
+@dataclass(eq=False)
 class GradientBoostedTrees:
     """Boosted shallow regression trees on the logistic loss.
 
@@ -365,19 +361,12 @@ class GradientBoostedTrees:
     log-odds.
     """
 
-    # The JSON type of each attribute in a saved model document.
-    DOCUMENT_TYPES = {
-        "n_rounds": int, "max_depth": int, "min_leaf": int, "shrinkage": float,
-        "prior_log_odds": float, "roots": list[dict],
-    }
-
-    def __init__(self, n_rounds: int = 100, max_depth: int = 3, min_leaf: int = 5, shrinkage: float = 0.1):
-        self.n_rounds = n_rounds
-        self.max_depth = max_depth
-        self.min_leaf = min_leaf
-        self.shrinkage = shrinkage
-        self.prior_log_odds = 0.0
-        self.roots: list = []
+    n_rounds: int = 100
+    max_depth: int = 3
+    min_leaf: int = 5
+    shrinkage: float = 0.1
+    prior_log_odds: float = field(init=False, default_factory=float)
+    roots: list[dict] = field(init=False, default_factory=list)
 
     def fit(self, x_mat, y, seed: int = 0):
         del seed

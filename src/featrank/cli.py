@@ -129,7 +129,7 @@ def _validate_common(args) -> None:
     if getattr(args, "smote_k", 1) < 1:
         raise ConfigError("--smote-k must be at least 1")
     ratio = getattr(args, "smote_ratio", 1.0)
-    if ratio < 0 or ratio > 1:
+    if not 0 <= ratio <= 1:
         raise ConfigError("--smote-ratio must be within [0, 1]")
     for attr in ("data", "schema", "spec"):
         path = getattr(args, attr, None)

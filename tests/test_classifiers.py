@@ -501,7 +501,10 @@ class TestModelJson:
         t = toy_table(n=30, seed=24)
         doc = fr.model_to_json(fr.fit(ClassifierSpec(kind="glm"), t))
         gbt = fr.model_to_json(fr.fit(ClassifierSpec(kind="gbt"), t))
+        mlp = fr.model_to_json(fr.fit(ClassifierSpec(kind="mlp", hyperparameters={"epochs": 2}), t))
+        rule = fr.model_to_json(fr.fit(ClassifierSpec(kind="rule_induction"), t))
         missing = {k: v for k, v in doc.items() if k != "features"}
+        model, encoder, bins = doc["model"], doc["encoder"], rule["model"]["bins"]
         for bad in (
             [doc], doc | {"model": []}, doc | {"hyperparameters": []}, doc | {"encoder": []},
             missing, doc | {"zzz": 1},
@@ -514,6 +517,21 @@ class TestModelJson:
             doc | {"encoder": doc["encoder"] | {"categories": 5}},
             gbt | {"hyperparameters": {"shrinkage": 0.5}},
             gbt | {"model": gbt["model"] | {"max_depth": "x"}},
+            rule | {"model": rule["model"] | {"names": rule["features"][::-1]}},
+            rule | {"model": rule["model"] | {"bins": bins | {"age": bins["signal"]}}},
+            rule | {"model": rule["model"] | {"bins": {"signal": bins["signal"]}}},
+            rule | {"encoder": encoder}, doc | {"encoder": None},
+            doc | {"encoder": encoder | {"categories": {}}},
+            doc | {"model": model | {"coef": model["coef"][:3]}},
+            mlp | {"model": mlp["model"] | {"w2": mlp["model"]["w2"][:-1]}},
+            mlp | {"model": mlp["model"] | {"b1": mlp["model"]["b1"][:-1]}},
+            mlp | {"model": mlp["model"] | {"w1": mlp["model"]["w1"][:-1]}},
+            mlp | {"model": mlp["model"] | {"w1": [row[:-1] for row in mlp["model"]["w1"]]}},
+            doc | {"encoder": encoder | {"standardize": False}},
+            gbt | {"encoder": gbt["encoder"] | {"standardize": True}},
+            gbt | {"encoder": gbt["encoder"] | {"means": encoder["means"]}},
+            doc | {"encoder": encoder | {"means": encoder["means"][:-1]}},
+            doc | {"encoder": encoder | {"scales": None}},
         ):
             with pytest.raises(ValueError, match="document"):
                 fr.model_from_json(bad)

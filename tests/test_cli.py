@@ -236,6 +236,11 @@ class TestAblate:
         assert run(*args) == 1
         assert "--folds" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("ratio", ["nan", "1.5"])
+    def test_smote_ratio_outside_unit_interval_rejected(self, cohort, tmp_path, capsys, ratio):
+        assert run(*self.base_args(cohort, tmp_path / "o"), "--smote-ratio", ratio) == 1
+        assert "--smote-ratio" in capsys.readouterr().err
+
 
 class TestGroups:
     def test_rankings_and_winners(self, cohort, tmp_path):

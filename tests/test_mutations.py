@@ -291,11 +291,32 @@ def _disagreeing_hyperparameter(doc, rng):
     return doc
 
 
+def _swapped_names(doc, rng):
+    names = doc["model"]["names"]
+    i, j = rng.sample(range(len(names)), 2)
+    names[i], names[j] = names[j], names[i]
+    return doc
+
+
+def _truncated_vector(doc, rng):
+    rng.choice(_number_lists(doc)).pop()
+    return doc
+
+
+def _flipped_standardize(doc, rng):
+    doc["encoder"]["standardize"] = not doc["encoder"]["standardize"]
+    return doc
+
+
 # name -> ((model document, rng) -> model document, the kinds it applies to); the
-# tree kinds save no list of numbers
+# tree kinds save no list of numbers, and only the rule learner saves its names
+# outside the encoder
 MODEL_MUTATIONS = {
     "nan_in_vector": (_nan_in_vector, ("glm", "mlp", "rule_induction")),
     "disagreeing_hyperparameter": (_disagreeing_hyperparameter, CLASSIFIERS),
+    "swapped_names": (_swapped_names, ("rule_induction",)),
+    "truncated_vector": (_truncated_vector, ("glm", "mlp")),
+    "flipped_standardize": (_flipped_standardize, tuple(k for k in CLASSIFIERS if k != "rule_induction")),
 }
 
 
