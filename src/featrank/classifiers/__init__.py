@@ -268,7 +268,7 @@ def model_from_json(doc: dict) -> Model:
 
 def _check_agreement(kind, features, kinds, encoder, inner) -> None:
     """Refuse a loaded model whose parts disagree with each other or with its
-    features. Tree nodes and rule dicts are not checked."""
+    features, or whose tree nodes or rules are malformed."""
     numeric = {f for f, k in zip(features, kinds) if k == dataio.NUMERIC}
     if encoder is None:
         part, named, keyed, keys = "model", inner, "bins", numeric
@@ -281,6 +281,7 @@ def _check_agreement(kind, features, kinds, encoder, inner) -> None:
     if encoder is None:
         for name, edges in inner.bins.items():
             BinEdges(column=name, edges=tuple(edges))  # refuses edges not strictly increasing
+        _check_rules(inner.rules, kinds)
         return
     standardize = kind in _STANDARDIZED_KINDS
     if encoder.standardize != standardize:
@@ -298,3 +299,49 @@ def _check_agreement(kind, features, kinds, encoder, inner) -> None:
         if (None if vector is None else len(vector)) != length:
             want = "null" if length is None else f"of length {length}"
             raise ValueError(f"model document: {name} must be {want} ({width} encoded columns)")
+    if standardize and not (encoder.scales > 0).all():
+        raise ValueError("model document: encoder scales must be positive")
+    roots = [inner.root] if kind == "decision_tree" else getattr(inner, "roots", [])
+    for i, root in enumerate(roots):
+        _check_tree(root, width, f"model document: tree {i}")
+
+
+# The JSON type of each value of a tree's leaf and split nodes, and of a rule.
+_LEAF_TYPES = {"v": float}
+_SPLIT_TYPES = {"f": int, "t": float, "l": dict, "r": dict}
+_RULE_TYPES = {"conditions": list[list], "target": int, "precision": float, "coverage": int}
+
+
+def _check_tree(root, width: int, where: str) -> None:
+    """Refuse a tree unless every node is a leaf {"v": value} or a split
+    {"f": encoded column, "t": threshold, "l": node, "r": node}."""
+    stack = [(root, where + " root")]
+    while stack:
+        node, at = stack.pop()
+        declared = _LEAF_TYPES if isinstance(node, dict) and "v" in node else _SPLIT_TYPES
+        dataio.check_keys(node, at, declared)
+        dataio.check_types(node, declared, at)
+        if declared is _SPLIT_TYPES:
+            if not 0 <= node["f"] < width:
+                raise ValueError(f"{at}: f must index one of the {width} encoded columns")
+            stack += [(node["l"], at + ".l"), (node["r"], at + ".r")]
+
+
+def _check_rules(rules, kinds) -> None:
+    """Refuse rules unless each tests (feature index, symbol) pairs: a bin index
+    for a numeric feature, a category for a categorical one."""
+    for i, rule in enumerate(rules):
+        at = f"model document: rule {i}"
+        dataio.check_keys(rule, at, _RULE_TYPES)
+        dataio.check_types(rule, _RULE_TYPES, at)
+        if rule["target"] not in (0, 1):
+            raise ValueError(f"{at}: target must be 0 or 1")
+        for condition in rule["conditions"]:
+            if len(condition) != 2:
+                raise ValueError(f"{at}: a condition must be a (feature, value) pair")
+            j, value = condition
+            dataio.check_type(j, int, f"{at}: condition feature")
+            if not 0 <= j < len(kinds):
+                raise ValueError(f"{at}: condition feature {j} must index one of the {len(kinds)} features")
+            symbol = int if kinds[j] == dataio.NUMERIC else str
+            dataio.check_type(value, symbol, f"{at}: condition value")

@@ -7,16 +7,25 @@ contributed to a synthetic training row. Each fold is split and oversampled
 once, and every classifier and both arms of an ablation share that training
 split. This is exact, because SMOTE reads every column and is seeded by the
 fold alone, and it leaves the included feature as the arms' only difference.
+
+Cross-validation, ablation and the per-group winners build their folds first
+and then one flat list of (classifier, fold, features) tasks: both arms of an
+ablation, or every stratum of the per-group analysis, in one list. Each task
+depends only on its spec, its fold and its features, and the results are
+gathered in list order. So the list runs on one forked worker process per CPU
+the process may use (`neighbors._cpus`), and the reports do not depend on how
+many there are. With one task or one CPU it runs in this process.
 """
 
 from __future__ import annotations
 
+import os
 import warnings
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from . import classifiers
+from . import classifiers, neighbors
 from .classifiers import ClassifierSpec
 from .dataio import FoldPlan, Table, filter_by_group, observed_groups, split, stratified_folds
 from .seeding import derive_seed
@@ -153,19 +162,77 @@ def _folds(table: Table, plan: FoldPlan, smote_cfg: SmoteConfig | None):
     return folds
 
 
-def _score(spec: ClassifierSpec, folds, features) -> CrossValResult:
-    """Fit and score one classifier on the built folds, restricted to `features`."""
-    per_fold = []
-    for train, test, audit in folds:
-        fold_spec = replace(spec, seed=derive_seed(spec.seed, "fold", audit.fold))
-        model = classifiers.fit(fold_spec, train, features=features)
-        scores = classifiers.predict_scores(model, test)
-        per_fold.append(compute_metrics(scores, test.y))
-    mean, std = _aggregate(per_fold)
-    audits = tuple(audit for _, _, audit in folds)
-    return CrossValResult(
-        kind=spec.kind, per_fold=tuple(per_fold), mean=mean, std=std, audits=audits
+# A worker process's folds, set as it starts (`_inherit`). The workers are
+# forked, so the folds reach them without pickling and the caller's module
+# state never changes.
+_FOLDS = None
+# Kinds in falling order of fit time on a 5760-row training split (the first
+# three also lead at 190 rows). The longest are dispatched first, so that no
+# worker is left with a long fit at the end.
+_BY_FIT_TIME = ("mlp", "gbt", "random_forest", "rule_induction", "decision_tree", "glm")
+
+
+def _fit_and_score(folds, spec: ClassifierSpec, fold: int, features) -> tuple[float, ...]:
+    """The metrics of one task: `spec` fitted on the training split of
+    folds[fold], restricted to `features`, and scored on its test split."""
+    train, test, audit = folds[fold]
+    fold_spec = replace(spec, seed=derive_seed(spec.seed, "fold", audit.fold))
+    model = classifiers.fit(fold_spec, train, features=features)
+    return compute_metrics(classifiers.predict_scores(model, test), test.y).as_tuple()
+
+
+def _inherit(folds) -> None:
+    global _FOLDS
+    _FOLDS = folds
+
+
+def _forked_task(task) -> tuple[float, ...]:
+    return _fit_and_score(_FOLDS, *task)
+
+
+def _run_tasks(tasks, folds) -> list[Metrics]:
+    """Each (spec, fold index, features) task's metrics, in list order.
+
+    The tasks run on min(CPUs, tasks) forked worker processes, or in this
+    process when that is one or the platform cannot fork. A task's exception
+    reaches the caller with its type; the first failing task in list order
+    raises, as it would in this process.
+    """
+    workers = min(neighbors._cpus(), len(tasks))
+    if workers <= 1 or not hasattr(os, "fork"):
+        return [Metrics(*_fit_and_score(folds, *task)) for task in tasks]
+    # Imported only here, as in neighbors.k_nearest: a process that never
+    # forks does not load them (about 0.7 MB).
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    order = sorted(range(len(tasks)), key=lambda i: _BY_FIT_TIME.index(tasks[i][0].kind))
+    # `fork` is named because the default differs across platforms and Python
+    # versions: forked workers start without importing anything. The pool
+    # forks all its workers at the first submit, before it starts any thread
+    # of its own.
+    pool = ProcessPoolExecutor(
+        workers, mp_context=multiprocessing.get_context("fork"), initializer=_inherit, initargs=(folds,)
     )
+    try:
+        pending = {i: pool.submit(_forked_task, tasks[i]) for i in order}
+        return [Metrics(*pending[i].result()) for i in range(len(tasks))]
+    finally:
+        pool.shutdown(cancel_futures=True)  # joins, and so reaps, every worker
+
+
+def _score(jobs, folds) -> list[CrossValResult]:
+    """One CrossValResult per (spec, fold indices, features) job, with all
+    jobs' (spec, fold) tasks run as one list."""
+    tasks = [(spec, fold, features) for spec, fold_ids, features in jobs for fold in fold_ids]
+    per_task = iter(_run_tasks(tasks, folds))
+    results = []
+    for spec, fold_ids, _ in jobs:
+        per_fold = tuple(next(per_task) for _ in fold_ids)
+        mean, std = _aggregate(per_fold)
+        audits = tuple(folds[fold][2] for fold in fold_ids)
+        results.append(CrossValResult(spec.kind, per_fold, mean, std, audits))
+    return results
 
 
 def cross_validate(
@@ -186,7 +253,8 @@ def cross_validate(
             raise ValueError(f"feature mask names unknown columns: {sorted(unknown)}")
         if not mask:
             raise ValueError("feature mask selects no columns")
-    return _score(spec, _folds(table, plan, smote_cfg), mask)
+    folds = _folds(table, plan, smote_cfg)
+    return _score([(spec, range(plan.k), mask)], folds)[0]
 
 
 @dataclass(frozen=True)
@@ -244,13 +312,15 @@ def ablation(
         "smote": None if smote_cfg is None else asdict(smote_cfg),
         "seeds": {spec.kind: spec.seed for spec in specs},
     }
+    arms = (with_mask, without_mask)
+    results = iter(_score([(spec, range(plan.k), mask) for mask in arms for spec in specs], folds))
     reports = []
-    for mask in (with_mask, without_mask):
-        results = [_score(spec, folds, mask) for spec in specs]
-        mean = {r.kind: r.mean for r in results}
-        std = {r.kind: r.std for r in results}
+    for mask in arms:
+        results_arm = [next(results) for _ in specs]
+        mean = {r.kind: r.mean for r in results_arm}
+        std = {r.kind: r.std for r in results_arm}
         config_arm = config | {"features": list(mask)}
-        reports.append(EvalReport.from_stats([r.kind for r in results], mean, std, config_arm))
+        reports.append(EvalReport.from_stats([r.kind for r in results_arm], mean, std, config_arm))
     return AblationReport.build(*reports)
 
 
@@ -304,12 +374,17 @@ def best_classifier_per_group(
     Each group gets fresh stratified folds. Groups below max(20, 2k) rows or
     with a class smaller than k are skipped with a warning.
     """
-    out: dict[str, tuple[str, Metrics]] = {}
+    strata, folds = [], []  # (value, its folds' indices), every stratum's folds
     for value, sub, _ in _strata(table, max(20, 2 * k), k, f"for {k}-fold evaluation"):
         plan = stratified_folds(sub, k, derive_seed(seed, "group-folds", value))
-        folds = _folds(sub, plan, smote_cfg)
-        results = [_score(spec, folds, None) for spec in specs]
-        best = min(results, key=lambda r: (-r.mean.accuracy, -r.mean.auc, r.kind))
+        first = len(folds)
+        folds += _folds(sub, plan, smote_cfg)
+        strata.append((value, range(first, len(folds))))
+    results = iter(_score([(spec, ids, None) for _, ids in strata for spec in specs], folds))
+    out: dict[str, tuple[str, Metrics]] = {}
+    for value, _ in strata:
+        stratum = [next(results) for _ in specs]
+        best = min(stratum, key=lambda r: (-r.mean.accuracy, -r.mean.auc, r.kind))
         out[value] = (best.kind, best.mean)
     return out
 

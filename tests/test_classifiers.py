@@ -503,6 +503,8 @@ class TestModelJson:
         gbt = fr.model_to_json(fr.fit(ClassifierSpec(kind="gbt"), t))
         mlp = fr.model_to_json(fr.fit(ClassifierSpec(kind="mlp", hyperparameters={"epochs": 2}), t))
         rule = fr.model_to_json(fr.fit(ClassifierSpec(kind="rule_induction"), t))
+        tree = fr.model_to_json(fr.fit(ClassifierSpec(kind="decision_tree"), t))
+        first_rule = rule["model"]["rules"][0]
         missing = {k: v for k, v in doc.items() if k != "features"}
         model, encoder, bins = doc["model"], doc["encoder"], rule["model"]["bins"]
         for bad in (
@@ -532,6 +534,12 @@ class TestModelJson:
             gbt | {"encoder": gbt["encoder"] | {"means": encoder["means"]}},
             doc | {"encoder": encoder | {"means": encoder["means"][:-1]}},
             doc | {"encoder": encoder | {"scales": None}},
+            doc | {"encoder": encoder | {"scales": [0.0] + encoder["scales"][1:]}},
+            doc | {"encoder": encoder | {"scales": [-1.0] + encoder["scales"][1:]}},
+            tree | {"model": tree["model"] | {"root": {"v": 0.5, "f": 0}}},
+            tree | {"model": tree["model"] | {"root": {"f": 0, "t": 0.5, "l": {"v": 1.0}, "r": {}}}},
+            rule | {"model": rule["model"] | {"rules": [first_rule | {"target": 2}]}},
+            rule | {"model": rule["model"] | {"rules": [first_rule | {"conditions": [[0, "x"]]}]}},
         ):
             with pytest.raises(ValueError, match="document"):
                 fr.model_from_json(bad)

@@ -1,14 +1,23 @@
 """Cross-validated metrics, ablation pairing, and per-group analyses."""
 
+import multiprocessing
+import os
 import random
 import signal
+import subprocess
+import sys
+import textwrap
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import featrank as fr
 import featrank.evaluation as evaluation
+from featrank import classifiers, neighbors
 from featrank.classifiers import ClassifierSpec
+from featrank.cli import main
 from featrank.dataio import FoldPlan, filter_by_group, stratified_folds
 from featrank.evaluation import (
     METRIC_NAMES,
@@ -27,6 +36,8 @@ from featrank.seeding import derive_seed
 from featrank.smote import SmoteConfig
 from helpers import make_table
 from oracles import holdout_metrics, oracle_auc
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def noisy_table(n=200, seed=0, extra=None):
@@ -457,3 +468,127 @@ class TestBestClassifierPerGroup:
         out = best_classifier_per_group(t, specs, k=5, seed=7)
         assert out["lin"][0] == "glm"
         assert out["xor"][0] in ("decision_tree", "gbt")
+
+
+class TestTaskRunner:
+    """The (spec, fold, features) tasks give the same results on any number of
+    worker processes, and leave no process or thread behind."""
+
+    SPECS = [
+        ClassifierSpec(kind="mlp", hyperparameters={"epochs": 5}, seed=1),
+        ClassifierSpec(kind="glm", seed=2),
+        ClassifierSpec(kind="gbt", hyperparameters={"n_rounds": 10}, seed=3),
+        ClassifierSpec(kind="decision_tree", seed=4),
+    ]
+
+    @staticmethod
+    def grouped():
+        return imbalanced_table(n=200, seed=30, group=("cohort", ["g1"] * 120 + ["g2"] * 80))
+
+    def run_both(self, table):
+        plan = stratified_folds(table, 3, seed=1)
+        cfg = SmoteConfig(k_neighbors=3, target_ratio=1.0, seed=9)
+        return (
+            ablation(table, "b", self.SPECS, plan, cfg),
+            best_classifier_per_group(table, self.SPECS, k=3, seed=2, smote_cfg=cfg),
+        )
+
+    @pytest.mark.parametrize("cpus", [2, 4])
+    def test_workers_give_the_results_of_one(self, monkeypatch, cpus):
+        table = self.grouped()
+        monkeypatch.setattr(neighbors, "_cpus", lambda: 1)
+        serial = self.run_both(table)
+        monkeypatch.setattr(neighbors, "_cpus", lambda: cpus)
+        assert self.run_both(table) == serial
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("cpus", [2, 4])
+    def test_cli_reports_byte_equal(self, monkeypatch, tmp_path, cpus):
+        assert main(["synth", "--rows", "200", "--seed", "4", "--out", str(tmp_path / "c")]) == 0
+        data = ["--data", str(tmp_path / "c" / "cohort.csv"), "--schema", str(tmp_path / "c" / "schema.json")]
+        jobs = {"ablate": ["--feature", "ethnicity"], "groups": []}
+        for count in (1, cpus):
+            monkeypatch.setattr(neighbors, "_cpus", lambda: count)
+            for command, extra in jobs.items():
+                out = tmp_path / f"{command}-{count}"
+                assert main([command, *data, "--out", str(out), "--folds", "2", *extra]) == 0
+        for command in jobs:
+            one, many = tmp_path / f"{command}-1", tmp_path / f"{command}-{cpus}"
+            names = sorted(p.name for p in one.iterdir())
+            assert names == sorted(p.name for p in many.iterdir()) and names
+            for name in names:
+                assert (one / name).read_bytes() == (many / name).read_bytes(), (command, name)
+        assert multiprocessing.active_children() == []
+
+    def test_task_error_reaches_caller_with_its_type(self, monkeypatch, tmp_path, capsys):
+        real_fit = classifiers.fit
+
+        def failing_fit(spec, train, features=None):
+            if spec.kind == "gbt":
+                raise ValueError("planted fit failure")
+            return real_fit(spec, train, features=features)
+
+        monkeypatch.setattr(classifiers, "fit", failing_fit)
+        assert main(["synth", "--rows", "200", "--seed", "4", "--out", str(tmp_path / "c")]) == 0
+        data = ["--data", str(tmp_path / "c" / "cohort.csv"), "--schema", str(tmp_path / "c" / "schema.json")]
+        errors = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(neighbors, "_cpus", lambda: cpus)
+            with pytest.raises(ValueError, match="planted fit failure"):
+                self.run_both(self.grouped())
+            capsys.readouterr()
+            argv = ["ablate", *data, "--out", str(tmp_path / f"out{cpus}"), "--feature", "ethnicity", "--folds", "2"]
+            assert main(argv) == 3
+            errors.append(capsys.readouterr().err)
+            assert multiprocessing.active_children() == []
+        assert errors[0] == errors[1] == "compute error: ValueError: planted fit failure\n"
+
+    def test_one_task_or_one_cpu_forks_nothing_and_imports_no_pool(self):
+        script = textwrap.dedent("""
+            import os, sys
+            sys.path.insert(0, "tests")
+            from featrank import evaluation, neighbors
+            from featrank.classifiers import ClassifierSpec
+            from featrank.dataio import stratified_folds
+            from helpers import make_table
+
+            def no_fork():
+                raise AssertionError("forked")
+
+            os.fork = no_fork
+            labels = [i % 2 for i in range(40)]
+            t = make_table({"a": [y + i % 7 for i, y in enumerate(labels)], "b": [i % 5 for i in range(40)]}, labels)
+            plan = stratified_folds(t, 2, seed=1)
+            folds = evaluation._folds(t, plan, None)
+            neighbors._cpus = lambda: 8
+            evaluation._run_tasks([(ClassifierSpec(kind="glm"), 0, None)], folds)
+            neighbors._cpus = lambda: 1
+            evaluation.ablation(t, "b", [ClassifierSpec(kind="glm"), ClassifierSpec(kind="gbt")], plan)
+            loaded = [m for m in ("multiprocessing", "concurrent.futures.process") if m in sys.modules]
+            print(loaded)
+        """)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run(
+            [sys.executable, "-c", script], cwd=SRC.parent, env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_only_the_main_thread_lives_when_workers_fork(self, monkeypatch):
+        real_fork = os.fork
+        threads = []
+
+        def recording_fork():
+            threads.append(threading.active_count())
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", recording_fork)
+        monkeypatch.setattr(neighbors, "_cpus", lambda: 2)
+        monkeypatch.setattr(neighbors, "BLOCK_CELLS", 1)
+        table = imbalanced_table(n=120, seed=32)
+        features = neighbors.encode(table)
+        neighbors.k_nearest(features, np.arange(120), np.arange(120), 3)  # 120 blocks on 2 threads
+        plan = stratified_folds(table, 2, seed=1)
+        ablation(table, "b", [ClassifierSpec(kind="glm"), ClassifierSpec(kind="decision_tree")], plan)
+        assert threads == [1, 1]
+        assert multiprocessing.active_children() == [] and threading.active_count() == 1

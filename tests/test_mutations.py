@@ -308,6 +308,37 @@ def _flipped_standardize(doc, rng):
     return doc
 
 
+def _split_nodes(doc):
+    """Every split node of a tree kind's document."""
+    model = doc["model"]
+    stack = list(model["roots"]) if "roots" in model else [model["root"]]
+    found = []
+    while stack:
+        node = stack.pop()
+        if "f" in node:
+            found.append(node)
+            stack += [node["l"], node["r"]]
+    return found
+
+
+def _missing_child(doc, rng):
+    del rng.choice(_split_nodes(doc))[rng.choice("lr")]
+    return doc
+
+
+def _split_column_out_of_range(doc, rng):
+    numeric = doc["feature_kinds"].count("numeric")
+    width = numeric + sum(len(c) for c in doc["encoder"]["categories"].values())
+    rng.choice(_split_nodes(doc))["f"] = width
+    return doc
+
+
+def _rule_feature_out_of_range(doc, rng):
+    rng.choice(rng.choice(doc["model"]["rules"])["conditions"])[0] = len(doc["features"])
+    return doc
+
+
+TREE_KINDS = ("gbt", "decision_tree", "random_forest")
 # name -> ((model document, rng) -> model document, the kinds it applies to); the
 # tree kinds save no list of numbers, and only the rule learner saves its names
 # outside the encoder
@@ -317,6 +348,9 @@ MODEL_MUTATIONS = {
     "swapped_names": (_swapped_names, ("rule_induction",)),
     "truncated_vector": (_truncated_vector, ("glm", "mlp")),
     "flipped_standardize": (_flipped_standardize, tuple(k for k in CLASSIFIERS if k != "rule_induction")),
+    "missing_child": (_missing_child, TREE_KINDS),
+    "split_column_out_of_range": (_split_column_out_of_range, TREE_KINDS),
+    "rule_feature_out_of_range": (_rule_feature_out_of_range, ("rule_induction",)),
 }
 
 
