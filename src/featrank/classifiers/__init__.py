@@ -302,6 +302,10 @@ def _check_agreement(kind, features, kinds, encoder, inner) -> None:
     if standardize and not (encoder.scales > 0).all():
         raise ValueError("model document: encoder scales must be positive")
     roots = [inner.root] if kind == "decision_tree" else getattr(inner, "roots", [])
+    count = {"random_forest": "n_trees", "gbt": "n_rounds"}.get(kind)
+    if count is not None and len(roots) != getattr(inner, count):
+        want = f"{count} = {getattr(inner, count)}"
+        raise ValueError(f"model document: roots must hold {want} trees, not {len(roots)}")
     for i, root in enumerate(roots):
         _check_tree(root, width, f"model document: tree {i}")
 

@@ -3,8 +3,9 @@
 Subcommands mirror the pipeline stages: `weigh` ranks attributes, `ablate`
 runs the with/without-feature experiment, `groups` produces per-stratum
 rankings and winning classifiers, `synth` writes a synthetic cohort, and
-`report` re-renders an emitted CSV as Markdown. One global seed drives every
-stage through derived sub-seeds; no stage reads the clock. Exit codes: 0
+`report` re-renders an emitted CSV as Markdown. One global seed drives the
+folds, SMOTE and the classifiers through derived sub-seeds; the attribute
+weights do not depend on it, and no stage reads the clock. Exit codes: 0
 success, 1 configuration problem, 2 data ingestion problem, 3 computation
 failure.
 """
@@ -15,12 +16,11 @@ import argparse
 import csv
 import json
 import sys
-import warnings
 from pathlib import Path
 
 from . import classifiers, synth
 from .classifiers import CLASSIFIERS, default_specs, model_to_json
-from .dataio import load_csv, load_schema_json, observed_groups, schema_to_json, stratified_folds
+from .dataio import load_csv, load_schema_json, schema_to_json, stratified_folds
 from .evaluation import METRIC_NAMES, ablation, best_classifier_per_group, per_group_rankings
 from .reporting import (
     delta_rows,
@@ -175,9 +175,7 @@ def _emit(out_dir: Path, stem: str, rows, fmt: str) -> None:
 def cmd_weigh(args) -> int:
     table = _load_table(args)
     out_dir = _ensure_out(args.out)
-    matrix = weigh_all(
-        table, n_bins=args.bins, relief_k=args.relief_k, seed=derive_seed(args.seed, "weigh")
-    )
+    matrix = weigh_all(table, n_bins=args.bins, relief_k=args.relief_k)
     _emit(out_dir, "weights", weight_matrix_rows(matrix), args.format)
     print(f"wrote weight report for {len(table.feature_names())} attributes to {out_dir}")
     return 0
@@ -212,32 +210,23 @@ def cmd_ablate(args) -> int:
 
 def cmd_groups(args) -> int:
     table = _load_table(args)
+    if table.group_column is None:
+        raise _DataError("the schema has no column with role 'group'")
     out_dir = _ensure_out(args.out)
     specs = _selected_specs(args)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        rankings = per_group_rankings(
-            table,
-            top_n=5,
-            n_bins=args.bins,
-            relief_k=args.relief_k,
-            seed=derive_seed(args.seed, "groups-rank"),
-        )
-        winners = best_classifier_per_group(
-            table,
-            specs,
-            k=args.folds,
-            seed=derive_seed(args.seed, "groups-best"),
-            smote_cfg=_smote_config(args),
-        )
-    everyone = observed_groups(table)
-    for stem, to_rows, results in (
-        ("group_rankings", group_ranking_rows, rankings),
-        ("group_winners", group_winner_rows, winners),
-    ):
-        skipped = [g for g in everyone if g not in results]
-        _emit(out_dir, stem, to_rows(results, skipped), args.format)
-    print(f"ranked {len(rankings)} groups, selected winners for {len(winners)}; reports in {out_dir}")
+    rankings = per_group_rankings(table, top_n=5, n_bins=args.bins, relief_k=args.relief_k)
+    winners = best_classifier_per_group(
+        table,
+        specs,
+        k=args.folds,
+        seed=derive_seed(args.seed, "groups-best"),
+        smote_cfg=_smote_config(args),
+    )
+    _emit(out_dir, "group_rankings", group_ranking_rows(rankings), args.format)
+    _emit(out_dir, "group_winners", group_winner_rows(winners), args.format)
+    ranked = sum(top is not None for top in rankings.values())
+    won = sum(winner is not None for winner in winners.values())
+    print(f"ranked {ranked} groups, selected winners for {won}; reports in {out_dir}")
     return 0
 
 

@@ -20,7 +20,6 @@ many there are. With one task or one CPU it runs in this process.
 from __future__ import annotations
 
 import os
-import warnings
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -324,41 +323,38 @@ def ablation(
     return AblationReport.build(*reports)
 
 
-def _strata(table: Table, min_rows: int, min_class: int, purpose: str):
-    """Yield (value, sub-table, smaller class size) per group big enough to use.
-
-    A group under `min_rows` rows or `min_class` rows per class is skipped with a warning.
-    """
+def _strata(table: Table, min_rows: int, min_class: int):
+    """Yield (value, sub-table, smaller class size) for every group in ascending
+    order; the sub-table is None for a group under `min_rows` rows or
+    `min_class` rows per class."""
     if table.group_column is None:
         raise ValueError("table has no group column")
     for value in observed_groups(table):
         sub = filter_by_group(table, value)
         smaller = int(np.bincount(sub.y, minlength=2).min())
-        if sub.n_rows < min_rows or smaller < min_class:
-            warnings.warn(f"group {value!r} is too small {purpose}; skipped", stacklevel=3)
-            continue
-        yield value, sub, smaller
+        usable = sub.n_rows >= min_rows and smaller >= min_class
+        yield value, sub if usable else None, smaller
 
 
 def per_group_rankings(
-    table: Table, top_n: int = 5, n_bins: int = 10, relief_k: int = 10, seed: int = 0
-) -> dict[str, list[str]]:
-    """Top attributes by overall rank within each group stratum.
+    table: Table, top_n: int = 5, n_bins: int = 10, relief_k: int = 10
+) -> dict[str, list[str] | None]:
+    """Top attributes by overall rank within each group stratum, for every
+    group in ascending order.
 
     The group column itself is excluded (it is constant within a stratum).
-    Groups with fewer than 20 rows, or without at least 2 rows per class,
-    are skipped with a warning.
+    A group with fewer than 20 rows, or without at least 2 rows per class,
+    maps to None.
     """
     from .weighting import weigh_all
 
-    out: dict[str, list[str]] = {}
-    for value, sub, smaller in _strata(table, 20, 2, "to rank"):
-        rankable = [f for f in sub.feature_names() if f != sub.group_column.name]
-        k_eff = min(relief_k, smaller - 1)
-        matrix = weigh_all(
-            sub.project(rankable), n_bins=n_bins, relief_k=k_eff, seed=derive_seed(seed, "group", value)
-        )
-        out[value] = matrix.by_overall_rank()[:top_n]
+    out: dict[str, list[str] | None] = {}
+    for value, sub, smaller in _strata(table, 20, 2):
+        out[value] = None
+        if sub is not None:
+            rankable = [f for f in sub.feature_names() if f != sub.group_column.name]
+            matrix = weigh_all(sub.project(rankable), n_bins=n_bins, relief_k=min(relief_k, smaller - 1))
+            out[value] = matrix.by_overall_rank()[:top_n]
     return out
 
 
@@ -368,24 +364,29 @@ def best_classifier_per_group(
     k: int = 10,
     seed: int = 0,
     smote_cfg: SmoteConfig | None = None,
-) -> dict[str, tuple[str, Metrics]]:
-    """Winning classifier (by mean accuracy, then AUC, then name) per group.
+) -> dict[str, tuple[str, Metrics] | None]:
+    """Winning classifier (by mean accuracy, then AUC, then name) per group,
+    for every group in ascending order.
 
-    Each group gets fresh stratified folds. Groups below max(20, 2k) rows or
-    with a class smaller than k are skipped with a warning.
+    Each group gets fresh stratified folds. A group below max(20, 2k) rows or
+    with a class smaller than k maps to None.
     """
-    strata, folds = [], []  # (value, its folds' indices), every stratum's folds
-    for value, sub, _ in _strata(table, max(20, 2 * k), k, f"for {k}-fold evaluation"):
-        plan = stratified_folds(sub, k, derive_seed(seed, "group-folds", value))
-        first = len(folds)
-        folds += _folds(sub, plan, smote_cfg)
-        strata.append((value, range(first, len(folds))))
-    results = iter(_score([(spec, ids, None) for _, ids in strata for spec in specs], folds))
-    out: dict[str, tuple[str, Metrics]] = {}
-    for value, _ in strata:
-        stratum = [next(results) for _ in specs]
-        best = min(stratum, key=lambda r: (-r.mean.accuracy, -r.mean.auc, r.kind))
-        out[value] = (best.kind, best.mean)
+    strata, folds = {}, []  # value -> its folds' indices or None, every stratum's folds
+    for value, sub, _ in _strata(table, max(20, 2 * k), k):
+        strata[value] = None
+        if sub is not None:
+            plan = stratified_folds(sub, k, derive_seed(seed, "group-folds", value))
+            first = len(folds)
+            folds += _folds(sub, plan, smote_cfg)
+            strata[value] = range(first, len(folds))
+    jobs = [(spec, ids, None) for ids in strata.values() if ids is not None for spec in specs]
+    results = iter(_score(jobs, folds))
+    out: dict[str, tuple[str, Metrics] | None] = dict.fromkeys(strata)
+    for value, ids in strata.items():
+        if ids is not None:
+            stratum = [next(results) for _ in specs]
+            best = min(stratum, key=lambda r: (-r.mean.accuracy, -r.mean.auc, r.kind))
+            out[value] = (best.kind, best.mean)
     return out
 
 

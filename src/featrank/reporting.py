@@ -79,29 +79,27 @@ def delta_rows(report: AblationReport) -> list[list[str]]:
     return rows
 
 
-def group_ranking_rows(rankings: dict, skipped, top_n: int = 5) -> list[list[str]]:
-    header = ["Group", "Status"] + [f"Top{i + 1}" for i in range(top_n)]
-    rows = [header]
-    groups = sorted(set(rankings) | set(skipped))
-    for g in groups:
-        if g in rankings:
-            top = list(rankings[g]) + [""] * (top_n - len(rankings[g]))
-            rows.append([g, "ok"] + top[:top_n])
-        else:
+def group_ranking_rows(rankings: dict, top_n: int = 5) -> list[list[str]]:
+    """One row per group, in the order of `rankings`; a None value is a skipped group."""
+    rows = [["Group", "Status"] + [f"Top{i + 1}" for i in range(top_n)]]
+    for g, top in rankings.items():
+        if top is None:
             rows.append([g, "skipped"] + [""] * top_n)
+        else:
+            rows.append([g, "ok"] + (list(top) + [""] * top_n)[:top_n])
     return rows
 
 
-def group_winner_rows(winners: dict, skipped) -> list[list[str]]:
+def group_winner_rows(winners: dict) -> list[list[str]]:
+    """One row per group, in the order of `winners`; a None value is a skipped group."""
     rows = [["Group", "Status", "Classifier"] + [METRIC_LABELS[m] for m in METRIC_NAMES]]
-    groups = sorted(set(winners) | set(skipped))
-    for g in groups:
-        if g in winners:
-            kind, metrics = winners[g]
+    for g, winner in winners.items():
+        if winner is None:
+            rows.append([g, "skipped"] + [""] * (1 + len(METRIC_NAMES)))
+        else:
+            kind, metrics = winner
             cells = [format_metric(m, metrics.get(m)) for m in METRIC_NAMES]
             rows.append([g, "ok", CLASSIFIER_LABELS[kind]] + cells)
-        else:
-            rows.append([g, "skipped"] + [""] * (1 + len(METRIC_NAMES)))
     return rows
 
 

@@ -17,7 +17,6 @@ import numpy as np
 
 from .dataio import CATEGORICAL, NUMERIC, ROLE_LABEL, Table
 from .neighbors import diff, encode, k_nearest
-from .seeding import derive_seed
 
 ALGORITHMS = ("information_gain", "gini_index", "rule", "uncertainty", "relief", "chi_squared")
 
@@ -183,7 +182,7 @@ def weight_relief(table: Table, k_neighbors: int, seed: int = 0) -> dict[str, fl
     nearest other-class misses (distance and tie-break from `neighbors`) push
     each attribute's weight by diff/(n*k), up for misses and down for hits,
     summed in anchor order. Weights land in [-1, 1]. The seed is accepted for
-    interface symmetry; with all instances used the result is seed-independent.
+    interface symmetry: every instance is an anchor, so no weight depends on it.
     """
     del seed
     if k_neighbors < 1:
@@ -255,7 +254,10 @@ class WeightMatrix:
 
 
 def weigh_all(table: Table, n_bins: int = 10, relief_k: int = 10, seed: int = 0) -> WeightMatrix:
-    """Run the six weighters over every feature column and aggregate ranks."""
+    """Run the six weighters over every feature column and aggregate ranks.
+
+    The seed is accepted for interface symmetry: no weight depends on it.
+    """
     attrs = table.feature_names()
     if not attrs:
         raise ValueError("table has no feature columns to weigh")
@@ -264,7 +266,7 @@ def weigh_all(table: Table, n_bins: int = 10, relief_k: int = 10, seed: int = 0)
         if table.column_schema(name).kind == NUMERIC:
             bins[name] = equal_frequency_edges(name, table.encoded(name)[0], n_bins)
 
-    relief = weight_relief(table, relief_k, derive_seed(seed, "relief"))
+    relief = weight_relief(table, relief_k)
     weight: dict[str, dict[str, float]] = {}
     for a in attrs:
         scores = _discrete_scores(_attribute_contingency(table, a, bins.get(a)))

@@ -544,6 +544,15 @@ class TestModelJson:
             with pytest.raises(ValueError, match="document"):
                 fr.model_from_json(bad)
 
+    def test_tree_count_must_match_the_hyperparameter(self):
+        t = toy_table(n=60, seed=25)
+        for kind, key, kept in (("random_forest", "n_trees", 0), ("gbt", "n_rounds", 1)):
+            doc = fr.model_to_json(fr.fit(ClassifierSpec(kind=kind, hyperparameters={key: 3}), t))
+            fr.model_from_json(doc)
+            doc["model"]["roots"] = doc["model"]["roots"][:kept]
+            with pytest.raises(ValueError, match="roots"):
+                fr.model_from_json(doc)
+
     def test_rule_bin_edges_must_increase(self):
         t = toy_table(n=60, seed=23)
         doc = fr.model_to_json(fr.fit(ClassifierSpec(kind="rule_induction"), t))

@@ -1,6 +1,7 @@
 """End-to-end command-line runs against temporary directories."""
 
 import json
+import re
 
 import pytest
 
@@ -258,6 +259,39 @@ class TestGroups:
         statuses = {row[1] for row in rankings[1:]}
         assert "ok" in statuses  # the dominant group is large enough
         assert "skipped" in statuses  # rare groups in a 300-row cohort are not
+
+    def test_printed_counts_are_the_ok_rows(self, cohort, tmp_path, capfd):
+        out = tmp_path / "g"
+        code = run(
+            "groups", "--data", str(cohort / "cohort.csv"),
+            "--schema", str(cohort / "schema.json"), "--out", str(out),
+            "--folds", "3", "--classifiers", "decision_tree,glm",
+        )
+        assert code == 0
+        printed = capfd.readouterr()
+        assert printed.err == ""
+        match = re.search(r"ranked (\d+) groups, selected winners for (\d+);", printed.out)
+        ok_rows = [
+            sum(row[1] == "ok" for row in read_csv_rows(out / f"{stem}.csv")[1:])
+            for stem in ("group_rankings", "group_winners")
+        ]
+        assert [int(n) for n in match.groups()] == ok_rows
+        assert "skipped" in {row[1] for row in read_csv_rows(out / "group_winners.csv")}
+
+    def test_schema_without_group_column_is_data_error(self, cohort, tmp_path, capsys):
+        doc = json.loads((cohort / "schema.json").read_text())
+        for entry in doc["columns"]:
+            if entry["role"] == "group":
+                entry["role"] = "feature"
+        schema = tmp_path / "schema.json"
+        schema.write_text(json.dumps(doc))
+        files = ["--data", str(cohort / "cohort.csv"), "--schema", str(schema)]
+        assert run("groups", *files, "--out", str(tmp_path / "g"), "--folds", "2") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "group" in err
+        assert run("weigh", *files, "--out", str(tmp_path / "w")) == 0
+        ablate = ["--feature", "ethnicity", "--folds", "2", "--classifiers", "glm"]
+        assert run("ablate", *files, "--out", str(tmp_path / "a"), *ablate) == 0
 
 
 class TestReport:

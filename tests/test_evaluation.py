@@ -373,13 +373,13 @@ class TestPerGroupRankings:
             per_group_rankings(t)
 
     def test_planted_per_group_signal_ranks_first(self):
-        out = per_group_rankings(self.grouped_table(), top_n=3, seed=0)
+        out = per_group_rankings(self.grouped_table(), top_n=3)
         assert out["A"][0] == "f"
         assert out["B"][0] == "g"
         for names in out.values():
             assert "cohort" not in names
 
-    def test_small_groups_skipped_with_warning(self):
+    def test_small_groups_map_to_none(self):
         rng = random.Random(22)
         labels = [i % 2 for i in range(46)]
         groups = ["big"] * 40 + ["tiny"] * 6
@@ -388,9 +388,9 @@ class TestPerGroupRankings:
             labels,
             group=("cohort", groups),
         )
-        with pytest.warns(UserWarning, match="tiny"):
-            out = per_group_rankings(t, top_n=2)
-        assert set(out) == {"big"}
+        out = per_group_rankings(t, top_n=2)
+        assert list(out) == ["big", "tiny"] and out["tiny"] is None
+        assert out["big"][0] == "x"
 
 
 class TestBestClassifierPerGroup:
@@ -399,23 +399,23 @@ class TestBestClassifierPerGroup:
         with pytest.raises(ValueError, match="no group column"):
             best_classifier_per_group(t, [ClassifierSpec(kind="glm")])
 
-    def test_small_group_skipped_with_warning(self):
+    def test_small_group_maps_to_none(self):
         rng = random.Random(24)
         labels = [i % 2 for i in range(130)]
         groups = ["big"] * 120 + ["tiny"] * 10
         t = make_table({"x": [y + rng.random() for y in labels]}, labels, group=("cohort", groups))
-        with pytest.warns(UserWarning, match="tiny"):
-            out = best_classifier_per_group(t, [ClassifierSpec(kind="glm")], k=5, seed=0)
-        assert set(out) == {"big"}
+        out = best_classifier_per_group(t, [ClassifierSpec(kind="glm")], k=5, seed=0)
+        assert list(out) == ["big", "tiny"] and out["tiny"] is None
+        assert out["big"][0] == "glm"
 
     def test_folds_built_once_per_stratum(self, fold_calls):
         groups = ["g1"] * 100 + ["g2"] * 100 + ["tiny"] * 10
         t = imbalanced_table(n=210, seed=27, group=("cohort", groups))
         specs = [ClassifierSpec(kind="glm", seed=1), ClassifierSpec(kind="decision_tree", seed=2)]
         cfg = SmoteConfig(k_neighbors=3, target_ratio=1.0, seed=8)
-        with pytest.warns(UserWarning, match="tiny"):
-            out = best_classifier_per_group(t, specs, k=4, seed=0, smote_cfg=cfg)
-        assert set(out) == {"g1", "g2"}
+        out = best_classifier_per_group(t, specs, k=4, seed=0, smote_cfg=cfg)
+        assert list(out) == ["g1", "g2", "tiny"] and out["tiny"] is None
+        assert {out["g1"][0], out["g2"][0]} <= {"glm", "decision_tree"}
         assert fold_calls == {"split": 8, "smote": 8}
 
     def test_single_group_matches_manual_evaluation(self):

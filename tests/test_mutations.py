@@ -338,6 +338,12 @@ def _rule_feature_out_of_range(doc, rng):
     return doc
 
 
+def _tree_count(doc, rng):
+    roots = doc["model"]["roots"]
+    del roots[rng.randrange(len(roots)) :]  # keep a shorter prefix, perhaps none
+    return doc
+
+
 TREE_KINDS = ("gbt", "decision_tree", "random_forest")
 # name -> ((model document, rng) -> model document, the kinds it applies to); the
 # tree kinds save no list of numbers, and only the rule learner saves its names
@@ -351,6 +357,7 @@ MODEL_MUTATIONS = {
     "missing_child": (_missing_child, TREE_KINDS),
     "split_column_out_of_range": (_split_column_out_of_range, TREE_KINDS),
     "rule_feature_out_of_range": (_rule_feature_out_of_range, ("rule_induction",)),
+    "tree_count": (_tree_count, ("gbt", "random_forest")),
 }
 
 

@@ -105,16 +105,16 @@ class TestDeltaRows:
 
 
 class TestGroupRows:
-    def test_ranking_rows_pad_and_sort(self):
-        rows = group_ranking_rows({"b": ["x", "y"], "a": ["z"]}, skipped=["c"], top_n=3)
+    def test_ranking_rows_pad_in_given_order(self):
+        rows = group_ranking_rows({"b": ["x", "y"], "c": None, "a": ["z"]}, top_n=3)
         assert rows[0] == ["Group", "Status", "Top1", "Top2", "Top3"]
-        assert rows[1] == ["a", "ok", "z", "", ""]
-        assert rows[2] == ["b", "ok", "x", "y", ""]
-        assert rows[3] == ["c", "skipped", "", "", ""]
+        assert rows[1] == ["b", "ok", "x", "y", ""]
+        assert rows[2] == ["c", "skipped", "", "", ""]
+        assert rows[3] == ["a", "ok", "z", "", ""]
 
     def test_winner_rows(self):
-        winners = {"a": ("glm", Metrics(0.8, 0.75, 0.9, 0.82))}
-        rows = group_winner_rows(winners, skipped=["b"])
+        winners = {"a": ("glm", Metrics(0.8, 0.75, 0.9, 0.82)), "b": None}
+        rows = group_winner_rows(winners)
         assert rows[1] == ["a", "ok", CLASSIFIER_LABELS["glm"], "80.00", "75.00", "90.00", "0.82"]
         assert rows[2] == ["b", "skipped", "", "", "", "", ""]
 

@@ -81,3 +81,25 @@ def test_refused_model_document_is_listed(tmp_path):
     for tree in ("old", "new"):
         assert f"refused under {tree}: reports/warmup/models/glm.json: glm refused" in result.stdout
     assert result.stdout.count("refused under") == 2, result.stdout
+
+
+def test_changed_console_output_is_listed(tmp_path):
+    changed = tmp_path / "src"
+    shutil.copytree(ROOT / "src", changed, ignore=shutil.ignore_patterns("__pycache__"))
+    with open(changed / "featrank" / "cli.py", "a", encoding="utf-8") as fh:
+        fh.write(
+            "\n_plain_main = main\n"
+            "def main(argv=None):\n"
+            "    code = _plain_main(argv)\n"
+            "    if argv[0] == 'ablate':\n"
+            "        print('note', file=sys.stderr)\n"
+            "    return code\n"
+        )
+    result = compare(ROOT / "src", changed, tmp_path)
+    assert result.returncode == 1
+    assert result.stdout.count("differs:") == 1, result.stdout
+    assert "differs: console/warmup-ablate.txt" in result.stdout
+    old = tmp_path / "work" / "ablate-seed1" / "old"
+    console = (old / "console" / "warmup-ablate.txt").read_text(encoding="utf-8")
+    assert console.startswith("stdout:\nablation of 'ethnicity' complete") and "OUT/reports" in console
+    assert str(old) not in console and console.endswith("stderr:\n")

@@ -7,13 +7,14 @@
 OLD_SRC and NEW_SRC are `src/` directories. For every workload and seed, each
 tree generates the benchmark's cohorts with `featrank synth --spec` (the recipe,
 seeds and sizes are read from perfbench/workloads.py) and runs the workload's
-command on each of them, in a fresh process per tree. The `ablate` warm-up
-cohort also runs with `--save-model`, so the six saved model documents are
-compared too, and NEW_SRC's `model_from_json` loads each tree's documents. The
-script then lists every cohort or report file whose bytes differ between the
-trees, and every model document that NEW_SRC refuses or does not write back
-equal. Exit code 0 means every file matched and loaded, 1 that some differ or
-a command failed.
+command on each of them, in a fresh process per tree. What each command prints
+is kept as `console/<cohort>-<command>.txt`, with the output directory's path
+written as `OUT`. The `ablate` warm-up cohort also runs with `--save-model`, so
+the six saved model documents are compared too, and NEW_SRC's
+`model_from_json` loads each tree's documents. The script then lists every
+cohort, report or console file whose bytes differ between the trees, and every
+model document that NEW_SRC refuses or does not write back equal. Exit code 0
+means every file matched and loaded, 1 that some differ or a command failed.
 
 A change that claims the same results runs this against the tree it started
 from, for example a `git archive` of the parent commit.
@@ -43,9 +44,12 @@ def _workloads():
     return workloads
 
 
-def _quiet_main(cli, argv) -> int:
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-        return cli.main(argv)
+def _quiet_main(cli, argv) -> tuple[int, str]:
+    """Exit code and console text (stdout, then stderr) of one in-process CLI call."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.main(argv)
+    return code, f"stdout:\n{stdout.getvalue()}stderr:\n{stderr.getvalue()}"
 
 
 def run_tree(src: Path, out: Path, workload_name: str, seed: int, count: int | None) -> int:
@@ -58,6 +62,7 @@ def run_tree(src: Path, out: Path, workload_name: str, seed: int, count: int | N
     workload = wl.WORKLOADS[workload_name]
     jobs = [("warmup", wl.WARMUP_ROWS)] + [(i, workload.rows) for i in range(workload.pool)]
     failed = 0
+    (out / "console").mkdir(parents=True)
     for index, rows in jobs[: None if count is None else count + 1]:
         name = index if index == "warmup" else f"{index:03d}"
         cohort = out / "cohorts" / name
@@ -68,7 +73,9 @@ def run_tree(src: Path, out: Path, workload_name: str, seed: int, count: int | N
         if workload_name == "ablate" and index == "warmup":
             job.append("--save-model")
         for argv in (["synth", "--spec", str(cohort / "spec.json"), "--out", str(cohort)], job):
-            rc = _quiet_main(cli, argv)
+            rc, console = _quiet_main(cli, argv)
+            console_file = out / "console" / f"{name}-{argv[0]}.txt"
+            console_file.write_text(console.replace(str(out), "OUT"), encoding="utf-8")
             if rc != 0:
                 print(f"{src}: featrank {argv[0]} exited with code {rc} on cohort {name}")
                 failed += 1
