@@ -273,14 +273,42 @@ class Table:
         )
 
 
-def _parse_numeric(text: str, column: str, line: int) -> float:
+def _check_cell(text: str, c: ColumnSchema, path, line: int) -> None:
+    """Raise the error of one stripped cell if it is bad (see `load_csv`)."""
+    if "\x00" in text:
+        raise ValueError(f"{path}: line {line}: NUL byte in column {c.name!r}")
+    if text == "" and c.role == ROLE_LABEL:
+        raise ValueError(f"{path}: line {line}: missing label cell")
+    if text == "" or c.kind != NUMERIC:
+        return
     try:
         value = float(text)
     except ValueError:
-        raise ValueError(f"line {line}: unparseable numeric cell {text!r} in column {column!r}") from None
+        raise ValueError(f"line {line}: unparseable numeric cell {text!r} in column {c.name!r}") from None
     if not math.isfinite(value):
-        raise ValueError(f"line {line}: non-finite numeric cell in column {column!r}")
-    return value
+        raise ValueError(f"line {line}: non-finite numeric cell in column {c.name!r}")
+
+
+def _column(cells, c: ColumnSchema) -> list | None:
+    """One column's values in one pass (None for a blank cell), or None if some
+    cell is bad. Numbers are parsed with Python's `float`, as `_check_cell`
+    does; numpy's string conversion accepts other spellings."""
+    texts = list(map(str.strip, cells))
+    blank = "" in texts
+    if "\x00" in "".join(texts) or (blank and c.role == ROLE_LABEL):
+        return None
+    if c.kind != NUMERIC:
+        return [t or None for t in texts] if blank else texts
+    try:
+        numbers = list(map(float, filter(None, texts)))
+    except ValueError:
+        return None
+    if not all(map(math.isfinite, numbers)):
+        return None
+    if not blank:
+        return numbers
+    numbers = iter(numbers)
+    return [next(numbers) if t else None for t in texts]
 
 
 def _mode(values: list[str]) -> str:
@@ -299,6 +327,11 @@ def load_csv(path: str | Path, schema: list[ColumnSchema]) -> Table:
     Blank cells are imputed: median of the observed values for numeric
     columns, mode (ties -> lexicographically smallest) for categorical ones.
     Missing label cells are refused; labels cannot be guessed.
+
+    Each column is read in one pass over the rows. Of several bad cells (a NUL
+    byte, a blank label, an unparseable or non-finite number) the error names
+    the first in row order, then in schema column order; a row with the wrong
+    number of cells is reported only when no earlier row holds a bad cell.
     """
     validate_schema(schema)
     with open(path, newline="", encoding="utf-8") as fh:
@@ -321,26 +354,19 @@ def load_csv(path: str | Path, schema: list[ColumnSchema]) -> Table:
     if not raw_rows:
         raise ValueError(f"{path}: no data rows")
 
-    pos_of = {name: header.index(name) for name in want}
+    # Rows before the first ragged one, as one tuple of cells per header column.
+    whole = next((r for r, raw in enumerate(raw_rows) if len(raw) != len(header)), len(raw_rows))
+    cells = dict(zip(header, zip(*raw_rows[:whole]))) if whole else dict.fromkeys(header, ())
+    columns = {c.name: _column(cells[c.name], c) for c in schema}
+    bad = [(c, header.index(c.name)) for c in schema if columns[c.name] is None]
+    for r, raw in enumerate(raw_rows[:whole] if bad else ()):
+        for c, pos in bad:  # raises at the first bad cell
+            _check_cell(raw[pos].strip(), c, path, r + 2)
+    if whole < len(raw_rows):
+        raise ValueError(
+            f"{path}: line {whole + 2}: expected {len(header)} cells, got {len(raw_rows[whole])}"
+        )
     label = next(c for c in schema if c.role == ROLE_LABEL)
-
-    # parse into schema-ordered columns, None marks a missing cell
-    columns: dict[str, list] = {c.name: [] for c in schema}
-    for r, raw in enumerate(raw_rows):
-        if len(raw) != len(header):
-            raise ValueError(f"{path}: line {r + 2}: expected {len(header)} cells, got {len(raw)}")
-        for c in schema:
-            text = raw[pos_of[c.name]].strip()
-            if "\x00" in text:
-                raise ValueError(f"{path}: line {r + 2}: NUL byte in column {c.name!r}")
-            if text == "":
-                if c.role == ROLE_LABEL:
-                    raise ValueError(f"{path}: line {r + 2}: missing label cell")
-                columns[c.name].append(None)
-            elif c.kind == NUMERIC:
-                columns[c.name].append(_parse_numeric(text, c.name, r + 2))
-            else:
-                columns[c.name].append(text)
 
     imputations: dict[str, int] = {}
     for c in schema:

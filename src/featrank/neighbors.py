@@ -107,9 +107,16 @@ def _search(arrays, cand, anchors, candidates, k: int, step: int, out, starts) -
     diff_buf = np.empty_like(dist_buf)
     for start in starts:
         block = anchors[start : start + step]
-        dist, diffs = dist_buf[: len(block)], diff_buf[: len(block)]
-        dist.fill(0.0)
-        for arr, c in zip(arrays, cand):
+        rows = len(block)
+        dist, diffs = dist_buf[:rows], diff_buf[:rows]
+        # The first feature's distances are written in place, which is exact:
+        # 0.0 + d == d for every d >= 0, and no diff is -0.0. With no feature
+        # columns every distance is 0.
+        if arrays:
+            diff(arrays[0][block, None], cand[0], out=dist)
+        else:
+            dist.fill(0.0)
+        for arr, c in zip(arrays[1:], cand[1:]):
             dist += diff(arr[block, None], c, out=diffs)
         pos = np.minimum(np.searchsorted(candidates, block), len(candidates) - 1)
         own = np.flatnonzero(candidates[pos] == block)
@@ -121,13 +128,15 @@ def _search(arrays, cand, anchors, candidates, k: int, step: int, out, starts) -
         diffs.partition(k - 1, axis=1)
         kth = diffs[:, k - 1 : k]
         keep = dist <= kth
-        tied = np.flatnonzero(keep.sum(axis=1) > k)
-        if tied.size:
+        flat = np.flatnonzero(keep)
+        if flat.size > rows * k:  # every row keeps at least k, so some row keeps more
+            tied = np.flatnonzero(keep.sum(axis=1) > k)
             at = dist[tied] == kth[tied]
             below = keep[tied] & ~at
             room = k - below.sum(axis=1, keepdims=True)
             keep[tied] = below | (at & (np.cumsum(at, axis=1) <= room))
+            flat = np.flatnonzero(keep)
         # Flat indices ascend row by row, so each row's k columns ascend.
-        cols = np.flatnonzero(keep).reshape(-1, k) % len(candidates)
+        cols = flat.reshape(-1, k) % len(candidates)
         order = np.argsort(np.take_along_axis(dist, cols, axis=1), axis=1, kind="stable")
         out[start : start + len(block)] = candidates[np.take_along_axis(cols, order, axis=1)]

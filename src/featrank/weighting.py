@@ -175,16 +175,14 @@ def weight_rule(table: Table, attribute: str, bins: BinEdges | None = None) -> f
     return _discrete_scores(_attribute_contingency(table, attribute, bins))["rule"]
 
 
-def weight_relief(table: Table, k_neighbors: int, seed: int = 0) -> dict[str, float]:
+def weight_relief(table: Table, k_neighbors: int) -> dict[str, float]:
     """ReliefF weights over all feature columns.
 
     Every instance serves as an anchor; its k nearest same-class hits and k
     nearest other-class misses (distance and tie-break from `neighbors`) push
     each attribute's weight by diff/(n*k), up for misses and down for hits,
-    summed in anchor order. Weights land in [-1, 1]. The seed is accepted for
-    interface symmetry: every instance is an anchor, so no weight depends on it.
+    summed in anchor order. Weights land in [-1, 1].
     """
-    del seed
     if k_neighbors < 1:
         raise ValueError("k_neighbors must be >= 1")
     y = table.y
@@ -253,11 +251,8 @@ class WeightMatrix:
         return sorted(self.attributes, key=lambda a: self.overall_rank[a])
 
 
-def weigh_all(table: Table, n_bins: int = 10, relief_k: int = 10, seed: int = 0) -> WeightMatrix:
-    """Run the six weighters over every feature column and aggregate ranks.
-
-    The seed is accepted for interface symmetry: no weight depends on it.
-    """
+def weigh_all(table: Table, n_bins: int = 10, relief_k: int = 10) -> WeightMatrix:
+    """Run the six weighters over every feature column and aggregate ranks."""
     attrs = table.feature_names()
     if not attrs:
         raise ValueError("table has no feature columns to weigh")

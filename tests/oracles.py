@@ -15,6 +15,39 @@ import numpy as np
 from featrank.seeding import derive_seed
 
 
+# --- CSV cells ----------------------------------------------------------------
+
+
+def oracle_csv_cells(path, header, rows, schema):
+    """The per-cell ingestion loop: one row at a time, each row's cells in schema
+    order. Returns the error message of the first bad cell or ragged row, or
+    {column: values} with None for a blank cell."""
+    columns = {c.name: [] for c in schema}
+    for r, raw in enumerate(rows):
+        line = r + 2
+        if len(raw) != len(header):
+            return f"{path}: line {line}: expected {len(header)} cells, got {len(raw)}"
+        for c in schema:
+            text = raw[header.index(c.name)].strip()
+            if "\x00" in text:
+                return f"{path}: line {line}: NUL byte in column {c.name!r}"
+            if text == "":
+                if c.role == "label":
+                    return f"{path}: line {line}: missing label cell"
+                columns[c.name].append(None)
+            elif c.kind == "numeric":
+                try:
+                    value = float(text)
+                except ValueError:
+                    return f"line {line}: unparseable numeric cell {text!r} in column {c.name!r}"
+                if not math.isfinite(value):
+                    return f"line {line}: non-finite numeric cell in column {c.name!r}"
+                columns[c.name].append(value)
+            else:
+                columns[c.name].append(text)
+    return columns
+
+
 # --- contingency-table weighters -------------------------------------------
 
 

@@ -179,7 +179,7 @@ def test_03_contingency_weighters_match_brute_force_oracles():
         assert weight_chi_squared(t, "f") == 0.0
         assert weight_rule(t, "f") == 9 / 14  # falls back to the majority prior
         assert weight_information_gain(t, "x", bins) == 0.0
-        relief = weight_relief(t, k_neighbors=2, seed=0)
+        relief = weight_relief(t, k_neighbors=2)
         assert relief["f"] == 0.0 and relief["x"] == 0.0
 
 
@@ -193,7 +193,7 @@ def test_04_relief_matches_exhaustive_reference():
             while min(sum(labels), n - sum(labels)) < k + 1:
                 labels[rng.randrange(n)] ^= 1
             t = make_table({"num": num, "cat": cat}, labels)
-            produced = weight_relief(t, k_neighbors=k, seed=0)
+            produced = weight_relief(t, k_neighbors=k)
             expected = oracles.oracle_relief(
                 [("num", "numeric", num), ("cat", "categorical", cat)], labels, k
             )
@@ -205,7 +205,7 @@ def test_04_relief_matches_exhaustive_reference():
         copy = [float(y) for y in labels]
         spread = [y * 10.0 + i * 0.01 for i, y in enumerate(labels)]
         t = make_table({"copy": copy, "spread": spread}, labels)
-        assert abs(weight_relief(t, k_neighbors=1, seed=0)["copy"] - 1.0) < 1e-9
+        assert abs(weight_relief(t, k_neighbors=1)["copy"] - 1.0) < 1e-9
 
         # an independent noise feature stays near zero at n=1000
         rng = random.Random(22)
@@ -216,7 +216,7 @@ def test_04_relief_matches_exhaustive_reference():
              "noise": [rng.gauss(0, 1) for _ in range(n)]},
             labels,
         )
-        assert abs(weight_relief(t, k_neighbors=10, seed=0)["noise"]) < 0.05
+        assert abs(weight_relief(t, k_neighbors=10)["noise"]) < 0.05
 
 
 def test_05_smote_counts_convexity_determinism_and_fold_isolation():
@@ -305,7 +305,7 @@ def test_08_group_ablation_recovers_planted_effect_and_null():
 def test_09_group_attribute_ranks_high_only_when_planted():
     with deadline(60.0):
         table = fr.generate(fr.planted_ablation_spec(effect=1.5, n_rows=5000, seed=0))
-        matrix = weigh_all(table, n_bins=10, relief_k=10, seed=derive_seed(0, "weigh"))
+        matrix = weigh_all(table, n_bins=10, relief_k=10)
         assert matrix.overall_rank["ethnicity"] <= 3
 
         null_spec = SynthSpec(

@@ -1,7 +1,10 @@
 """Schema validation, CSV ingestion, folds, and group filtering."""
 
+import random
+
 import pytest
 
+import oracles
 from featrank.dataio import (
     CATEGORICAL,
     NUMERIC,
@@ -213,6 +216,77 @@ class TestLoadCsv:
         path = self.write(tmp_path, "age,smoke,cad\n1,y,yes\n2,n\n")
         with pytest.raises(ValueError, match="expected 3 cells"):
             load_csv(path, schema_two_features())
+
+    def refusal(self, tmp_path, text) -> tuple[str, str]:
+        """The whole message `load_csv` refuses `text` with, and the file's path."""
+        path = self.write(tmp_path, text)
+        with pytest.raises(ValueError) as caught:
+            load_csv(path, schema_two_features())
+        return str(caught.value), str(path)
+
+    def test_earlier_row_reported_before_earlier_column(self, tmp_path):
+        # line 3's bad cell is in a later column than line 4's
+        message, path = self.refusal(tmp_path, "age,smoke,cad\n1,y,yes\n2,\x00n,no\nfifty,y,yes\n")
+        assert message == f"{path}: line 3: NUL byte in column 'smoke'"
+
+    def test_bad_cell_reported_before_later_ragged_row(self, tmp_path):
+        message, _ = self.refusal(tmp_path, "age,smoke,cad\n1,y,yes\nfifty,n,no\n3,y\n")
+        assert message == "line 3: unparseable numeric cell 'fifty' in column 'age'"
+
+    def test_ragged_row_reported_before_later_bad_cell(self, tmp_path):
+        message, path = self.refusal(tmp_path, "age,smoke,cad\n1,y,yes\n2,n\nfifty,y,yes\n")
+        assert message == f"{path}: line 3: expected 3 cells, got 2"
+
+    def test_bad_cells_in_one_row_reported_in_schema_order(self, tmp_path):
+        # the header puts smoke and the label before age; the schema puts age first
+        message, _ = self.refusal(tmp_path, "smoke,cad,age\ny,yes,1\n\x00,,inf\n")
+        assert message == "line 3: non-finite numeric cell in column 'age'"
+        message, path = self.refusal(tmp_path, "smoke,cad,age\ny,yes,1\n\x00,,2\n")
+        assert message == f"{path}: line 3: NUL byte in column 'smoke'"
+
+    @pytest.mark.parametrize("row, column", [("\x00,y,yes", "age"), ("1,\x00,yes", "smoke")])
+    def test_cell_of_only_nul_reported_as_nul(self, tmp_path, row, column):
+        message, path = self.refusal(tmp_path, f"age,smoke,cad\n2,n,no\n{row}\n")
+        assert message == f"{path}: line 3: NUL byte in column {column!r}"
+
+    def test_blank_numeric_imputed_and_blank_label_refused(self, tmp_path):
+        path = self.write(tmp_path, "age,smoke,cad\n10,y,yes\n  ,n,no\n30,n,yes\n")
+        t = load_csv(path, schema_two_features())
+        assert t.column("age") == [10.0, 20.0, 30.0] and t.imputations == {"age": 1}
+        message, path = self.refusal(tmp_path, "age,smoke,cad\n10,y,yes\n20,n, \n")
+        assert message == f"{path}: line 3: missing label cell"
+
+    def test_equals_the_per_cell_loop_on_random_files(self, tmp_path):
+        rng = random.Random(12)
+        schema = schema_two_features() + [ColumnSchema(name="bmi", kind=NUMERIC)]
+        good = {"age": ["50", " 6.5e1 ", "1_0", "-0.0"], "bmi": ["21", "30.5"], "smoke": ["y", " n"]}
+        bad = ["", " ", "\x00", "a\x00", "fifty", "inf", "nan", "1e999", "0x10"]
+        for trial in range(300):
+            header = ["age", "smoke", "cad", "bmi"]
+            rng.shuffle(header)
+            rows = []
+            for r in range(rng.randint(2, 6)):
+                label = ["yes", "no"][r] if r < 2 else rng.choice(["yes", "no"])
+                row = [label if h == "cad" else rng.choice(good[h]) for h in header]
+                for j, h in enumerate(header):
+                    if rng.random() < 0.07:
+                        row[j] = rng.choice(bad[:4] if h == "cad" else bad)
+                rows.append(row[: rng.choice([len(row)] * 20 + [len(row) - 1])])
+            path = self.write(tmp_path, "\n".join(",".join(row) for row in [header, *rows]) + "\n")
+            expected = oracles.oracle_csv_cells(path, header, rows, schema)
+            if isinstance(expected, str):
+                with pytest.raises(ValueError) as caught:
+                    load_csv(path, schema)
+                assert str(caught.value) == expected, trial
+                continue
+            t = load_csv(path, schema)
+            for name, values in expected.items():
+                assert [v for v in values if v is not None] == [
+                    v for v, given in zip(t.column(name), values) if given is not None
+                ], trial
+            assert t.imputations == {
+                name: values.count(None) for name, values in expected.items() if None in values
+            }, trial
 
     def test_empty_and_headerless(self, tmp_path):
         empty = self.write(tmp_path, "")

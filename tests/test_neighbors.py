@@ -10,7 +10,7 @@ import pytest
 
 from featrank import neighbors
 from featrank.neighbors import encode, k_nearest
-from featrank.smote import _all_minority_neighbors, minority_neighbors
+from featrank.smote import SmoteConfig, _all_minority_neighbors, minority_neighbors, smote
 from featrank.weighting import weight_relief
 from helpers import make_table
 from oracles import oracle_minority_neighbors, oracle_relief_argsort
@@ -50,7 +50,19 @@ def rounded_mixed(seed):
     )
 
 
-TABLES = [all_categorical, duplicate_rows, rounded_mixed]
+# One feature only: the first feature's distances, written in place, are the
+# whole distance.
+def one_categorical(seed):
+    rng = random.Random(seed)
+    return make_table({"c": [rng.choice("xyz") for _ in range(2 * HALF)]}, balanced_labels(rng))
+
+
+def one_numeric(seed):
+    rng = random.Random(seed)
+    return make_table({"v": [rng.randrange(5) / 4 for _ in range(2 * HALF)]}, balanced_labels(rng))
+
+
+TABLES = [all_categorical, duplicate_rows, rounded_mixed, one_categorical, one_numeric]
 
 
 @pytest.fixture(params=[1, 7, None], ids=["block1", "block7", "block_over_n"])
@@ -66,7 +78,7 @@ def block_rows(request, monkeypatch):
 @pytest.mark.parametrize("k", [1, 3, HALF - 1])
 def test_relief_equals_per_anchor_argsort(make, seed, k, block_rows):
     t = make(seed)
-    assert weight_relief(t, k_neighbors=k, seed=0) == oracle_relief_argsort(t, k)
+    assert weight_relief(t, k_neighbors=k) == oracle_relief_argsort(t, k)
 
 
 def test_relief_adds_terms_in_anchor_order():
@@ -76,7 +88,7 @@ def test_relief_adds_terms_in_anchor_order():
     labels = [rng.randrange(2) for _ in range(n)]
     t = make_table({"g": [rng.gauss(0, 1) for _ in labels], "e": [rng.expovariate(1) for _ in labels],
                     "c": [rng.choice("ab") for _ in labels]}, labels)
-    assert weight_relief(t, k_neighbors=10, seed=0) == oracle_relief_argsort(t, 10)
+    assert weight_relief(t, k_neighbors=10) == oracle_relief_argsort(t, 10)
 
 
 @pytest.mark.parametrize("make", TABLES)
@@ -106,6 +118,19 @@ def test_k_nearest_matches_stable_argsort_on_integer_distances(seed, block, monk
         assert (k_nearest(codes, anchors, candidates, k) == expected).all()
 
 
+def test_label_only_table_has_all_distances_zero(block_rows):
+    # with no feature columns every distance is 0, so neighbours are the lowest-index rows
+    t = make_table({"x": [float(i) for i in range(7)]}, [1, 0, 1, 0, 0, 1, 0]).project([])
+    assert encode(t) == []
+    assert (k_nearest([], [0, 3, 6], np.arange(7), 2) == [[1, 2], [0, 1], [0, 1]]).all()
+    assert weight_relief(t, 2) == {}
+    assert minority_neighbors(t, 2, 2) == [0, 5]
+    out = smote(t, SmoteConfig(k_neighbors=2, seed=3))
+    assert out.y.tolist() == [1, 0, 1, 0, 0, 1, 0, 1]
+    ((anchor, neighbor),) = out.smote_pairs
+    assert anchor != neighbor and {anchor, neighbor} <= {0, 2, 5}
+
+
 def test_threaded_search_equals_oracles_under_frequent_switches(monkeypatch):
     # more workers than CPUs, one anchor per block, a thread switch every microsecond
     pools = []
@@ -133,7 +158,7 @@ def test_threaded_search_equals_oracles_under_frequent_switches(monkeypatch):
                 expected = candidates[np.argsort(dist, axis=1, kind="stable")[:, :k]]
                 assert (k_nearest(codes, anchors, candidates, k) == expected).all()
         for t in (make(seed) for make in TABLES for seed in (0, 1)):
-            assert weight_relief(t, k_neighbors=3, seed=0) == oracle_relief_argsort(t, 3)
+            assert weight_relief(t, k_neighbors=3) == oracle_relief_argsort(t, 3)
     finally:
         sys.setswitchinterval(interval)
     assert pools and set(pools) == {8}
@@ -164,7 +189,7 @@ def test_one_block_call_starts_no_thread(monkeypatch):
     monkeypatch.setattr(futures, "ThreadPoolExecutor", no_pool)
     t = rounded_mixed(0)
     assert _all_minority_neighbors(t, 3) == oracle_minority_neighbors(t, 3)
-    assert weight_relief(t, k_neighbors=3, seed=0) == oracle_relief_argsort(t, 3)
+    assert weight_relief(t, k_neighbors=3) == oracle_relief_argsort(t, 3)
 
 
 def test_encode_normalizes_numerics_and_codes_sorted_categories():

@@ -59,7 +59,7 @@ class TestWeightMatrixRows:
              "color": ["red" if i % 2 else "blue" for i in range(40)]},
             [i % 2 for i in range(40)],
         )
-        return weigh_all(t, n_bins=4, relief_k=3, seed=0)
+        return weigh_all(t, n_bins=4, relief_k=3)
 
     def test_header_and_ordering(self):
         rows = weight_matrix_rows(self.matrix())

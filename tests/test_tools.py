@@ -1,9 +1,13 @@
-"""The report-diff tool that backs "same results" claims."""
+"""The tools that back "same results" and performance claims: the report diff and
+the alternating-pairs judge."""
 
+import importlib.util
 import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "compare_reports.py"
@@ -103,3 +107,34 @@ def test_changed_console_output_is_listed(tmp_path):
     console = (old / "console" / "warmup-ablate.txt").read_text(encoding="utf-8")
     assert console.startswith("stdout:\nablation of 'ethnicity' complete") and "OUT/reports" in console
     assert str(old) not in console and console.endswith("stderr:\n")
+
+
+def load_ab_pairs():
+    spec = importlib.util.spec_from_file_location("ab_pairs", ROOT / "tools" / "ab_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_pair_summary_applies_the_gain_rule_and_the_bound():
+    ab = load_ab_pairs()
+    parent = [0.170, 0.172, 0.173, 0.174, 0.174, 0.175, 0.176, 0.177, 0.178, 0.180]
+
+    held = ab.summarize(parent, [p - 0.012 for p in parent], "lower", 0.25)
+    assert held["wins"] == 10 and held["pairs"] == 10
+    assert held["gain"] and held["within_bound"]
+    assert held["parent"][1] == pytest.approx(0.1745)
+
+    # the same gap, but two pairs lost: 8/10 is short of 9/10
+    missed = ab.summarize(parent, [p - 0.012 for p in parent[:8]] + [0.2, 0.2], "lower", 0.25)
+    assert missed["wins"] == 8 and not missed["gain"] and missed["within_bound"]
+
+    # every pair won by less than the parent's interquartile range
+    narrow = ab.summarize(parent, [p - 0.001 for p in parent], "lower", 0.25)
+    assert narrow["wins"] == 10 and not narrow["gain"]
+
+    # a higher-is-better metric that fell by 30%, past its 25% bound
+    rows = [2000.0 + 10 * i for i in range(10)]
+    regressed = ab.summarize(rows, [0.7 * r for r in rows], "higher", 0.25)
+    assert regressed["wins"] == 0 and not regressed["gain"] and not regressed["within_bound"]
+    assert "PAST BOUND" in ab.report("rows_per_s", regressed)

@@ -1,5 +1,6 @@
 """Six attribute weighters, discretization, and rank aggregation."""
 
+import inspect
 import math
 import random
 
@@ -180,7 +181,7 @@ class TestRelief:
             while min(sum(labels), n - sum(labels)) < 4:
                 labels[rng.randrange(n)] ^= 1
             t = make_table({"num": num, "cat": cat}, labels)
-            got = weight_relief(t, 3, seed=1)
+            got = weight_relief(t, 3)
             want = oracles.oracle_relief(
                 [("num", "numeric", num), ("cat", "categorical", cat)], labels, 3
             )
@@ -191,7 +192,7 @@ class TestRelief:
         # positives at 0, negatives at 1: every miss differs by the full range
         labels = [1] * 5 + [0] * 5
         t = make_table({"f": [0.0] * 5 + [1.0] * 5}, labels)
-        w = weight_relief(t, 1, seed=0)
+        w = weight_relief(t, 1)
         assert abs(w["f"] - 1.0) < 1e-12
 
     def test_seed_has_no_effect_with_all_anchors(self):
@@ -201,14 +202,17 @@ class TestRelief:
             {"a": [rng.random() for _ in range(n)], "b": [rng.choice("uv") for _ in range(n)]},
             [i % 2 for i in range(n)],
         )
-        assert weight_relief(t, 5, seed=1) == weight_relief(t, 5, seed=999)
+        # every instance is an anchor, so Relief draws nothing and takes no seed
+        for weigher in (weight_relief, weigh_all):
+            assert "seed" not in inspect.signature(weigher).parameters
+        assert weight_relief(t, 5) == weight_relief(t, 5)
 
     def test_small_class_rejected(self):
         t = make_table({"f": [0.0, 1.0, 2.0, 3.0]}, [1, 0, 0, 0])
         with pytest.raises(ValueError, match="at least"):
-            weight_relief(t, 2, seed=0)
+            weight_relief(t, 2)
         with pytest.raises(ValueError, match="k_neighbors"):
-            weight_relief(t, 0, seed=0)
+            weight_relief(t, 0)
 
     def test_weights_within_unit_interval(self):
         rng = random.Random(2)
@@ -217,7 +221,7 @@ class TestRelief:
             {"a": [rng.random() for _ in range(n)], "b": [rng.choice("pq") for _ in range(n)]},
             [rng.randrange(2) for _ in range(30)] + [1] * 15 + [0] * 15,
         )
-        for w in weight_relief(t, 4, seed=0).values():
+        for w in weight_relief(t, 4).values():
             assert -1.0 <= w <= 1.0
 
 
@@ -273,7 +277,7 @@ class TestWeighAll:
 
     def test_matrix_shape_and_rank_permutations(self):
         t = self.build()
-        m = weigh_all(t, n_bins=5, relief_k=5, seed=3)
+        m = weigh_all(t, n_bins=5, relief_k=5)
         assert set(m.attributes) == {"signal", "noise", "cat", "eth"}
         assert m.algorithms == ALGORITHMS
         p = len(m.attributes)
@@ -282,20 +286,20 @@ class TestWeighAll:
             assert ranks == list(range(1, p + 1))
 
     def test_mean_rank_consistency(self):
-        m = weigh_all(self.build(), n_bins=5, relief_k=5, seed=3)
+        m = weigh_all(self.build(), n_bins=5, relief_k=5)
         for a in m.attributes:
             expected = sum(m.rank[a][alg] for alg in ALGORITHMS) / len(ALGORITHMS)
             assert abs(m.mean_rank[a] - expected) < 1e-12
 
     def test_by_overall_rank_sorted(self):
-        m = weigh_all(self.build(), n_bins=5, relief_k=5, seed=3)
+        m = weigh_all(self.build(), n_bins=5, relief_k=5)
         ordered = m.by_overall_rank()
         assert [m.overall_rank[a] for a in ordered] == list(range(1, len(ordered) + 1))
         assert ordered[0] == "signal"  # the planted signal dominates
 
     def test_weights_equal_the_single_attribute_weighters(self):
         t = self.build()
-        m = weigh_all(t, n_bins=5, relief_k=5, seed=3)
+        m = weigh_all(t, n_bins=5, relief_k=5)
         relief = weight_relief(t, k_neighbors=5)
         singles = {"information_gain": weight_information_gain, "gini_index": weight_gini_index,
                    "rule": weight_rule, "uncertainty": weight_uncertainty, "chi_squared": weight_chi_squared}
@@ -307,8 +311,8 @@ class TestWeighAll:
 
     def test_deterministic(self):
         t = self.build()
-        a = weigh_all(t, n_bins=5, relief_k=5, seed=3)
-        b = weigh_all(t, n_bins=5, relief_k=5, seed=3)
+        a = weigh_all(t, n_bins=5, relief_k=5)
+        b = weigh_all(t, n_bins=5, relief_k=5)
         assert a == b
 
     def test_errors_without_features(self):
@@ -316,4 +320,4 @@ class TestWeighAll:
         only_label = t.project([])
         # project requires at least the label; an all-label table cannot rank
         with pytest.raises(ValueError):
-            weigh_all(only_label, n_bins=5, relief_k=1, seed=0)
+            weigh_all(only_label, n_bins=5, relief_k=1)
