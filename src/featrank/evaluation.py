@@ -388,10 +388,3 @@ def best_classifier_per_group(
             best = min(stratum, key=lambda r: (-r.mean.accuracy, -r.mean.auc, r.kind))
             out[value] = (best.kind, best.mean)
     return out
-
-
-def majority_baseline_accuracy(labels) -> float:
-    """Accuracy of always predicting the more common class."""
-    y = list(labels)
-    n_pos = sum(y)
-    return max(n_pos, len(y) - n_pos) / len(y)

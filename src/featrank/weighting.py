@@ -10,7 +10,6 @@ All entropies are in bits.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,9 +44,6 @@ class BinEdges:
         for a, b in zip(self.edges, self.edges[1:]):
             if not a < b:
                 raise ValueError(f"bin edges for {self.column!r} must be strictly increasing")
-
-    def bin_of(self, value: float) -> int:
-        return bisect_left(self.edges, value)
 
 
 def equal_frequency_edges(column: str, values, n_bins: int) -> BinEdges:

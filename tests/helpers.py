@@ -1,4 +1,7 @@
-"""Shared builders for constructing small typed tables in tests."""
+"""Shared builders for constructing small typed tables in tests, and small
+reference computations that only tests use."""
+
+from bisect import bisect_left
 
 from featrank.dataio import CATEGORICAL, NUMERIC, ColumnSchema, Table
 
@@ -25,3 +28,15 @@ def make_table(columns, labels, group=None, positive="yes"):
     negative = "no" if positive != "no" else "not-" + positive
     cells.append([positive if y == 1 else negative for y in labels])
     return Table.from_columns(tuple(schema), cells)
+
+
+def majority_baseline_accuracy(labels) -> float:
+    """Accuracy of always predicting the more common class."""
+    y = list(labels)
+    n_pos = sum(y)
+    return max(n_pos, len(y) - n_pos) / len(y)
+
+
+def bin_of(bins, value: float) -> int:
+    """The bin of `value` under a `weighting.BinEdges`: the first edge >= value."""
+    return bisect_left(bins.edges, value)

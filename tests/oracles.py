@@ -251,6 +251,15 @@ def oracle_relief_argsort(table, k):
     return weights
 
 
+def oracle_k_nearest(table, anchors, candidates, k):
+    """Each anchor's k nearest candidates, by one stable argsort of the whole
+    anchors x candidates distance matrix with each anchor's own cell left out."""
+    anchors, candidates = np.asarray(anchors), np.asarray(candidates)
+    dist = _distance_rows(_relief_encoding(table), anchors, candidates)
+    dist[anchors[:, None] == candidates[None, :]] = np.inf
+    return candidates[np.argsort(dist, axis=1, kind="stable")[:, :k]]
+
+
 def oracle_minority_neighbors(table, k):
     """Every minority row's k nearest minority rows, by a stable argsort of
     the whole minority distance matrix (minority = positives unless they are

@@ -31,7 +31,6 @@ from featrank.evaluation import (
     auc,
     compute_metrics,
     cross_validate,
-    majority_baseline_accuracy,
 )
 from featrank.seeding import derive_seed
 from featrank.smote import SmoteConfig, smote
@@ -55,7 +54,7 @@ from featrank.weighting import (
     weight_uncertainty,
 )
 import oracles
-from helpers import make_table
+from helpers import majority_baseline_accuracy, make_table
 
 # Nine clinical attributes ranked by each of the six weighting algorithms
 # (column order matches ALGORITHMS); aggregation must reproduce the recorded

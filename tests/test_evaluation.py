@@ -29,12 +29,11 @@ from featrank.evaluation import (
     compute_metrics,
     confusion,
     cross_validate,
-    majority_baseline_accuracy,
     per_group_rankings,
 )
 from featrank.seeding import derive_seed
 from featrank.smote import SmoteConfig
-from helpers import make_table
+from helpers import majority_baseline_accuracy, make_table
 from oracles import holdout_metrics, oracle_auc
 
 SRC = Path(__file__).resolve().parent.parent / "src"

@@ -13,7 +13,7 @@ from featrank.neighbors import encode, k_nearest
 from featrank.smote import SmoteConfig, _all_minority_neighbors, minority_neighbors, smote
 from featrank.weighting import weight_relief
 from helpers import make_table
-from oracles import oracle_minority_neighbors, oracle_relief_argsort
+from oracles import oracle_k_nearest, oracle_minority_neighbors, oracle_relief_argsort
 
 HALF = 20  # rows per class in the tie-heavy tables below
 
@@ -118,6 +118,60 @@ def test_k_nearest_matches_stable_argsort_on_integer_distances(seed, block, monk
         assert (k_nearest(codes, anchors, candidates, k) == expected).all()
 
 
+# Numeric value grids: on the coarse ones, normalized diffs of exactly 1.0 and
+# distances of exactly 1.0 are common, so a bucket's k-th distance often ties
+# with rows of other category codes.
+GRIDS = (2, 3, 5, 1000)
+
+
+def random_mixed_table(rng):
+    n = int(rng.integers(20, 201))
+    columns = [(f"x{i}", rng.integers(0, rng.choice(GRIDS), n).tolist())
+               for i in range(rng.integers(0, 4))]
+    columns += [(f"c{i}", ["lmn"[j] for j in rng.integers(0, rng.integers(2, 4), n)])
+                for i in range(rng.integers(1, 4))]
+    shuffled = [columns[i] for i in rng.permutation(len(columns))]
+    return make_table(dict(shuffled), rng.integers(0, 2, n).tolist()), n
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_k_nearest_equals_full_matrix_argsort_on_random_mixed_tables(seed, monkeypatch):
+    # Block sizes from one anchor per block to one block for the whole search,
+    # so the bucket pass runs with and without the search over all candidates.
+    rng = np.random.default_rng(seed)
+    for _ in range(60):
+        t, n = random_mixed_table(rng)
+        k = int(rng.integers(1, 10))
+        candidates = np.sort(rng.choice(n, size=int(rng.integers(k + 1, n + 1)), replace=False))
+        if rng.random() < 0.5:
+            anchors = candidates
+        else:
+            anchors = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+        monkeypatch.setattr(neighbors, "BLOCK_CELLS", int(rng.choice([1, 7, 50, 300, 2**16])))
+        expected = oracle_k_nearest(t, anchors, candidates, k)
+        assert (k_nearest(encode(t), anchors, candidates, k) == expected).all()
+
+
+def test_bucket_kth_distance_of_one_takes_the_search_over_all_candidates(monkeypatch):
+    # Row 1's one same-code candidate, row 2, is at distance 1.0; so is row 0,
+    # which differs only in its code, and the tie goes to the lower row index.
+    t = make_table({"x": [0.0, 0.0, 1.0], "c": ["b", "a", "a"]}, [0, 0, 0])
+    monkeypatch.setattr(neighbors, "BLOCK_CELLS", 3)  # one anchor per block: the bucket pass runs
+    rows = np.arange(3)
+    assert k_nearest(encode(t), rows, rows, 1).tolist() == [[1], [0], [1]]
+
+
+def test_signatures_stay_below_the_row_count():
+    # three categoricals of 10 levels over 20 rows: 1000 code tuples are possible
+    rng = np.random.default_rng(4)
+    codes = [rng.integers(0, 10, 30) for _ in range(3)]
+    rows = rng.choice(30, size=20, replace=False)
+    ids = neighbors._signatures(codes, rows)
+    assert ids.min() >= 0 and ids.max() < len(rows)
+    tuples = list(zip(*(c[rows].tolist() for c in codes)))
+    assert all((ids[i] == ids[j]) == (tuples[i] == tuples[j]) for i in range(20) for j in range(20))
+
+
 def test_label_only_table_has_all_distances_zero(block_rows):
     # with no feature columns every distance is 0, so neighbours are the lowest-index rows
     t = make_table({"x": [float(i) for i in range(7)]}, [1, 0, 1, 0, 0, 1, 0]).project([])
@@ -140,8 +194,16 @@ def test_threaded_search_equals_oracles_under_frequent_switches(monkeypatch):
             pools.append(workers)
             super().__init__(workers)
 
+    searches = []  # blocks of each search over all candidates
+    full_search = neighbors._full_search
+
+    def recording_full_search(arrays, anchors, candidates, k, step, out):
+        searches.append(-(-len(anchors) // step))
+        full_search(arrays, anchors, candidates, k, step, out)
+
     monkeypatch.setattr(neighbors, "_cpus", lambda: 8)
     monkeypatch.setattr(neighbors, "BLOCK_CELLS", 1)
+    monkeypatch.setattr(neighbors, "_full_search", recording_full_search)
     monkeypatch.setattr(futures, "ThreadPoolExecutor", RecordingPool)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -161,7 +223,9 @@ def test_threaded_search_equals_oracles_under_frequent_switches(monkeypatch):
             assert weight_relief(t, k_neighbors=3) == oracle_relief_argsort(t, 3)
     finally:
         sys.setswitchinterval(interval)
-    assert pools and set(pools) == {8}
+    # The bucket pass may leave fewer than 8 blocks to a search; its pool then
+    # has one worker per block.
+    assert pools == [min(8, blocks) for blocks in searches if blocks > 1] and 8 in pools
 
 
 def test_worker_exception_is_reraised(monkeypatch):

@@ -109,6 +109,23 @@ def test_changed_console_output_is_listed(tmp_path):
     assert str(old) not in console and console.endswith("stderr:\n")
 
 
+def test_rows_option_resizes_the_timed_cohorts(tmp_path):
+    result = subprocess.run(
+        [sys.executable, str(TOOL), str(ROOT / "src"), str(ROOT / "src"), "--workloads", "rank",
+         "--seeds", "1", "--cohorts", "1", "--rows", "150", "--work", str(tmp_path / "work")],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert "rank seed 1:" in result.stdout and "identical" in result.stdout
+    for tree in ("old", "new"):
+        cohorts = tmp_path / "work" / "rank-seed1" / tree / "cohorts"
+        with open(cohorts / "000" / "cohort.csv", encoding="utf-8") as fh:
+            assert sum(1 for _ in fh) == 1 + 150  # header and 150 rows
+        with open(cohorts / "warmup" / "cohort.csv", encoding="utf-8") as fh:
+            assert sum(1 for _ in fh) != 1 + 150  # the warm-up cohort keeps its size
+        assert not (cohorts / "001").exists()
+
+
 def load_ab_pairs():
     spec = importlib.util.spec_from_file_location("ab_pairs", ROOT / "tools" / "ab_pairs.py")
     module = importlib.util.module_from_spec(spec)

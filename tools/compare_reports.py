@@ -2,12 +2,15 @@
 """Diff what two featrank source trees write for the benchmark's cohorts.
 
     python3 tools/compare_reports.py OLD_SRC NEW_SRC [--workloads rank ablate groups]
-        [--seeds 1 7919] [--cohorts N] [--work DIR]
+        [--seeds 1 7919] [--cohorts N] [--rows N] [--work DIR]
 
 OLD_SRC and NEW_SRC are `src/` directories. For every workload and seed, each
 tree generates the benchmark's cohorts with `featrank synth --spec` (the recipe,
 seeds and sizes are read from perfbench/workloads.py) and runs the workload's
-command on each of them, in a fresh process per tree. What each command prints
+command on each of them, in a fresh process per tree. `--rows N` generates the
+timed cohorts at N rows instead of the workload's own size (the warm-up cohort
+keeps its size), for example so that SMOTE's and the per-stratum Relief
+searches of `ablate` and `groups` span several blocks. What each command prints
 is kept as `console/<cohort>-<command>.txt`, with the output directory's path
 written as `OUT`. The `ablate` warm-up cohort also runs with `--save-model`, so
 the six saved model documents are compared too, and NEW_SRC's
@@ -52,22 +55,25 @@ def _quiet_main(cli, argv) -> tuple[int, str]:
     return code, f"stdout:\n{stdout.getvalue()}stderr:\n{stderr.getvalue()}"
 
 
-def run_tree(src: Path, out: Path, workload_name: str, seed: int, count: int | None) -> int:
-    """Generate one workload's cohorts and run its command on each, with the program at src."""
+def run_tree(src: Path, out: Path, workload_name: str, seed: int, count: int | None,
+             rows: int | None) -> int:
+    """Generate one workload's cohorts (the timed ones at `rows` rows, when given)
+    and run its command on each, with the program at src."""
     sys.path.insert(0, str(src))
     import featrank
     import featrank.cli as cli
 
     wl = _workloads()
     workload = wl.WORKLOADS[workload_name]
-    jobs = [("warmup", wl.WARMUP_ROWS)] + [(i, workload.rows) for i in range(workload.pool)]
+    timed_rows = workload.rows if rows is None else rows
+    jobs = [("warmup", wl.WARMUP_ROWS)] + [(i, timed_rows) for i in range(workload.pool)]
     failed = 0
     (out / "console").mkdir(parents=True)
-    for index, rows in jobs[: None if count is None else count + 1]:
+    for index, n_rows in jobs[: None if count is None else count + 1]:
         name = index if index == "warmup" else f"{index:03d}"
         cohort = out / "cohorts" / name
         cohort.mkdir(parents=True)
-        spec = wl.spec_json(featrank, workload, rows, wl.cohort_seed(seed, workload.name, index))
+        spec = wl.spec_json(featrank, workload, n_rows, wl.cohort_seed(seed, workload.name, index))
         (cohort / "spec.json").write_text(json.dumps(spec), encoding="utf-8")
         job = workload.job_args(cohort, out / "reports" / name)
         if workload_name == "ablate" and index == "warmup":
@@ -123,9 +129,8 @@ def compare(args, work: Path) -> int:
             for tag, src in (("old", args.old_src), ("new", args.new_src)):
                 out = work / f"{workload}-seed{seed}" / tag
                 shutil.rmtree(out, ignore_errors=True)
-                cmd = [sys.executable, __file__, "--run", str(src), str(out), workload, str(seed)]
-                if args.cohorts is not None:
-                    cmd.append(str(args.cohorts))
+                cmd = [sys.executable, __file__, "--run", str(src), str(out), workload, str(seed),
+                       _optional(args.cohorts), _optional(args.rows)]
                 if subprocess.run(cmd).returncode != 0:
                     status = 1
                 dirs.append(out)
@@ -147,11 +152,16 @@ def compare(args, work: Path) -> int:
     return status
 
 
+def _optional(value: int | None) -> str:
+    return "-" if value is None else str(value)
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if argv[:1] == ["--run"]:
-        src, out, workload, seed, *count = argv[1:]
-        return run_tree(Path(src), Path(out), workload, int(seed), int(count[0]) if count else None)
+        src, out, workload, seed, count, rows = argv[1:]
+        count, rows = (None if v == "-" else int(v) for v in (count, rows))
+        return run_tree(Path(src), Path(out), workload, int(seed), count, rows)
     if argv[:1] == ["--load"]:
         for line in unloadable_models(Path(argv[1]), map(Path, argv[2:])):
             print(line)
@@ -163,6 +173,9 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", nargs="+", type=int, default=[1, 7919])
     parser.add_argument(
         "--cohorts", type=int, help="timed cohorts per workload and seed (default: the whole pool)"
+    )
+    parser.add_argument(
+        "--rows", type=int, help="rows of every timed cohort (default: the workload's own size)"
     )
     parser.add_argument("--work", type=Path, help="keep the outputs here (default: a temporary directory)")
     args = parser.parse_args(argv)
