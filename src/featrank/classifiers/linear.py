@@ -17,7 +17,8 @@ _P_EPS = 1e-12
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    return 1.0 / (1.0 + np.exp(-np.clip(z, -36.0, 36.0)))
+    # np.clip(z, -36.0, 36.0) without its wrapper's cost; NaN stays NaN
+    return 1.0 / (1.0 + np.exp(-np.minimum(np.maximum(z, -36.0), 36.0)))
 
 
 def _cross_entropy(p: np.ndarray, y: np.ndarray):

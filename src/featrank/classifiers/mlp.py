@@ -3,7 +3,13 @@
 Trained by seeded mini-batch gradient descent on mean cross-entropy. The
 analytic gradient lives in one routine shared by training and the finite-
 difference check, so the check exercises exactly what training uses; only
-the check evaluates the loss itself.
+the check evaluates the loss itself. One forward pass serves scoring, the
+loss and the gradient.
+
+Each epoch gathers the shuffled rows once and slices contiguous batches from
+them. This is exact: `x_mat[perm][s:e]` holds the same values in the same C
+layout as `x_mat[perm[s:e]]`, so the matrix products get identical shapes
+and strides, and every elementwise step works on the same operands.
 """
 
 from __future__ import annotations
@@ -16,8 +22,11 @@ from .linear import _cross_entropy, _sigmoid
 
 
 def _forward(params, x_mat):
+    """(hidden activations, output probabilities), the hidden layer built in place."""
     w1, b1, w2, b2 = params
-    hidden = np.tanh(x_mat @ w1 + b1)
+    hidden = x_mat @ w1
+    hidden += b1
+    np.tanh(hidden, out=hidden)
     return hidden, _sigmoid(hidden @ w2 + b2)
 
 
@@ -27,12 +36,16 @@ def _loss(params, x_mat, y) -> float:
 
 
 def _grads(params, x_mat, y):
-    """Gradient of the mean cross-entropy w.r.t. (w1, b1, w2, b2)."""
-    hidden, p = _forward(params, x_mat)
-    delta_out = (p - y) / len(y)  # d loss / d (output pre-activation)
+    """Gradient of the mean cross-entropy w.r.t. (w1, b1, w2, b2), with
+    `np.outer`'s arithmetic done in place."""
+    w2 = params[2]
+    hidden, delta_out = _forward(params, x_mat)
+    delta_out -= y
+    delta_out /= len(y)  # d loss / d (output pre-activation)
     g_w2 = hidden.T @ delta_out
     g_b2 = float(delta_out.sum())
-    delta_hidden = np.outer(delta_out, params[2]) * (1.0 - hidden * hidden)
+    delta_hidden = delta_out[:, None] * w2
+    delta_hidden *= 1.0 - hidden * hidden
     g_w1 = x_mat.T @ delta_hidden
     g_b1 = delta_hidden.sum(axis=0)
     return g_w1, g_b1, g_w2, g_b2
@@ -66,9 +79,10 @@ class Mlp:
         lr = self.learning_rate
         for _ in range(self.epochs):
             perm = rng.permutation(n)
+            x_perm, y_perm = x_mat[perm], y[perm]
             for start in range(0, n, self.batch_size):
-                batch = perm[start : start + self.batch_size]
-                grads = _grads(params, x_mat[batch], y[batch])
+                end = start + self.batch_size
+                grads = _grads(params, x_perm[start:end], y_perm[start:end])
                 for i in range(4):
                     params[i] = params[i] - lr * grads[i]
         self.w1, self.b1, self.w2, self.b2 = params

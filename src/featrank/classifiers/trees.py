@@ -10,16 +10,25 @@ threshold, which makes training row-order independent.
 
 Split search is exact and greedy (as in XGBoost's exact mode) and scans all
 candidate features of a node at once. Each fit first maps every design-matrix
-column to integer codes of its sorted distinct values (`_CodedMatrix`); GBT
-reuses that view for all rounds and the random forest for all bootstrap
-trees. At a node, one stable argsort per feature row orders the node's codes,
-one cumsum per row accumulates the target and its square, and one argmax
-picks the best (feature, cut) pair. The result is bit-identical to sorting
-each feature's float values on its own: equal values share a code, so the
-stable sort keeps the same (value, position in the node) order and the
-cumsums add the same numbers in the same sequence; the flat argmax returns
-the first maximum in (feature, position) order, which is the tie-break
-above; and the threshold comes from the same two float values.
+column to integer codes of its sorted distinct values (`_CodedMatrix`).
+
+The decision tree and GBT use the sorted scan (`_SortedScan`), the presorted
+columns of SLIQ (Mehta, Agrawal & Rissanen, EDBT 1996) and of XGBoost's exact
+greedy search (Chen & Guestrin, KDD 2016). Each fit argsorts every column's
+codes once, stably, over the root rows arange(n). A node holds, per feature,
+its rows in code order and their codes; a child's are its parent's, filtered
+to the child's rows. One cumsum per feature row accumulates the target and
+its square, and one argmax picks the best (feature, cut) pair. The root's
+cuts depend on the codes only, so GBT's rounds share them. The result is
+bit-identical to stably sorting each node's float values on its own. Node
+rows are ascending row ids (the root is arange(n), and `rows[go_left]` keeps
+that order), so the filtered order is the node's stable code order, which is
+that of its values, since equal values share a code. So the cumsums add the
+same numbers in the same sequence, node totals are `t[rows].sum()` in
+ascending row order, and the candidates, gains and first argmax are the
+same. The flat argmax returns the first maximum in (feature, position)
+order, which is the tie-break above, and the threshold comes from the same
+two float values.
 
 The random forest's 0/1 targets skip that sort (`_count_splits`). Their
 cumsums add only integers below 2**53, which floats hold exactly whatever
@@ -27,17 +36,24 @@ the order, so the rows and positives counted per (node, feature, code) give
 the same sums and bit-identical gains; the first maximum in (feature, code)
 order is the same tie-break. Node sizes, purity and leaf values (positives /
 rows, which equals the mean) come from the same counts. GBT's residual
-targets are fractions whose sums depend on their order, so every GBT node
-keeps the sorted scan. So does the decision tree: its steps hold one to a
-few nodes, where the count path's fixed cost per block outweighs the sort.
+targets are fractions whose sums depend on their order, so GBT keeps the
+sorted scan. So does the decision tree: it splits one node at a time, where
+the count path's fixed cost per block outweighs the sort.
 
-All three learners grow trees with one stack-driven grower (`_grow`). Each
-step pops the newest pending node of every tree, so nodes are split in the
-pre-order of a recursive grower. The random forest grows its trees in
-lockstep and counts a step's nodes together, in blocks of at most
-BLOCK_CELLS (row, feature) cells; the pre-order keeps each tree's feature
-draws (`rng.sample`), and so its RNG stream, those of a recursive grower.
-The decision tree and GBT grow one tree and draw nothing.
+Every grower splits nodes in the pre-order of a recursive grower. The random
+forest grows its trees in lockstep (`_grow`): each step pops the newest
+pending node of every tree and counts the step's nodes together, in blocks
+of at most BLOCK_CELLS (row, feature) cells; the pre-order keeps each
+tree's feature draws (`rng.sample`), and so its RNG stream, those of a
+recursive grower. The decision tree and GBT grow one tree at a time
+(`_grow_sorted`) and draw nothing.
+
+Fitted and loaded trees are nested dicts. Scoring (`_leaves`) flattens a
+model's trees into feature, threshold, child and value arrays and walks all
+trees together, one level per step, in blocks of at most SCORE_CELLS (tree,
+row) cells. Each leaf is reached by the same `x <= t` tests as a walk of
+the dicts, and each model adds its trees' terms in tree order, so the
+scores are those of scoring one tree at a time.
 """
 
 from __future__ import annotations
@@ -58,6 +74,8 @@ _MAX_LEAF_STEP = 10.0
 # block faulted them in again: about 3500 page faults per benchmark `ablate`
 # job, against 30 at 2**13 for the same CPU time.
 BLOCK_CELLS = 2**13
+# (tree, row) cells walked at once when scoring.
+SCORE_CELLS = 2**15
 
 
 class _CodedMatrix:
@@ -92,44 +110,69 @@ def _threshold(lo, hi):
     return np.where((lo <= mid) & (mid < hi), mid, lo)
 
 
-def _best_split(data, idx, t, min_leaf, feature_ids):
-    """Highest variance-reduction split over the given features, or None."""
-    n = idx.size
-    tt = t[idx]
-    total = tt.sum()
-    total_sq = (tt * tt).sum()
-    parent_sse = total_sq - total * total / n
-    node_codes = data.codes.take(feature_ids, axis=0).take(idx, axis=1)
-    order = node_codes.argsort(axis=1, kind="stable")
-    row_starts = np.arange(0, node_codes.size, n)[:, None]
-    sorted_codes = node_codes.ravel().take(order + row_starts)
-    # A cut after sorted position pos leaves pos + 1 rows on the left. Cuts at
-    # pos < width leave at least min_leaf rows on the right; the first
-    # min_leaf - 1 positions leave too few on the left. Every cut leaves at
-    # least one row on each side, so min_leaf below 1 acts as 1.
-    min_leaf = max(min_leaf, 1)
-    width = n - min_leaf
-    is_cut = sorted_codes[:, :width] != sorted_codes[:, 1 : width + 1]
-    is_cut[:, : min_leaf - 1] = False
-    cand = is_cut.ravel().nonzero()[0]  # row-major: feature, then position
-    if cand.size == 0:
-        return None
-    left_n = cand % width + 1
-    right_n = n - left_n
-    st = tt.take(order[:, :width])
-    csum = st.cumsum(axis=1).ravel().take(cand)
-    csq = (st * st).cumsum(axis=1).ravel().take(cand)
-    left_sse = csq - csum * csum / left_n
-    right_sum = total - csum
-    right_sse = (total_sq - csq) - right_sum * right_sum / right_n
-    gain = (parent_sse - left_sse - right_sse) / n
-    k = int(np.argmax(gain))  # first max -> earlier feature, then smaller threshold
-    if not gain[k] > _MIN_GAIN:
-        return None
-    r, c = divmod(int(cand[k]), width)
-    j = int(feature_ids[r])
-    lo, hi = data.flat_values[data.offsets[j] + sorted_codes[r, c : c + 2]]
-    return j, float(_threshold(lo, hi))
+class _SortedScan:
+    """The sorted split scan of one fit's design matrix.
+
+    A node is (rows, order, codes, cuts): its ascending row ids; per feature
+    row, those ids in stable code order and their codes; and its `_cuts` or
+    None. Only `root`, which holds every row, carries its cuts, built once
+    per fit; a child's are found when it is scanned.
+    """
+
+    def __init__(self, x_mat, min_leaf):
+        self.data = data = _CodedMatrix(x_mat)
+        # Every cut leaves at least one row on each side, so min_leaf below 1 acts as 1.
+        self.min_leaf = max(min_leaf, 1)
+        order = data.codes.argsort(axis=1, kind="stable")
+        codes = np.take_along_axis(data.codes, order, axis=1)
+        self.root = (np.arange(len(x_mat)), order, codes, self._cuts(codes))
+
+    def _cuts(self, codes):
+        """(width, cand, left_n, right_n) of a node's sorted codes: the flat
+        (feature row, position) indices of the cuts that leave at least
+        min_leaf rows on each side, and their row counts."""
+        # A cut after sorted position pos leaves pos + 1 rows on the left. Cuts at
+        # pos < width leave at least min_leaf rows on the right; the first
+        # min_leaf - 1 positions leave too few on the left. A node of fewer than
+        # min_leaf rows (the root of a small fit) has no cuts.
+        width = max(codes.shape[1] - self.min_leaf, 0)
+        is_cut = codes[:, :width] != codes[:, 1 : width + 1]
+        is_cut[:, : self.min_leaf - 1] = False
+        cand = is_cut.ravel().nonzero()[0]  # row-major: feature, then position
+        left_n = cand % width + 1
+        return width, cand, left_n, codes.shape[1] - left_n
+
+    def split(self, node, t):
+        """Highest variance-reduction split of `node` as (feature, threshold), or None."""
+        rows, order, codes, cuts = node
+        width, cand, left_n, right_n = cuts or self._cuts(codes)
+        if cand.size == 0:
+            return None
+        n = rows.size
+        tt = t[rows]
+        total = tt.sum()
+        total_sq = (tt * tt).sum()
+        parent_sse = total_sq - total * total / n
+        st = t.take(order[:, :width])
+        csum = st.cumsum(axis=1).ravel().take(cand)
+        csq = (st * st).cumsum(axis=1).ravel().take(cand)
+        left_sse = csq - csum * csum / left_n
+        right_sum = total - csum
+        right_sse = (total_sq - csq) - right_sum * right_sum / right_n
+        gain = (parent_sse - left_sse - right_sse) / n
+        k = int(np.argmax(gain))  # first max -> earlier feature, then smaller threshold
+        if not gain[k] > _MIN_GAIN:
+            return None
+        j, c = divmod(int(cand[k]), width)
+        lo, hi = self.data.flat_values[self.data.offsets[j] + codes[j, c : c + 2]]
+        return j, float(_threshold(lo, hi))
+
+    def child(self, node, rows, goes):
+        """The node of `rows`, the rows of `node` where `goes` (over every row) holds."""
+        _, order, codes, _ = node
+        kept = np.flatnonzero(goes[order])  # the same number in each feature row
+        shape = (len(order), -1)
+        return rows, order.take(kept).reshape(shape), codes.take(kept).reshape(shape), None
 
 
 def _count_splits(data, y, nodes, features, min_leaf):
@@ -164,14 +207,14 @@ def _count_splits(data, y, nodes, features, min_leaf):
     left_n = ends - group_start[g]
     node = g // m
     n = sizes[node]
-    min_leaf = max(min_leaf, 1)  # as in _best_split
+    min_leaf = max(min_leaf, 1)  # as in _SortedScan
     ok = (left_n >= min_leaf) & (left_n <= n - min_leaf)
     ends, g, left_n, node, n = ends[ok], g[ok], left_n[ok], node[ok], n[ok]
     out = [None] * n_nodes
     if ends.size == 0:
         return out
     left_pos = positives[ends] - positives[group_start[g]]
-    # _best_split's arithmetic on the same (exact, integer-valued) sums
+    # _SortedScan.split's arithmetic on the same (exact, integer-valued) sums
     total = npos[node].astype(float)
     csum = left_pos.astype(float)
     parent_sse = total - total * total / n
@@ -195,46 +238,32 @@ def _count_splits(data, y, nodes, features, min_leaf):
     return out
 
 
-def _grow(data, t, trees, max_depth, min_leaf, leaf_value=None):
+def _grow(data, y, trees, max_depth, min_leaf):
     """Grow one tree per (rows, sample_features) pair of `trees`; return the roots.
 
-    Nodes are nested {"f","t","l","r"} / {"v"} dicts. `sample_features` is
-    None, when every node tries every feature, or a function returning the
-    sorted candidate feature ids of the next node split. Each step pops one
-    pending node per tree, the newest, so each tree splits its nodes and
-    draws its features in pre-order. With `leaf_value`, every node takes the
-    sorted scan and a leaf holds leaf_value(rows). Without, `t` is 0/1, every
-    node is split from counts, and a leaf holds its positive fraction.
-    `trees` may be a generator, so no tree's root rows outlive its first
-    split.
+    `y` holds 0/1 targets as integers. Nodes are nested {"f","t","l","r"} /
+    {"v"} dicts, every node is split from counts, and a leaf holds its
+    positive fraction. `sample_features` returns the sorted candidate feature
+    ids of the next node split. Each step pops one pending node per tree, the
+    newest, so each tree splits its nodes and draws its features in
+    pre-order. `trees` may be a generator, so no tree's root rows outlive its
+    first split.
     """
-    counted = leaf_value is None
-    y = t.astype(np.int8) if counted else None
-    all_features = np.arange(data.x.shape[1])
     roots, stacks, samplers = [], [], []
 
     def place(tree, node, depth, rows, npos):
         """Queue `node` to try a split, or make it a leaf if it cannot split."""
         n = rows.size
-        if depth >= max_depth or n < 2 * min_leaf:
-            stop = True
-        elif counted:
-            stop = npos == 0 or npos == n
-        else:
-            tt = t[rows]
-            stop = tt.max() - tt.min() == 0.0
-        if not stop:
-            stacks[tree].append((tree, node, rows, depth, npos))
-        elif counted:
+        if depth >= max_depth or n < 2 * min_leaf or npos == 0 or npos == n:
             node["v"] = npos / n
         else:
-            node["v"] = leaf_value(rows)
+            stacks[tree].append((tree, node, rows, depth, npos))
 
     for tree, (rows, sampler) in enumerate(trees):
         roots.append({})
         stacks.append([])
         samplers.append(sampler)
-        place(tree, roots[tree], 0, rows, int(np.count_nonzero(y[rows])) if counted else None)
+        place(tree, roots[tree], 0, rows, int(np.count_nonzero(y[rows])))
     while True:
         batch = [stack.pop() for stack in stacks if stack]
         if not batch:
@@ -242,12 +271,7 @@ def _grow(data, t, trees, max_depth, min_leaf, leaf_value=None):
         splits = [None] * len(batch)
         blocks, cells = [[]], 0
         for b, (tree, _, rows, _, _) in enumerate(batch):
-            sampler = samplers[tree]
-            features = all_features if sampler is None else sampler()
-            if not counted:
-                split = _best_split(data, rows, t, min_leaf, features)
-                splits[b] = split and (*split, None)
-                continue
+            features = samplers[tree]()
             size = rows.size * len(features)
             if blocks[-1] and cells + size > BLOCK_CELLS:
                 blocks.append([])
@@ -261,16 +285,52 @@ def _grow(data, t, trees, max_depth, min_leaf, leaf_value=None):
                 splits[b] = split
         for (tree, node, rows, depth, npos), split in zip(batch, splits):
             if split is None:
-                node["v"] = npos / rows.size if counted else leaf_value(rows)
+                node["v"] = npos / rows.size
                 continue
             j, thr, left_pos = split
             go_left = data.x[rows, j] <= thr
-            left_rows, right_rows = rows[go_left], rows[~go_left]
             left, right = {}, {}
             node.update(f=j, t=float(thr), l=left, r=right)
             # right first: the stack pops the left subtree first
-            place(tree, right, depth + 1, right_rows, npos - left_pos if counted else None)
-            place(tree, left, depth + 1, left_rows, left_pos)
+            place(tree, right, depth + 1, rows[~go_left], npos - left_pos)
+            place(tree, left, depth + 1, rows[go_left], left_pos)
+
+
+def _grow_sorted(scan, t, max_depth, min_leaf, leaf_value):
+    """Grow one tree with the sorted scan; a leaf holds leaf_value(rows).
+
+    Nodes are split in pre-order, into the same nested dicts as `_grow`'s.
+    Only a node that may split gets its presorted order and codes. Pending
+    nodes hold disjoint rows, so together they hold at most one presorted
+    copy of the codes.
+    """
+
+    def made_leaf(out, depth, rows):
+        """Make `out` a leaf if it cannot split, and say whether it did."""
+        if depth < max_depth and rows.size >= 2 * min_leaf:
+            tt = t[rows]
+            if tt.max() - tt.min() != 0.0:
+                return False
+        out["v"] = leaf_value(rows)
+        return True
+
+    root = {}
+    stack = [] if made_leaf(root, 0, scan.root[0]) else [(root, scan.root, 0)]
+    while stack:
+        out, node, depth = stack.pop()
+        split = scan.split(node, t)
+        if split is None:
+            out["v"] = leaf_value(node[0])
+            continue
+        j, thr = split
+        out.update(f=j, t=thr, l={}, r={})
+        goes_left = scan.data.x[:, j] <= thr
+        go = goes_left[node[0]]
+        # right first: the stack pops the left subtree first
+        for side, goes, rows in (("r", ~goes_left, node[0][~go]), ("l", goes_left, node[0][go])):
+            if not made_leaf(out[side], depth + 1, rows):
+                stack.append((out[side], scan.child(node, rows, goes), depth + 1))
+    return root
 
 
 def _binary_target(y) -> np.ndarray:
@@ -280,18 +340,33 @@ def _binary_target(y) -> np.ndarray:
     return t
 
 
-def _tree_apply(node, x_mat) -> np.ndarray:
-    out = np.empty(len(x_mat))
-    stack = [(node, np.arange(len(x_mat)))]
-    while stack:
-        nd, idx = stack.pop()
-        if "v" in nd:
-            out[idx] = nd["v"]
-            continue
-        mask = x_mat[idx, nd["f"]] <= nd["t"]
-        stack.append((nd["l"], idx[mask]))
-        stack.append((nd["r"], idx[~mask]))
-    return out
+def _leaves(roots, x_mat):
+    """Yield (rows, values) per block of x_mat's rows: a slice of the rows, and
+    each tree's leaf value at those rows (tree × row)."""
+    nodes = list(roots)  # the roots first, then breadth-first over all trees
+    children, depth = [], [0] * len(nodes)
+    for i, node in enumerate(nodes):
+        if "v" in node:
+            children.append((i, i))  # a leaf keeps every row that reaches it
+        else:
+            children.append((len(nodes), len(nodes) + 1))
+            nodes += (node["l"], node["r"])
+            depth += (depth[i] + 1,) * 2
+    feature = np.asarray([node.get("f", 0) for node in nodes], dtype=np.intp)
+    threshold = np.asarray([node.get("t", 0.0) for node in nodes], dtype=float)
+    value = np.asarray([node.get("v", 0.0) for node in nodes], dtype=float)
+    left, right = np.asarray(children, dtype=np.intp).reshape(-1, 2).T
+    tops = np.arange(len(roots))[:, None]
+    step = max(1, SCORE_CELLS // max(len(roots), 1))
+    for start in range(0, len(x_mat), step):
+        block = x_mat[start : start + step]
+        cells = block.ravel()  # row i's values start at cells[row_starts[i]]
+        row_starts = np.arange(0, block.size, block.shape[1])
+        at = tops.repeat(len(block), axis=1)
+        for _ in range(max(depth, default=0)):
+            x = cells.take(feature.take(at) + row_starts)
+            at = np.where(x <= threshold.take(at), left.take(at), right.take(at))
+        yield slice(start, start + len(block)), value.take(at)
 
 
 @dataclass(eq=False)
@@ -305,15 +380,17 @@ class DecisionTree:
     def fit(self, x_mat, y, seed: int = 0):
         del seed
         t = _binary_target(y)
-        trees = [(np.arange(len(t)), None)]
-        self.root = _grow(
-            _CodedMatrix(x_mat), t, trees, self.max_depth, self.min_leaf,
+        self.root = _grow_sorted(
+            _SortedScan(x_mat, self.min_leaf), t, self.max_depth, self.min_leaf,
             lambda rows: float(t[rows].mean()),
-        )[0]
+        )
         return self
 
     def scores(self, x_mat) -> np.ndarray:
-        return _tree_apply(self.root, x_mat)
+        out = np.empty(len(x_mat))
+        for rows, leaves in _leaves([self.root], x_mat):
+            out[rows] = leaves[0]
+        return out
 
 
 @dataclass(eq=False)
@@ -341,13 +418,16 @@ class RandomForest:
             return boot, lambda: sorted(rng.sample(range(p), m))
 
         trees = (draw(tree_i) for tree_i in range(self.n_trees))
-        self.roots = _grow(_CodedMatrix(x_mat), t, trees, self.max_depth, self.min_leaf)
+        y = t.astype(np.int8)
+        self.roots = _grow(_CodedMatrix(x_mat), y, trees, self.max_depth, self.min_leaf)
         return self
 
     def scores(self, x_mat) -> np.ndarray:
         votes = np.zeros(len(x_mat))
-        for root in self.roots:
-            votes += _tree_apply(root, x_mat) >= 0.5
+        for rows, leaves in _leaves(self.roots, x_mat):
+            block = votes[rows]
+            for leaf in leaves:  # in tree order
+                block += leaf >= 0.5
         return votes / len(self.roots)
 
 
@@ -375,8 +455,7 @@ class GradientBoostedTrees:
         pos = t.sum()
         self.prior_log_odds = float(math.log(pos / (n - pos)))
         raw = np.full(n, self.prior_log_odds)
-        idx = np.arange(n)
-        data = _CodedMatrix(x_mat)
+        scan = _SortedScan(x_mat, self.min_leaf)
         self.roots = []
         for _ in range(self.n_rounds):
             p = _sigmoid(raw)
@@ -389,15 +468,16 @@ class GradientBoostedTrees:
                 update[leaf_idx] = value = float(min(max(step, -_MAX_LEAF_STEP), _MAX_LEAF_STEP))
                 return value
 
-            root = _grow(
-                data, residual, [(idx, None)], self.max_depth, self.min_leaf, leaf_value
-            )[0]
-            self.roots.append(root)
+            self.roots.append(
+                _grow_sorted(scan, residual, self.max_depth, self.min_leaf, leaf_value)
+            )
             raw = raw + self.shrinkage * update
         return self
 
     def scores(self, x_mat) -> np.ndarray:
         raw = np.full(len(x_mat), self.prior_log_odds)
-        for root in self.roots:
-            raw += self.shrinkage * _tree_apply(root, x_mat)
+        for rows, leaves in _leaves(self.roots, x_mat):
+            block = raw[rows]
+            for leaf in leaves:  # in tree order, as the fit added them
+                block += self.shrinkage * leaf
         return _sigmoid(raw)

@@ -376,7 +376,8 @@ def oracle_random_forest(x_mat, y, n_trees, max_depth, min_leaf, seed):
     return roots
 
 
-def _oracle_apply(node, x_mat):
+def oracle_tree_apply(node, x_mat):
+    """Each row's leaf value: one walk of the nested dicts per row."""
     out = np.empty(len(x_mat))
     for i, row in enumerate(x_mat):
         nd = node
@@ -408,8 +409,39 @@ def oracle_gbt(x_mat, y, n_rounds, max_depth, min_leaf, shrinkage, max_step=10.0
             x_mat, residual, np.arange(n), 0, max_depth, min_leaf, lambda: features, leaf_value
         )
         roots.append(root)
-        raw = raw + shrinkage * _oracle_apply(root, x_mat)
+        raw = raw + shrinkage * oracle_tree_apply(root, x_mat)
     return prior, roots
+
+
+# --- MLP training ---------------------------------------------------------------
+
+
+def oracle_mlp(x_mat, y, hidden, learning_rate, epochs, batch_size, init_scale, seed):
+    """(w1, b1, w2, b2) of mini-batch gradient descent, written out: each batch
+    gathers its rows through the epoch's permutation, and the gradient uses
+    `np.outer` and `np.clip` directly."""
+    y = np.asarray(y, dtype=float)
+    n, p = x_mat.shape
+    rng = np.random.default_rng(seed)
+    s = init_scale
+    w1 = rng.uniform(-s, s, size=(p, hidden))
+    b1 = rng.uniform(-s, s, size=hidden)
+    w2 = rng.uniform(-s, s, size=hidden)
+    b2 = float(rng.uniform(-s, s))
+    for _ in range(epochs):
+        perm = rng.permutation(n)
+        for start in range(0, n, batch_size):
+            batch = perm[start : start + batch_size]
+            xb, yb = x_mat[batch], y[batch]
+            h = np.tanh(xb @ w1 + b1)
+            prob = 1.0 / (1.0 + np.exp(-np.clip(h @ w2 + b2, -36.0, 36.0)))
+            delta_out = (prob - yb) / len(yb)
+            delta_hidden = np.outer(delta_out, w2) * (1.0 - h * h)
+            w1 = w1 - learning_rate * (xb.T @ delta_hidden)
+            b1 = b1 - learning_rate * delta_hidden.sum(axis=0)
+            w2 = w2 - learning_rate * (h.T @ delta_out)
+            b2 = b2 - learning_rate * float(delta_out.sum())
+    return w1, b1, w2, b2
 
 
 # --- pairwise AUC ------------------------------------------------------------

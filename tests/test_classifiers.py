@@ -1,5 +1,6 @@
 """Six classifier kinds behind the shared fit/predict/serialize interface."""
 
+import json
 import math
 import random
 import tracemalloc
@@ -9,23 +10,24 @@ import pytest
 
 import featrank as fr
 from featrank.classifiers import CLASSIFIERS, ClassifierSpec, default_specs
-from featrank.classifiers.mlp import _grads, _loss
+from featrank.classifiers.mlp import Mlp, _grads, _loss
 from featrank.classifiers import trees
 from featrank.classifiers.trees import (
     DecisionTree,
     GradientBoostedTrees,
     RandomForest,
-    _best_split,
     _CodedMatrix,
+    _SortedScan,
     _sigmoid,
-    _tree_apply,
 )
 from helpers import make_table
 from oracles import (
     oracle_best_split,
     oracle_decision_tree,
     oracle_gbt,
+    oracle_mlp,
     oracle_random_forest,
+    oracle_tree_apply,
 )
 
 
@@ -229,7 +231,7 @@ class TestKindSpecifics:
         for root in inner.roots:
             p = np.clip(_sigmoid(raw), 1e-12, 1 - 1e-12)
             losses.append(float(-np.mean(y * np.log(p) + (1 - y) * np.log(1 - p))))
-            raw = raw + inner.shrinkage * _tree_apply(root, x_mat)
+            raw = raw + inner.shrinkage * oracle_tree_apply(root, x_mat)
         p = np.clip(_sigmoid(raw), 1e-12, 1 - 1e-12)
         losses.append(float(-np.mean(y * np.log(p) + (1 - y) * np.log(1 - p))))
         for before, after in zip(losses, losses[1:]):
@@ -280,6 +282,15 @@ def assert_splits_match_oracle(node, x_mat, t, idx, min_leaf, features) -> int:
     )
 
 
+def sorted_split(x_mat, idx, t, min_leaf, features):
+    """The sorted scan's split of the rows `idx` over `features`: the root split
+    of those rows and columns gathered into a matrix of their own."""
+    features = np.asarray(features)
+    scan = _SortedScan(x_mat[np.ix_(idx, features)], min_leaf)
+    split = scan.split(scan.root, t[idx])
+    return split and (int(features[split[0]]), split[1])
+
+
 class TestSplitSearch:
     """The coded all-features scan picks exactly the split of the per-feature oracle."""
 
@@ -290,7 +301,6 @@ class TestSplitSearch:
         n = 150
         x_mat = tie_heavy_matrix(rng, n)
         p = x_mat.shape[1]
-        data = _CodedMatrix(x_mat)
         y01 = (rng.random(n) < 0.4 + 0.3 * x_mat[:, 0]).astype(float)
         residual = y01 - np.round(rng.random(n), 2)  # GBT-style float targets with ties
         bootstrap = rng.integers(0, n, n)  # duplicates, not ascending
@@ -304,7 +314,7 @@ class TestSplitSearch:
         ]
         found = 0
         for idx, t, features in cases:
-            got = _best_split(data, idx, t, min_leaf, features)
+            got = sorted_split(x_mat, idx, t, min_leaf, features)
             assert got == oracle_best_split(x_mat, idx, t, min_leaf, features)
             found += got is not None
         assert found >= 3
@@ -313,9 +323,9 @@ class TestSplitSearch:
         rng = np.random.default_rng(5)
         x_mat = tie_heavy_matrix(rng, 80)
         t = x_mat[:, 0].copy()  # columns 0 and 2 give the same perfect split
-        split = _best_split(_CodedMatrix(x_mat), np.arange(80), t, 1, np.arange(6))
+        split = sorted_split(x_mat, np.arange(80), t, 1, np.arange(6))
         assert split == (0, 0.5)
-        assert _best_split(_CodedMatrix(x_mat), np.arange(80), t, 1, np.arange(2, 6)) == (2, 0.5)
+        assert sorted_split(x_mat, np.arange(80), t, 1, np.arange(2, 6)) == (2, 0.5)
 
     @pytest.mark.parametrize("min_leaf", [1, 3, 8])
     def test_decision_tree_splits_match_oracle(self, min_leaf):
@@ -415,6 +425,33 @@ class TestGrowerMatchesReference:
         assert forest.roots == oracle_random_forest(x_mat, y, 8, 1, 1, 5)
         assert any(root["t"] == a for root in forest.roots)
 
+    def test_gbt_many_rounds(self):
+        # 40 rounds of shrinking residuals, min_leaf 0, and columns constant
+        # inside many nodes: the one-hot pair after a split on either, and a
+        # numeric column clipped at 0
+        x_mat, y = tie_heavy_case(4, 120)
+        x_mat = np.column_stack([x_mat, np.maximum(x_mat[:, 4], 0.0)])
+        gbt = GradientBoostedTrees(40, 3, 0, 0.3).fit(x_mat, y)
+        prior, roots = oracle_gbt(x_mat, y, 40, 3, 0, 0.3)
+        assert (gbt.prior_log_odds, gbt.roots) == (prior, roots)
+        used, stack = set(), list(roots)
+        while stack:
+            node = stack.pop()
+            if "f" in node:
+                used.add(node["f"])
+                stack += (node["l"], node["r"])
+        assert used == set(range(7))  # every column, the clipped one too
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1, 2])
+    def test_min_leaf_near_the_row_count(self, extra):
+        # the root cannot split, and at min_leaf > n it holds fewer rows than one leaf
+        x_mat, y = tie_heavy_case(0, 10)
+        min_leaf = len(y) + extra
+        tree = DecisionTree(max_depth=3, min_leaf=min_leaf).fit(x_mat, y)
+        assert tree.root == oracle_decision_tree(x_mat, y, 3, min_leaf) == {"v": 0.5}
+        gbt = GradientBoostedTrees(5, 3, min_leaf, 0.3).fit(x_mat, y)
+        assert (gbt.prior_log_odds, gbt.roots) == oracle_gbt(x_mat, y, 5, 3, min_leaf, 0.3)
+
     def test_targets_must_be_binary(self):
         x_mat = np.arange(20.0)[:, None]
         for y in (np.linspace(0.0, 1.0, 20), np.full(20, 2.0)):
@@ -443,6 +480,109 @@ def test_random_forest_memory_stays_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 12e6
+
+
+def oracle_scores(inner, x_mat):
+    """A tree model's scores from walking each nested tree on its own, adding
+    the trees' terms in tree order."""
+    if isinstance(inner, DecisionTree):
+        return oracle_tree_apply(inner.root, x_mat)
+    if isinstance(inner, RandomForest):
+        votes = np.zeros(len(x_mat))
+        for root in inner.roots:
+            votes += oracle_tree_apply(root, x_mat) >= 0.5
+        return votes / len(inner.roots)
+    raw = np.full(len(x_mat), inner.prior_log_odds)
+    for root in inner.roots:
+        raw += inner.shrinkage * oracle_tree_apply(root, x_mat)
+    return 1.0 / (1.0 + np.exp(-np.clip(raw, -36.0, 36.0)))
+
+
+def probe_rows(roots, width, rng, n):
+    """n random rows; for every split, some rows hold its threshold in its column."""
+    x_mat = rng.normal(size=(n, width))
+    stack = list(roots)
+    while stack:
+        node = stack.pop()
+        if "v" not in node:
+            x_mat[rng.random(n) < 0.2, node["f"]] = node["t"]
+            stack += (node["l"], node["r"])
+    return x_mat
+
+
+def tree_roots(inner):
+    return [inner.root] if isinstance(inner, DecisionTree) else inner.roots
+
+
+class TestFlatScoring:
+    """Scores from the flat arrays equal those of walking each nested tree."""
+
+    # SCORE_CELLS: one row per block; a few rows per block; the default
+    @pytest.mark.parametrize("cells", [1, 100, None])
+    def test_fitted_models(self, cells, monkeypatch):
+        if cells is not None:
+            monkeypatch.setattr(trees, "SCORE_CELLS", cells)
+        x_mat, y = tie_heavy_case(5, 150)
+        rng = np.random.default_rng(cells)
+        for inner in (
+            DecisionTree(max_depth=8, min_leaf=1).fit(x_mat, y),
+            RandomForest(30, 8, 2).fit(x_mat, y, seed=4),
+            GradientBoostedTrees(40, 3, 2, 0.3).fit(x_mat, y),
+        ):
+            roots = tree_roots(inner)
+            # more rows than one block of the default holds, for every model
+            probe = probe_rows(roots, x_mat.shape[1], rng, 2500 if cells is None else 300)
+            assert np.array_equal(inner.scores(probe), oracle_scores(inner, probe))
+            assert np.array_equal(inner.scores(x_mat), oracle_scores(inner, x_mat))
+            assert inner.scores(probe[:0]).shape == (0,)
+
+    @pytest.mark.parametrize("kind", ["decision_tree", "random_forest", "gbt"])
+    def test_loaded_models(self, kind):
+        t = toy_table(n=80, seed=21)
+        model = fr.fit(ClassifierSpec(kind=kind, seed=3), t)
+        loaded = fr.model_from_json(json.loads(json.dumps(fr.model_to_json(model))))
+        probe = probe_rows(tree_roots(loaded.inner), len(loaded.encoder.expanded_names),
+                           np.random.default_rng(2), 1500)
+        scores = loaded.inner.scores(probe)
+        assert np.array_equal(scores, oracle_scores(loaded.inner, probe))
+        assert np.array_equal(scores, model.inner.scores(probe))
+
+
+def test_flat_scoring_memory_does_not_grow_with_rows():
+    # a 100-tree forest scored in blocks of SCORE_CELLS (tree, row) cells: a
+    # whole-table walk would hold several 100 x 20,000 arrays of 16 MB each
+    x_mat, y = tie_heavy_case(6, 300)
+    forest = RandomForest(n_trees=100).fit(x_mat, y, seed=1)
+    peaks = []
+    for n in (2_000, 20_000):
+        probe = np.random.default_rng(n).normal(size=(n, x_mat.shape[1]))
+        tracemalloc.start()
+        try:
+            forest.scores(probe)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) < 4e6, peaks
+
+
+@pytest.mark.parametrize("n", [10, 33, 192])
+@pytest.mark.parametrize("batch_size", [7, 32, 64])
+def test_mlp_matches_written_out_loop(n, batch_size):
+    # partial last batches, and a batch larger than the table at n = 10 and 33
+    rng = np.random.default_rng(n * batch_size)
+    x_mat = rng.normal(size=(n, 21))
+    y = (rng.random(n) < 0.4).astype(float)
+    mlp = Mlp(hidden=6, learning_rate=0.5, epochs=5, batch_size=batch_size).fit(x_mat, y, seed=n)
+    want = oracle_mlp(x_mat, y, 6, 0.5, 5, batch_size, 0.1, n)
+    for got, expected in zip((mlp.w1, mlp.b1, mlp.w2, mlp.b2), want):
+        assert np.array_equal(got, expected)
+
+
+def test_sigmoid_is_the_clipped_logistic():
+    z = np.array([-np.inf, -1e308, -36.5, -36.0, -1.0, 0.0, 1.0, 36.0, 36.5, 1e308, np.inf, np.nan])
+    want = 1.0 / (1.0 + np.exp(-np.clip(z, -36.0, 36.0)))
+    assert np.array_equal(_sigmoid(z), want, equal_nan=True)
+    assert np.isnan(_sigmoid(z)[-1]) and _sigmoid(z)[-2] < 1.0
 
 
 class TestGradientCheck:

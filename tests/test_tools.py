@@ -1,5 +1,5 @@
-"""The tools that back "same results" and performance claims: the report diff and
-the alternating-pairs judge."""
+"""The tools that back "same results" and performance claims: the report diff,
+the alternating-pairs judge and the mutant list."""
 
 import importlib.util
 import shutil
@@ -155,3 +155,19 @@ def test_pair_summary_applies_the_gain_rule_and_the_bound():
     regressed = ab.summarize(rows, [0.7 * r for r in rows], "higher", 0.25)
     assert regressed["wins"] == 0 and not regressed["gain"] and not regressed["within_bound"]
     assert "PAST BOUND" in ab.report("rows_per_s", regressed)
+
+
+def test_mutants_report_killed_surviving_and_missing(capsys):
+    spec = importlib.util.spec_from_file_location("mutants", ROOT / "tools" / "mutants.py")
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    killed = next(m for m in mutants.MUTANTS if m.name == "sigmoid clipped from below only")
+    no_op = killed._replace(name="no-op", replacement=killed.original)
+    missing = killed._replace(name="moved", original="text that no source file holds")
+    assert mutants.check([killed]) == 0
+    assert mutants.check([killed, no_op]) == 1
+    assert mutants.check([missing]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("killed: sigmoid clipped from below only")
+    assert lines[2].startswith("survived: no-op")
+    assert lines[3].startswith("missing: moved (original text not found once in")

@@ -1,0 +1,136 @@
+#!/usr/bin/env python3
+"""Apply each listed mutant to a copy of src/ and check that its tests fail.
+
+    python3 tools/mutants.py [NAME ...]
+
+A mutant names a file under src/, an exact original text that occurs there
+once, its replacement, and the pytest node ids that must fail once the text
+is replaced. For each mutant (all of them, or those named), the tool copies
+src/ into a temporary directory, replaces the text there, and runs the
+mutant's tests with that copy first on PYTHONPATH. The mutant is killed if
+the tests fail and survives if they pass. Exit code 0 means every mutant was
+killed; 1 that some mutant survived, that its tests could not run (pytest
+exited with neither 0 nor 1), or that its original text does not occur
+exactly once, so a refactor that moves the text must update the list.
+
+Each entry guards an invariant that a "same results" claim rests on: a
+stable sort, a summation order, a row order. A new invariant adds its
+mutant here together with the test that kills it.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+CLASSIFIER_TESTS = "tests/test_classifiers.py"
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # relative to src/
+    original: str
+    replacement: str
+    tests: tuple[str, ...]
+
+
+MUTANTS = (
+    Mutant(
+        "mlp batches sliced from the unshuffled rows",
+        "featrank/classifiers/mlp.py",
+        "x_perm, y_perm = x_mat[perm], y[perm]",
+        "x_perm, y_perm = x_mat, y[perm]",
+        (f"{CLASSIFIER_TESTS}::test_mlp_matches_written_out_loop",),
+    ),
+    Mutant(
+        "sigmoid clipped from below only",
+        "featrank/classifiers/linear.py",
+        "np.minimum(np.maximum(z, -36.0), 36.0)",
+        "np.maximum(z, -36.0)",
+        (f"{CLASSIFIER_TESTS}::test_sigmoid_is_the_clipped_logistic",),
+    ),
+    Mutant(
+        "gbt tree terms summed in reverse",
+        "featrank/classifiers/trees.py",
+        "for leaf in leaves:  # in tree order, as the fit added them",
+        "for leaf in leaves[::-1]:",
+        (f"{CLASSIFIER_TESTS}::TestFlatScoring",),
+    ),
+    Mutant(
+        "root presort not stable",
+        "featrank/classifiers/trees.py",
+        'order = data.codes.argsort(axis=1, kind="stable")',
+        'order = data.codes.argsort(axis=1, kind="quicksort")',
+        (f"{CLASSIFIER_TESTS}::TestGrowerMatchesReference::test_gbt_many_rounds",),
+    ),
+    Mutant(
+        "root cuts of a fit smaller than min_leaf not clamped",
+        "featrank/classifiers/trees.py",
+        "width = max(codes.shape[1] - self.min_leaf, 0)",
+        "width = codes.shape[1] - self.min_leaf",
+        (f"{CLASSIFIER_TESTS}::TestGrowerMatchesReference::test_min_leaf_near_the_row_count",),
+    ),
+    Mutant(
+        "child order re-sorted by value instead of filtered",
+        "featrank/classifiers/trees.py",
+        "kept = np.flatnonzero(goes[order])  # the same number in each feature row",
+        "kept = np.flatnonzero(goes[order])\n"
+        "        order = rows[self.data.codes[:, rows].argsort(axis=1)]\n"
+        "        codes = np.take_along_axis(self.data.codes, order, axis=1)\n"
+        "        kept = np.arange(order.size)",
+        (f"{CLASSIFIER_TESTS}::TestGrowerMatchesReference::test_gbt_many_rounds",),
+    ),
+)
+
+
+def run(mutant: Mutant, src: Path) -> str:
+    """'killed', 'survived', 'missing' or 'error ...' for one mutant of the tree `src`."""
+    with tempfile.TemporaryDirectory(prefix="featrank-mutant-") as tmp:
+        copy = Path(tmp) / "src"
+        shutil.copytree(src, copy, ignore=shutil.ignore_patterns("__pycache__"))
+        path = copy / mutant.file
+        text = path.read_text(encoding="utf-8") if path.is_file() else ""
+        if text.count(mutant.original) != 1:
+            return "missing"
+        path.write_text(text.replace(mutant.original, mutant.replacement), encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(copy), PYTHONDONTWRITEBYTECODE="1")
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *mutant.tests],
+            cwd=ROOT, env=env, capture_output=True, text=True,
+        )
+    # pytest exits 1 when a test failed; other codes mean it could not run them
+    outcomes = {0: "survived", 1: "killed"}
+    return outcomes.get(proc.returncode, f"error (pytest exit {proc.returncode})")
+
+
+def check(mutants, src: Path = ROOT / "src") -> int:
+    """Run every mutant, print one line each, and return the exit code."""
+    status = 0
+    for mutant in mutants:
+        outcome = run(mutant, src)
+        if outcome == "missing":
+            note = f"original text not found once in {mutant.file}"
+        else:
+            note = f"{len(mutant.tests)} test id(s)"
+        print(f"{outcome}: {mutant.name} ({note})", flush=True)
+        status |= outcome != "killed"
+    return status
+
+
+def main(argv=None) -> int:
+    names = sys.argv[1:] if argv is None else argv
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutant(s): {sorted(unknown)}", file=sys.stderr)
+        return 2
+    return check([m for m in MUTANTS if not names or m.name in names])
+
+
+if __name__ == "__main__":
+    sys.exit(main())
