@@ -48,6 +48,20 @@ tree's feature draws (`rng.sample`), and so its RNG stream, those of a
 recursive grower. The decision tree and GBT grow one tree at a time
 (`_grow_sorted`) and draw nothing.
 
+Each forest tree owns its `random.Random`, so its draws need only come out
+one for one as per-row `randrange` and per-split `sample` calls would give
+them; no generator state is saved or restored. The bootstrap
+(`_randbelow_many`) asks `getrandbits` for one 32-bit word per value still
+missing and keeps each word's top bits where `randrange` would accept them.
+The loop needs at least one word per value, so no word is drawn that it
+would not draw, and the accepted values are its values in its order. The
+feature subsets (`_feature_sampler`) run `Random.sample`'s own pool
+algorithm on `rng._randbelow`. After a block is counted, its split nodes are
+partitioned together (`_partition`): one `x <= t` over their concatenated
+rows, in node order, so the rows kept on each side are, node by node, the
+same rows in the same order as each node's own `rows[go_left]` and
+`rows[~go_left]`, and each child is a slice at cumulative counts.
+
 Fitted and loaded trees are nested dicts. Scoring (`_leaves`) flattens a
 model's trees into feature, threshold, child and value arrays and walks all
 trees together, one level per step, in blocks of at most SCORE_CELLS (tree,
@@ -164,8 +178,9 @@ class _SortedScan:
         if not gain[k] > _MIN_GAIN:
             return None
         j, c = divmod(int(cand[k]), width)
-        lo, hi = self.data.flat_values[self.data.offsets[j] + codes[j, c : c + 2]]
-        return j, float(_threshold(lo, hi))
+        lo, hi = self.data.flat_values[self.data.offsets[j] + codes[j, c : c + 2]].tolist()
+        mid = (lo + hi) / 2.0  # _threshold's arithmetic on Python floats
+        return j, (mid if lo <= mid < hi else lo)
 
     def child(self, node, rows, goes):
         """The node of `rows`, the rows of `node` where `goes` (over every row) holds."""
@@ -238,6 +253,69 @@ def _count_splits(data, y, nodes, features, min_leaf):
     return out
 
 
+def _partition(x_mat, nodes, features, thresholds):
+    """Each node's (rows where x_mat[row, j] <= t, the other rows), both in row
+    order, for the nodes' (j, t) splits, from one comparison over all nodes'
+    rows: the children are slices of the two sides at cumulative counts."""
+    sizes = [rows.size for rows in nodes]
+    cat = np.concatenate(nodes)
+    goes = x_mat[cat, np.repeat(features, sizes)] <= np.repeat(thresholds, sizes)
+    ends = np.cumsum(sizes)
+    left_ends = np.cumsum(goes)[ends - 1].tolist()
+    lefts, rights = cat[goes], cat[~goes]
+    children, l0, r0 = [], 0, 0
+    for l1, end in zip(left_ends, ends.tolist()):
+        r1 = end - l1
+        children.append((lefts[l0:l1], rights[r0:r1]))
+        l0, r0 = l1, r1
+    return children
+
+
+def _randbelow_many(rng, n, count):
+    """`[rng.randrange(n) for _ in range(count)]` as an array, leaving `rng` in
+    the same state.
+
+    `randrange(n)` takes the top n.bit_length() bits of one 32-bit word and
+    draws again while they are n or more. `getrandbits(32 * c)` returns the
+    next c words, the first in the lowest bits. Each round asks for as many
+    words as values are still missing, which is no more than the loop would
+    draw, so every word drawn is one the loop draws too.
+    """
+    k = n.bit_length()
+    if k > 32:  # each value spans several words
+        return np.asarray([rng.randrange(n) for _ in range(count)], dtype=np.int64)
+    parts, need = [], count
+    while need > 0:
+        words = np.frombuffer(rng.getrandbits(32 * need).to_bytes(4 * need, "little"), "<u4")
+        values = words >> (32 - k)
+        parts.append(values[values < n])
+        need -= parts[-1].size
+    return np.concatenate(parts) if parts else np.empty(0, np.uint32)
+
+
+def _feature_sampler(rng, p, m):
+    """A callable giving `sorted(rng.sample(range(p), m))` and drawing as it does.
+
+    For p <= 21 `Random.sample` always takes its pool branch (its set branch
+    starts above 21 items), copied here without its argument checks.
+    """
+    if p > 21:
+        return lambda: sorted(rng.sample(range(p), m))
+    randbelow = rng._randbelow
+
+    def sample():
+        pool = list(range(p))
+        chosen = []
+        for i in range(m):
+            j = randbelow(p - i)
+            chosen.append(pool[j])
+            pool[j] = pool[p - i - 1]
+        chosen.sort()
+        return chosen
+
+    return sample
+
+
 def _grow(data, y, trees, max_depth, min_leaf):
     """Grow one tree per (rows, sample_features) pair of `trees`; return the roots.
 
@@ -268,32 +346,40 @@ def _grow(data, y, trees, max_depth, min_leaf):
         batch = [stack.pop() for stack in stacks if stack]
         if not batch:
             return roots
-        splits = [None] * len(batch)
         blocks, cells = [[]], 0
-        for b, (tree, _, rows, _, _) in enumerate(batch):
+        for pending in batch:
+            tree, _, rows, _, _ = pending
             features = samplers[tree]()
             size = rows.size * len(features)
             if blocks[-1] and cells + size > BLOCK_CELLS:
                 blocks.append([])
                 cells = 0
-            blocks[-1].append((b, rows, features))
+            blocks[-1].append((pending, features))
             cells += size
-        for block in filter(None, blocks):
-            order, nodes, features = zip(*block)
+        for block in blocks:
+            pendings, features = zip(*block)
+            nodes = [rows for _, _, rows, _, _ in pendings]
             found = _count_splits(data, y, nodes, np.asarray(features), min_leaf)
-            for b, split in zip(order, found):
-                splits[b] = split
-        for (tree, node, rows, depth, npos), split in zip(batch, splits):
-            if split is None:
-                node["v"] = npos / rows.size
+            splits = []
+            for pending, split in zip(pendings, found):
+                if split is None:
+                    _, node, rows, _, npos = pending
+                    node["v"] = npos / rows.size
+                else:
+                    splits.append((pending, split))
+            if not splits:
                 continue
-            j, thr, left_pos = split
-            go_left = data.x[rows, j] <= thr
-            left, right = {}, {}
-            node.update(f=j, t=float(thr), l=left, r=right)
-            # right first: the stack pops the left subtree first
-            place(tree, right, depth + 1, rows[~go_left], npos - left_pos)
-            place(tree, left, depth + 1, rows[go_left], left_pos)
+            split_nodes = [rows for (_, _, rows, _, _), _ in splits]
+            split_j, split_t, _ = zip(*(split for _, split in splits))
+            children = _partition(data.x, split_nodes, split_j, split_t)
+            for ((tree, node, _, depth, npos), (j, thr, left_pos)), (lefts, rights) in zip(
+                splits, children
+            ):
+                left, right = {}, {}
+                node.update(f=j, t=thr, l=left, r=right)
+                # right first: the stack pops the left subtree first
+                place(tree, right, depth + 1, rights, npos - left_pos)
+                place(tree, left, depth + 1, lefts, left_pos)
 
 
 def _grow_sorted(scan, t, max_depth, min_leaf, leaf_value):
@@ -414,8 +500,8 @@ class RandomForest:
 
         def draw(tree_i):
             rng = random.Random(derive_seed(seed, "tree", tree_i))
-            boot = np.asarray([rng.randrange(n) for _ in range(n)], dtype=index_dtype)
-            return boot, lambda: sorted(rng.sample(range(p), m))
+            boot = _randbelow_many(rng, n, n).astype(index_dtype, copy=False)
+            return boot, _feature_sampler(rng, p, m)
 
         trees = (draw(tree_i) for tree_i in range(self.n_trees))
         y = t.astype(np.int8)

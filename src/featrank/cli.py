@@ -183,10 +183,10 @@ def cmd_weigh(args) -> int:
 
 def cmd_ablate(args) -> int:
     table = _load_table(args)
-    out_dir = _ensure_out(args.out)
     specs = _selected_specs(args)
     if args.feature not in table.feature_names():
         raise ConfigError(f"--feature {args.feature!r} is not a feature column")
+    out_dir = _ensure_out(args.out)
     plan = stratified_folds(table, args.folds, derive_seed(args.seed, "folds"))
     report = ablation(table, args.feature, specs, plan, _smote_config(args))
     for stem, rows in (
@@ -212,8 +212,8 @@ def cmd_groups(args) -> int:
     table = _load_table(args)
     if table.group_column is None:
         raise _DataError("the schema has no column with role 'group'")
-    out_dir = _ensure_out(args.out)
     specs = _selected_specs(args)
+    out_dir = _ensure_out(args.out)
     rankings = per_group_rankings(table, top_n=5, n_bins=args.bins, relief_k=args.relief_k)
     winners = best_classifier_per_group(
         table,

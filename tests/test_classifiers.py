@@ -461,6 +461,37 @@ class TestGrowerMatchesReference:
                 RandomForest(n_trees=2).fit(x_mat, y)
 
 
+class TestForestDraws:
+    """The forest's bulk draws reproduce CPython's `random.Random` one for one."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 192, 255, 256, 257, 5760, 65535, 65536, 65537])
+    def test_randbelow_many_is_randrange(self, n):
+        for seed in range(20):
+            for count in sorted({n, 1, 7, 300} if n < 5760 else {n, 11}):
+                got_rng, want_rng = random.Random(seed), random.Random(seed)
+                got = trees._randbelow_many(got_rng, n, count)
+                assert got.tolist() == [want_rng.randrange(n) for _ in range(count)]
+                # the generator is left where the loop leaves it
+                assert got_rng.random() == want_rng.random()
+                assert got_rng.sample(range(21), 4) == want_rng.sample(range(21), 4)
+
+    @pytest.mark.parametrize("n", [2**32 + 5, 3 * 2**40])
+    def test_randbelow_many_above_32_bits(self, n):
+        got_rng, want_rng = random.Random(n), random.Random(n)
+        got = trees._randbelow_many(got_rng, n, 6)
+        assert got.tolist() == [want_rng.randrange(n) for _ in range(6)]
+        assert got_rng.random() == want_rng.random()
+
+    @pytest.mark.parametrize("p", range(1, 41))
+    def test_feature_sampler_is_sorted_sample(self, p):
+        m = math.isqrt(p)
+        got_rng, want_rng = random.Random(p), random.Random(p)
+        sample = trees._feature_sampler(got_rng, p, m)
+        for _ in range(50):
+            assert sample() == sorted(want_rng.sample(range(p), m))
+        assert got_rng.random() == want_rng.random()
+
+
 def test_random_forest_memory_stays_bounded():
     # the size of one test_08 fold after SMOTE: 4 continuous and 17 one-hot
     # columns. The recursive grower peaked at 7.3 MB here, most of it the
@@ -610,14 +641,14 @@ class TestGradientCheck:
         x = np.zeros((n, d))
         y = np.asarray([1.0, 0.0] * 4)
         params = [np.zeros((d, h)), np.zeros(h), np.zeros(h), 0.0]
-        grads = _grads(params, x, y)
+        g_b2 = _grads(params, x, y, (np.empty((d, h)), np.empty(h), np.empty(h)))
         eps = 1e-6
         plus = _loss([params[0], params[1], params[2], eps], x, y)
         minus = _loss([params[0], params[1], params[2], -eps], x, y)
         numeric = (plus - minus) / (2 * eps)
-        assert abs(grads[3] - numeric) < 1e-9
+        assert abs(g_b2 - numeric) < 1e-9
         # closed form: sigmoid(0) - mean(y) = 0.5 - 0.5 = 0
-        assert grads[3] == 0.0
+        assert g_b2 == 0.0
 
 
 class TestModelJson:

@@ -225,6 +225,15 @@ class TestAblate:
         assert run(*args) == 1
         assert "unknown classifiers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value", [("--feature", "bogus"), ("--classifiers", "svm")])
+    def test_refused_argument_makes_no_out_directory(self, cohort, tmp_path, capsys, flag, value):
+        out = tmp_path / "new" / "o"
+        args = self.base_args(cohort, out)
+        args[args.index(flag) + 1] = value
+        assert run(*args) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "new").exists()
+
     def test_impossible_folds_is_compute_error(self, cohort, tmp_path, capsys):
         args = self.base_args(cohort, tmp_path / "o")
         args[args.index("3")] = "150"
@@ -277,6 +286,17 @@ class TestGroups:
         ]
         assert [int(n) for n in match.groups()] == ok_rows
         assert "skipped" in {row[1] for row in read_csv_rows(out / "group_winners.csv")}
+
+    def test_unknown_classifier_makes_no_out_directory(self, cohort, tmp_path, capsys):
+        out = tmp_path / "new" / "g"
+        code = run(
+            "groups", "--data", str(cohort / "cohort.csv"),
+            "--schema", str(cohort / "schema.json"), "--out", str(out),
+            "--folds", "3", "--classifiers", "svm",
+        )
+        assert code == 1
+        assert "unknown classifiers" in capsys.readouterr().err
+        assert not (tmp_path / "new").exists()
 
     def test_schema_without_group_column_is_data_error(self, cohort, tmp_path, capsys):
         doc = json.loads((cohort / "schema.json").read_text())

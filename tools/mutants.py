@@ -30,6 +30,7 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 CLASSIFIER_TESTS = "tests/test_classifiers.py"
+NEIGHBOR_TESTS = "tests/test_neighbors.py"
 
 
 class Mutant(NamedTuple):
@@ -85,6 +86,64 @@ MUTANTS = (
         "        codes = np.take_along_axis(self.data.codes, order, axis=1)\n"
         "        kept = np.arange(order.size)",
         (f"{CLASSIFIER_TESTS}::TestGrowerMatchesReference::test_gbt_many_rounds",),
+    ),
+    Mutant(
+        "forest bootstrap draws one word too many per round",
+        "featrank/classifiers/trees.py",
+        'rng.getrandbits(32 * need).to_bytes(4 * need, "little")',
+        'rng.getrandbits(32 * (need + 1)).to_bytes(4 * (need + 1), "little")',
+        (f"{CLASSIFIER_TESTS}::TestForestDraws::test_randbelow_many_is_randrange",),
+    ),
+    Mutant(
+        "forest children's row slices swapped",
+        "featrank/classifiers/trees.py",
+        "children.append((lefts[l0:l1], rights[r0:r1]))",
+        "children.append((rights[r0:r1], lefts[l0:l1]))",
+        (f"{CLASSIFIER_TESTS}::TestGrowerMatchesReference::test_random_forest",),
+    ),
+    Mutant(
+        "feature sampler's pool swap left out",
+        "featrank/classifiers/trees.py",
+        "pool[j] = pool[p - i - 1]",
+        "pass",
+        (
+            f"{CLASSIFIER_TESTS}::TestForestDraws::test_feature_sampler_is_sorted_sample",
+            f"{CLASSIFIER_TESTS}::TestGrowerMatchesReference::test_random_forest",
+        ),
+    ),
+    Mutant(
+        "mlp gradient views of b1 and w2 swapped",
+        "featrank/classifiers/mlp.py",
+        "g_w1, g_b1, g_w2 = out",
+        "g_w1, g_w2, g_b1 = out",
+        (f"{CLASSIFIER_TESTS}::test_mlp_matches_written_out_loop",),
+    ),
+    Mutant(
+        "bucket pass settles an anchor at k-th distance 1.0",
+        "featrank/neighbors.py",
+        "settled = kth < 1.0",
+        "settled = kth <= 1.0",
+        (
+            f"{NEIGHBOR_TESTS}::test_bucket_kth_distance_of_one_takes_the_search_over_all_candidates",
+            f"{NEIGHBOR_TESTS}::test_k_nearest_equals_full_matrix_argsort_on_random_mixed_tables",
+        ),
+    ),
+    Mutant(
+        "first feature added through the scratch onto an unfilled block",
+        "featrank/neighbors.py",
+        "diff(arrays[0][block, None], cand[0], out=dist)",
+        "dist += diff(arrays[0][block, None], cand[0], out=diffs)",
+        (
+            f"{NEIGHBOR_TESTS}::test_k_nearest_matches_stable_argsort_on_integer_distances",
+            f"{NEIGHBOR_TESTS}::test_relief_equals_per_anchor_argsort",
+        ),
+    ),
+    Mutant(
+        "parallel results gathered in dispatch order",
+        "featrank/evaluation.py",
+        "for i in range(len(tasks))]",
+        "for i in order]",
+        ("tests/test_evaluation.py::TestTaskRunner::test_workers_give_the_results_of_one",),
     ),
 )
 
