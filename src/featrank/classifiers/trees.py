@@ -66,8 +66,9 @@ Fitted and loaded trees are nested dicts. Scoring (`_leaves`) flattens a
 model's trees into feature, threshold, child and value arrays and walks all
 trees together, one level per step, in blocks of at most SCORE_CELLS (tree,
 row) cells. Each leaf is reached by the same `x <= t` tests as a walk of
-the dicts, and each model adds its trees' terms in tree order, so the
-scores are those of scoring one tree at a time.
+the dicts. GBT adds its trees' terms in tree order, and the forest counts
+each block's votes at once, in integers, so the scores are those of
+scoring one tree at a time.
 """
 
 from __future__ import annotations
@@ -121,7 +122,7 @@ def _threshold(lo, hi):
     """The midpoint of lo < hi, or lo where it rounds onto hi or overflows (as
     scikit-learn's splitter), so `x <= t` sends exactly the rows <= lo left."""
     mid = (lo + hi) / 2.0
-    return np.where((lo <= mid) & (mid < hi), mid, lo)
+    return mid if lo <= mid < hi else lo
 
 
 class _SortedScan:
@@ -179,8 +180,7 @@ class _SortedScan:
             return None
         j, c = divmod(int(cand[k]), width)
         lo, hi = self.data.flat_values[self.data.offsets[j] + codes[j, c : c + 2]].tolist()
-        mid = (lo + hi) / 2.0  # _threshold's arithmetic on Python floats
-        return j, (mid if lo <= mid < hi else lo)
+        return j, _threshold(lo, hi)
 
     def child(self, node, rows, goes):
         """The node of `rows`, the rows of `node` where `goes` (over every row) holds."""
@@ -244,12 +244,10 @@ def _count_splits(data, y, nodes, features, min_leaf):
     win = at_best[np.concatenate(([True], node[at_best][1:] != node[at_best][:-1]))]
     win = win[gain[win] > _MIN_GAIN]
     j = features[node[win], g[win] % m]
-    lo = data.flat_values[data.offsets[j] + key[ends[win] - 1] % n_codes]
-    hi = data.flat_values[data.offsets[j] + key[ends[win]] % n_codes]
-    for b, jb, tb, pb in zip(
-        node[win].tolist(), j.tolist(), _threshold(lo, hi).tolist(), left_pos[win].tolist()
-    ):
-        out[b] = (jb, tb, pb)
+    lo = data.flat_values[data.offsets[j] + key[ends[win] - 1] % n_codes].tolist()
+    hi = data.flat_values[data.offsets[j] + key[ends[win]] % n_codes].tolist()
+    for b, jb, lb, hb, pb in zip(node[win].tolist(), j.tolist(), lo, hi, left_pos[win].tolist()):
+        out[b] = (jb, _threshold(lb, hb), pb)
     return out
 
 
@@ -511,9 +509,7 @@ class RandomForest:
     def scores(self, x_mat) -> np.ndarray:
         votes = np.zeros(len(x_mat))
         for rows, leaves in _leaves(self.roots, x_mat):
-            block = votes[rows]
-            for leaf in leaves:  # in tree order
-                block += leaf >= 0.5
+            votes[rows] = np.count_nonzero(leaves >= 0.5, axis=0)
         return votes / len(self.roots)
 
 

@@ -115,7 +115,6 @@ def build_parser() -> _Parser:
     report = sub.add_parser("report", help="re-render an emitted CSV report as Markdown")
     report.add_argument("--data", required=True, help="CSV report to convert")
     report.add_argument("--out", required=True, help="output directory")
-    report.add_argument("--format", choices=("md",), default="md")
     return parser
 
 
@@ -174,8 +173,8 @@ def _emit(out_dir: Path, stem: str, rows, fmt: str) -> None:
 
 def cmd_weigh(args) -> int:
     table = _load_table(args)
-    out_dir = _ensure_out(args.out)
     matrix = weigh_all(table, n_bins=args.bins, relief_k=args.relief_k)
+    out_dir = _ensure_out(args.out)
     _emit(out_dir, "weights", weight_matrix_rows(matrix), args.format)
     print(f"wrote weight report for {len(table.feature_names())} attributes to {out_dir}")
     return 0
@@ -186,8 +185,8 @@ def cmd_ablate(args) -> int:
     specs = _selected_specs(args)
     if args.feature not in table.feature_names():
         raise ConfigError(f"--feature {args.feature!r} is not a feature column")
-    out_dir = _ensure_out(args.out)
     plan = stratified_folds(table, args.folds, derive_seed(args.seed, "folds"))
+    out_dir = _ensure_out(args.out)
     report = ablation(table, args.feature, specs, plan, _smote_config(args))
     for stem, rows in (
         ("without", eval_report_rows(report.without_report)),

@@ -275,18 +275,19 @@ class Table:
 
 def _check_cell(text: str, c: ColumnSchema, path, line: int) -> None:
     """Raise the error of one stripped cell if it is bad (see `load_csv`)."""
+    where = f"{path}: line {line}"
     if "\x00" in text:
-        raise ValueError(f"{path}: line {line}: NUL byte in column {c.name!r}")
+        raise ValueError(f"{where}: NUL byte in column {c.name!r}")
     if text == "" and c.role == ROLE_LABEL:
-        raise ValueError(f"{path}: line {line}: missing label cell")
+        raise ValueError(f"{where}: missing label cell")
     if text == "" or c.kind != NUMERIC:
         return
     try:
         value = float(text)
     except ValueError:
-        raise ValueError(f"line {line}: unparseable numeric cell {text!r} in column {c.name!r}") from None
+        raise ValueError(f"{where}: unparseable numeric cell {text!r} in column {c.name!r}") from None
     if not math.isfinite(value):
-        raise ValueError(f"line {line}: non-finite numeric cell in column {c.name!r}")
+        raise ValueError(f"{where}: non-finite numeric cell in column {c.name!r}")
 
 
 def _column(cells, c: ColumnSchema) -> list | None:

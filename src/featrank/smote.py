@@ -53,13 +53,6 @@ def _minority_rows(table: Table, k: int) -> list[int]:
     return rows
 
 
-def _all_minority_neighbors(table: Table, k: int) -> dict[int, list[int]]:
-    """Every minority row's k nearest minority rows, as original row indices."""
-    minority_idx = _minority_rows(table, k)
-    nearest = k_nearest(encode(table), minority_idx, minority_idx, k)
-    return dict(zip(minority_idx, nearest.tolist()))
-
-
 def minority_neighbors(table: Table, row: int, k: int) -> list[int]:
     """The k minority rows nearest to one minority row, self excluded.
 
@@ -90,13 +83,14 @@ def smote(table: Table, config: SmoteConfig) -> Table:
         return table
 
     k = config.k_neighbors
-    neighbors = _all_minority_neighbors(table, k)
+    minority = _minority_rows(table, k)  # ascending
+    nearest = k_nearest(encode(table), minority, minority, k)
     rng = random.Random(config.seed)
-    anchors = list(neighbors)  # the minority rows, ascending
-    rng.shuffle(anchors)
-    cycle = np.arange(need) % len(anchors)
-    anchor = np.asarray(anchors)[cycle]
-    near = np.asarray([neighbors[a] for a in anchors])[cycle]  # each row's k neighbors
+    order = list(range(len(minority)))
+    rng.shuffle(order)  # swaps depend on the length only: minority[order] is minority shuffled
+    cycle = np.asarray(order)[np.arange(need) % len(order)]
+    anchor = np.asarray(minority)[cycle]
+    near = nearest[cycle]  # each row's k neighbors
     draws = [(rng.randrange(k), rng.random()) for _ in range(need)]
     neighbor = near[np.arange(need), [pick for pick, _ in draws]]
     u = np.asarray([frac for _, frac in draws])  # one fraction shared by a row's numerics

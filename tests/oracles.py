@@ -39,9 +39,9 @@ def oracle_csv_cells(path, header, rows, schema):
                 try:
                     value = float(text)
                 except ValueError:
-                    return f"line {line}: unparseable numeric cell {text!r} in column {c.name!r}"
+                    return f"{path}: line {line}: unparseable numeric cell {text!r} in column {c.name!r}"
                 if not math.isfinite(value):
-                    return f"line {line}: non-finite numeric cell in column {c.name!r}"
+                    return f"{path}: line {line}: non-finite numeric cell in column {c.name!r}"
                 columns[c.name].append(value)
             else:
                 columns[c.name].append(text)
@@ -273,6 +273,45 @@ def oracle_minority_neighbors(table, k):
         order = np.argsort(dist[local], kind="stable")
         out[row] = [minority[j] for j in order if j != local][:k]
     return out
+
+
+def oracle_smote(table, k, target_ratio, seed):
+    """SMOTE written out one synthetic row at a time over a dict of every
+    minority row's neighbours. The anchors are the minority rows, ascending,
+    shuffled once; synthetic row i takes anchor i mod m, then draws its
+    neighbour (`randrange(k)`) and its fraction (`random()`). Returns the
+    synthetic rows, as `Table.rows` reads them, and their (anchor, neighbour)
+    pairs."""
+    y = table.label01()
+    n_minority, n_majority = sorted((sum(y), len(y) - sum(y)))
+    need = math.ceil(target_ratio * n_majority) - n_minority
+    neighbors = oracle_minority_neighbors(table, k)
+    rng = random.Random(seed)
+    anchors = list(neighbors)
+    rng.shuffle(anchors)
+    source = table.rows
+    rows, pairs = [], []
+    for i in range(need):
+        anchor = anchors[i % len(anchors)]
+        near = neighbors[anchor]
+        neighbor = near[rng.randrange(k)]
+        u = rng.random()
+        row = []
+        for j, col in enumerate(table.schema):
+            a = source[anchor][j]
+            if col.role == "label":
+                row.append(a)
+            elif col.kind == "numeric":
+                row.append(a + u * (source[neighbor][j] - a))
+            else:  # the neighbours' majority value, the anchor's own on ties
+                votes = {}
+                for n in near:
+                    votes[source[n][j]] = votes.get(source[n][j], 0) + 1
+                top = [v for v, c in votes.items() if c == max(votes.values())]
+                row.append(top[0] if len(top) == 1 else a)
+        rows.append(tuple(row))
+        pairs.append((anchor, neighbor))
+    return rows, pairs
 
 
 # --- tree split search -----------------------------------------------------

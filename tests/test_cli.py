@@ -180,6 +180,16 @@ class TestWeigh:
         assert "--bins" in capsys.readouterr().err
         assert run(*base, "--relief-k", "0") == 1
 
+    def test_impossible_relief_k_makes_no_out_directory(self, cohort, tmp_path, capsys):
+        out = tmp_path / "new" / "o"
+        code = run(
+            "weigh", "--data", str(cohort / "cohort.csv"),
+            "--schema", str(cohort / "schema.json"), "--out", str(out), "--relief-k", "500",
+        )
+        assert code == 3
+        assert "compute error" in capsys.readouterr().err
+        assert not (tmp_path / "new").exists()
+
 
 class TestAblate:
     def base_args(self, cohort, out):
@@ -239,6 +249,13 @@ class TestAblate:
         args[args.index("3")] = "150"
         assert run(*args) == 3
         assert "compute error" in capsys.readouterr().err
+
+    def test_impossible_folds_makes_no_out_directory(self, cohort, tmp_path, capsys):
+        args = self.base_args(cohort, tmp_path / "new" / "o")
+        args[args.index("3")] = "400"
+        assert run(*args) == 3
+        assert "compute error" in capsys.readouterr().err
+        assert not (tmp_path / "new").exists()
 
     def test_folds_below_two_rejected(self, cohort, tmp_path, capsys):
         args = self.base_args(cohort, tmp_path / "o")
@@ -328,6 +345,11 @@ class TestReport:
 
     def test_missing_source_is_config_error(self, tmp_path):
         assert run("report", "--data", str(tmp_path / "nope.csv"), "--out", str(tmp_path)) == 1
+
+    def test_format_flag_refused(self, cohort, tmp_path, capsys):
+        args = ("report", "--data", str(cohort / "cohort.csv"), "--out", str(tmp_path / "r"))
+        assert run(*args, "--format", "md") == 1
+        assert "unrecognized arguments: --format" in capsys.readouterr().err
 
     def test_empty_source_is_data_error(self, tmp_path, capsys):
         empty = tmp_path / "empty.csv"

@@ -230,8 +230,8 @@ class TestLoadCsv:
         assert message == f"{path}: line 3: NUL byte in column 'smoke'"
 
     def test_bad_cell_reported_before_later_ragged_row(self, tmp_path):
-        message, _ = self.refusal(tmp_path, "age,smoke,cad\n1,y,yes\nfifty,n,no\n3,y\n")
-        assert message == "line 3: unparseable numeric cell 'fifty' in column 'age'"
+        message, path = self.refusal(tmp_path, "age,smoke,cad\n1,y,yes\nfifty,n,no\n3,y\n")
+        assert message == f"{path}: line 3: unparseable numeric cell 'fifty' in column 'age'"
 
     def test_ragged_row_reported_before_later_bad_cell(self, tmp_path):
         message, path = self.refusal(tmp_path, "age,smoke,cad\n1,y,yes\n2,n\nfifty,y,yes\n")
@@ -239,8 +239,8 @@ class TestLoadCsv:
 
     def test_bad_cells_in_one_row_reported_in_schema_order(self, tmp_path):
         # the header puts smoke and the label before age; the schema puts age first
-        message, _ = self.refusal(tmp_path, "smoke,cad,age\ny,yes,1\n\x00,,inf\n")
-        assert message == "line 3: non-finite numeric cell in column 'age'"
+        message, path = self.refusal(tmp_path, "smoke,cad,age\ny,yes,1\n\x00,,inf\n")
+        assert message == f"{path}: line 3: non-finite numeric cell in column 'age'"
         message, path = self.refusal(tmp_path, "smoke,cad,age\ny,yes,1\n\x00,,2\n")
         assert message == f"{path}: line 3: NUL byte in column 'smoke'"
 

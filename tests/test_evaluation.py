@@ -8,6 +8,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ import featrank.evaluation as evaluation
 from featrank import classifiers, neighbors
 from featrank.classifiers import ClassifierSpec
 from featrank.cli import main
-from featrank.dataio import FoldPlan, filter_by_group, stratified_folds
+from featrank.dataio import FoldPlan, filter_by_group, split, stratified_folds
 from featrank.evaluation import (
     METRIC_NAMES,
     EvalReport,
@@ -32,7 +33,7 @@ from featrank.evaluation import (
     per_group_rankings,
 )
 from featrank.seeding import derive_seed
-from featrank.smote import SmoteConfig
+from featrank.smote import SmoteConfig, smote
 from helpers import majority_baseline_accuracy, make_table
 from oracles import holdout_metrics, oracle_auc
 
@@ -245,6 +246,33 @@ class TestCrossValidate:
             assert sources <= set(range(n))
             assert all(labels[i] == 1 for i in sources)
 
+    def test_each_fold_oversampled_with_its_own_seed(self):
+        t = imbalanced_table(seed=16)
+        plan = stratified_folds(t, 3, seed=3)
+        cfg = SmoteConfig(k_neighbors=3, target_ratio=1.0, seed=7)
+        folds = evaluation._folds(t, plan, cfg)
+        for fold, (train, _, _) in enumerate(folds):
+            fold_cfg = replace(cfg, seed=derive_seed(cfg.seed, "fold", fold))
+            expected = smote(split(t, plan, fold)[0], fold_cfg)
+            assert train.smote_pairs == expected.smote_pairs
+            assert train.rows == expected.rows
+        sources = [audit.smote_source_indices for _, _, audit in folds]
+        assert len(set(sources)) == len(sources)
+
+    def test_each_fold_fits_with_its_own_seed(self, monkeypatch):
+        seeds = []
+        original = classifiers.fit
+
+        def recorded(spec, *args, **kwargs):
+            seeds.append(spec.seed)
+            return original(spec, *args, **kwargs)
+
+        monkeypatch.setattr(neighbors, "_cpus", lambda: 1)  # the fits run in this process
+        monkeypatch.setattr(classifiers, "fit", recorded)
+        t = noisy_table(n=60, seed=10)
+        cross_validate(t, ClassifierSpec(kind="glm", seed=4), stratified_folds(t, 3, seed=0))
+        assert seeds == [derive_seed(4, "fold", fold) for fold in range(3)]
+
     def test_plan_from_other_table_rejected(self):
         t = noisy_table(n=40, seed=8)
         other = noisy_table(n=60, seed=9)
@@ -390,6 +418,31 @@ class TestPerGroupRankings:
         out = per_group_rankings(t, top_n=2)
         assert list(out) == ["big", "tiny"] and out["tiny"] is None
         assert out["big"][0] == "x"
+
+
+def threshold_strata_table():
+    """Strata at the group analyses' thresholds for k=2 folds (20 rows, 2 per
+    class): `edge` meets both exactly, `short` has one row too few and `thin`
+    one positive too few."""
+    rng = random.Random(28)
+    strata = (("edge", 20, 2), ("short", 19, 9), ("thin", 20, 1))
+    labels = [int(i < pos) for _, rows, pos in strata for i in range(rows)]
+    groups = [name for name, rows, _ in strata for _ in range(rows)]
+    return make_table(
+        {"x": [y + rng.random() for y in labels], "z": [rng.random() for _ in labels]},
+        labels,
+        group=("cohort", groups),
+    )
+
+
+class TestStratumThresholds:
+    def test_rankings_use_a_stratum_exactly_at_the_thresholds(self):
+        out = per_group_rankings(threshold_strata_table(), top_n=2)
+        assert out["edge"] is not None and out["short"] is None and out["thin"] is None
+
+    def test_winners_use_a_stratum_exactly_at_the_thresholds(self):
+        out = best_classifier_per_group(threshold_strata_table(), [ClassifierSpec(kind="glm")], k=2)
+        assert out["edge"][0] == "glm" and out["short"] is None and out["thin"] is None
 
 
 class TestBestClassifierPerGroup:

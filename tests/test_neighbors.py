@@ -10,7 +10,7 @@ import pytest
 
 from featrank import neighbors
 from featrank.neighbors import encode, k_nearest
-from featrank.smote import SmoteConfig, _all_minority_neighbors, minority_neighbors, smote
+from featrank.smote import SmoteConfig, minority_neighbors, smote
 from featrank.weighting import weight_relief
 from helpers import make_table
 from oracles import oracle_k_nearest, oracle_minority_neighbors, oracle_relief_argsort
@@ -65,6 +65,13 @@ def one_numeric(seed):
 TABLES = [all_categorical, duplicate_rows, rounded_mixed, one_categorical, one_numeric]
 
 
+def minority_search(t, k):
+    """Every minority row's k nearest minority rows as SMOTE searches them: one
+    `k_nearest` call with the minority rows as both anchors and candidates."""
+    minority = np.flatnonzero(t.y == 1).tolist()  # these tables' positives are never the majority
+    return dict(zip(minority, k_nearest(encode(t), minority, minority, k).tolist()))
+
+
 @pytest.fixture(params=[1, 7, None], ids=["block1", "block7", "block_over_n"])
 def block_rows(request, monkeypatch):
     """Every kernel call in the test runs this many anchors per block (all of them for None)."""
@@ -97,7 +104,7 @@ def test_relief_adds_terms_in_anchor_order():
 def test_smote_neighbors_equal_full_matrix_argsort(make, seed, k, block_rows):
     t = make(seed)
     expected = oracle_minority_neighbors(t, k)
-    assert _all_minority_neighbors(t, k) == expected
+    assert minority_search(t, k) == expected
     for row in list(expected)[:5]:
         assert minority_neighbors(t, row, k) == expected[row]
 
@@ -252,7 +259,7 @@ def test_one_block_call_starts_no_thread(monkeypatch):
     monkeypatch.setattr(neighbors, "_cpus", lambda: 8)
     monkeypatch.setattr(futures, "ThreadPoolExecutor", no_pool)
     t = rounded_mixed(0)
-    assert _all_minority_neighbors(t, 3) == oracle_minority_neighbors(t, 3)
+    assert minority_search(t, 3) == oracle_minority_neighbors(t, 3)
     assert weight_relief(t, k_neighbors=3) == oracle_relief_argsort(t, 3)
 
 
@@ -280,7 +287,7 @@ def test_smote_neighbor_search_memory_is_blocked():
     t = make_table(
         {"x": [rng.random() for _ in labels], "c": [rng.choice("abc") for _ in labels]}, labels
     )
-    assert traced_peak(lambda: _all_minority_neighbors(t, 5)) < m * m * 8 / 4
+    assert traced_peak(lambda: minority_search(t, 5)) < m * m * 8 / 4
 
 
 def test_relief_memory_is_blocked():

@@ -5,8 +5,11 @@ import random
 
 import pytest
 
-from featrank.smote import SmoteConfig, _all_minority_neighbors, minority_neighbors, smote
+from featrank import neighbors
+from featrank.neighbors import encode, k_nearest
+from featrank.smote import SmoteConfig, minority_neighbors, smote
 from helpers import make_table
+from oracles import oracle_smote
 
 
 class TestConfig:
@@ -131,7 +134,8 @@ class TestSmote:
         )
         out = smote(t, SmoteConfig(k_neighbors=2, target_ratio=1.0, seed=1))
         ci = out.col_index("c")
-        neighborhoods = _all_minority_neighbors(t, 2)
+        minority = [i for i, v in enumerate(t.label01()) if v == 1]
+        neighborhoods = dict(zip(minority, k_nearest(encode(t), minority, minority, 2).tolist()))
         for (anchor, _), row in zip(out.smote_pairs, out.rows[t.n_rows:]):
             votes = sorted(t.rows[n][ci] for n in neighborhoods[anchor])
             if votes == ["a", "b"]:
@@ -177,3 +181,37 @@ class TestSmote:
         t = make_table({"x": [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]}, [1, 1, 1, 0, 0, 0])
         out = smote(t, SmoteConfig(k_neighbors=2, target_ratio=1.0, seed=0))
         assert out is t
+
+
+def mixed_table(n_pos, n_neg, seed):
+    """Numerics with and without ties, two categoricals and a group column."""
+    rng = random.Random(seed)
+    labels = [1] * n_pos + [0] * n_neg
+    rng.shuffle(labels)
+    return make_table(
+        {"x": [rng.gauss(0, 1) for _ in labels], "r": [round(rng.random(), 1) for _ in labels],
+         "c": [rng.choice("abc") for _ in labels], "d": [rng.choice("pq") for _ in labels]},
+        labels,
+        group=("g", [rng.choice("uv") for _ in labels]),
+    )
+
+
+@pytest.mark.parametrize(
+    "n_pos, n_neg, k, ratio, seed",
+    [
+        (9, 30, 1, 1.0, 0),
+        (9, 30, 3, 1.0, 1),
+        (12, 40, 5, 0.6, 2),
+        (31, 11, 4, 1.0, 3),  # the negatives are the minority
+        (20, 25, 8, 1.0, 4),
+        (600, 700, 5, 1.0, 5),  # the neighbour search runs several blocks
+    ],
+)
+def test_smote_equals_written_out_loop(n_pos, n_neg, k, ratio, seed):
+    t = mixed_table(n_pos, n_neg, seed)
+    if n_pos >= 600:
+        assert min(n_pos, n_neg) > neighbors.BLOCK_CELLS // min(n_pos, n_neg)
+    out = smote(t, SmoteConfig(k_neighbors=k, target_ratio=ratio, seed=seed))
+    rows, pairs = oracle_smote(t, k, ratio, seed)
+    assert rows and out.rows[t.n_rows :] == tuple(rows)
+    assert out.smote_pairs == tuple(pairs)

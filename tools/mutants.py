@@ -31,6 +31,8 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parent.parent
 CLASSIFIER_TESTS = "tests/test_classifiers.py"
 NEIGHBOR_TESTS = "tests/test_neighbors.py"
+SMOTE_TESTS = "tests/test_smote.py"
+EVALUATION_TESTS = "tests/test_evaluation.py"
 
 
 class Mutant(NamedTuple):
@@ -143,7 +145,63 @@ MUTANTS = (
         "featrank/evaluation.py",
         "for i in range(len(tasks))]",
         "for i in order]",
-        ("tests/test_evaluation.py::TestTaskRunner::test_workers_give_the_results_of_one",),
+        (f"{EVALUATION_TESTS}::TestTaskRunner::test_workers_give_the_results_of_one",),
+    ),
+    Mutant(
+        "smote anchors left unshuffled",
+        "featrank/smote.py",
+        "rng.shuffle(order)",
+        "pass",
+        (f"{SMOTE_TESTS}::test_smote_equals_written_out_loop",),
+    ),
+    Mutant(
+        "smote fed the whole table",
+        "featrank/evaluation.py",
+        "train = smote(train, fold_cfg)",
+        "train = smote(table, fold_cfg)",
+        (f"{EVALUATION_TESTS}::TestCrossValidate::test_smote_sources_never_touch_test_rows",),
+    ),
+    Mutant(
+        "one smote seed for every fold",
+        "featrank/evaluation.py",
+        'derive_seed(cfg.seed, "fold", fold)',
+        'derive_seed(cfg.seed, "fold", 0)',
+        (f"{EVALUATION_TESTS}::TestCrossValidate::test_each_fold_oversampled_with_its_own_seed",),
+    ),
+    Mutant(
+        "one classifier seed for every fold",
+        "featrank/evaluation.py",
+        'derive_seed(spec.seed, "fold", audit.fold)',
+        'derive_seed(spec.seed, "fold", 0)',
+        (f"{EVALUATION_TESTS}::TestCrossValidate::test_each_fold_fits_with_its_own_seed",),
+    ),
+    Mutant(
+        "stratum of exactly min_rows rows skipped",
+        "featrank/evaluation.py",
+        "sub.n_rows >= min_rows",
+        "sub.n_rows > min_rows",
+        (f"{EVALUATION_TESTS}::TestStratumThresholds",),
+    ),
+    Mutant(
+        "stratum of exactly min_class rows in its smaller class skipped",
+        "featrank/evaluation.py",
+        "smaller >= min_class",
+        "smaller > min_class",
+        (f"{EVALUATION_TESTS}::TestStratumThresholds",),
+    ),
+    Mutant(
+        "forest votes counted at leaf fractions above 0.5 only",
+        "featrank/classifiers/trees.py",
+        "np.count_nonzero(leaves >= 0.5, axis=0)",
+        "np.count_nonzero(leaves > 0.5, axis=0)",
+        (f"{CLASSIFIER_TESTS}::TestFlatScoring",),
+    ),
+    Mutant(
+        "midpoint kept where it rounds onto the upper value",
+        "featrank/classifiers/trees.py",
+        "mid if lo <= mid < hi else lo",
+        "mid if lo <= mid <= hi else lo",
+        (f"{CLASSIFIER_TESTS}::TestGrowerMatchesReference::test_threshold_rounding_onto_next_value",),
     ),
 )
 
