@@ -9,8 +9,9 @@ models do not depend on input row order. Each estimator and the feature
 encoder is a dataclass whose init fields are its hyperparameters. A saved
 model is a versioned JSON document of their fields, each annotated with its
 saved JSON type: a fitted estimator holds numpy arrays there until it is
-saved, and a loaded one holds lists. Fitted fields start empty (a default
-factory), so `vars()` lists every field in declaration order.
+saved, and a loaded one holds lists. A tree kind holds its trees as one
+`NodeTable`, fitted or loaded. Fitted fields start empty (a default factory),
+so `vars()` lists every field in declaration order.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .encoding import FeatureEncoder
 from .linear import LogisticGlm
 from .mlp import Mlp, gradient_check
 from .rules import RuleInduction
-from .trees import DecisionTree, GradientBoostedTrees, RandomForest
+from .trees import DecisionTree, GradientBoostedTrees, NodeTable, RandomForest
 
 MODEL_FORMAT_VERSION = 1
 
@@ -194,8 +195,9 @@ def mlp_gradient_check(spec: ClassifierSpec, train: Table, epsilon: float) -> fl
 
 
 def _document(obj) -> dict:
-    """An estimator's or encoder's attributes as JSON values."""
-    return json.loads(json.dumps(vars(obj), default=np.ndarray.tolist))
+    """An estimator's or encoder's attributes as JSON values: arrays and node
+    tables are written by their `tolist`."""
+    return json.loads(json.dumps(vars(obj), default=lambda value: value.tolist()))
 
 
 def _restore(cls, doc: dict):
@@ -301,34 +303,16 @@ def _check_agreement(kind, features, kinds, encoder, inner) -> None:
             raise ValueError(f"model document: {name} must be {want} ({width} encoded columns)")
     if standardize and not (encoder.scales > 0).all():
         raise ValueError("model document: encoder scales must be positive")
-    roots = [inner.root] if kind == "decision_tree" else getattr(inner, "roots", [])
+    for name in {"root", "roots"} & vars(inner).keys():  # a tree kind's saved trees
+        setattr(inner, name, NodeTable.load(vars(inner)[name], width))
     count = {"random_forest": "n_trees", "gbt": "n_rounds"}.get(kind)
-    if count is not None and len(roots) != getattr(inner, count):
+    if count is not None and len(inner.roots) != getattr(inner, count):
         want = f"{count} = {getattr(inner, count)}"
-        raise ValueError(f"model document: roots must hold {want} trees, not {len(roots)}")
-    for i, root in enumerate(roots):
-        _check_tree(root, width, f"model document: tree {i}")
+        raise ValueError(f"model document: roots must hold {want} trees, not {len(inner.roots)}")
 
 
-# The JSON type of each value of a tree's leaf and split nodes, and of a rule.
-_LEAF_TYPES = {"v": float}
-_SPLIT_TYPES = {"f": int, "t": float, "l": dict, "r": dict}
+# The JSON type of each value of a rule.
 _RULE_TYPES = {"conditions": list[list], "target": int, "precision": float, "coverage": int}
-
-
-def _check_tree(root, width: int, where: str) -> None:
-    """Refuse a tree unless every node is a leaf {"v": value} or a split
-    {"f": encoded column, "t": threshold, "l": node, "r": node}."""
-    stack = [(root, where + " root")]
-    while stack:
-        node, at = stack.pop()
-        declared = _LEAF_TYPES if isinstance(node, dict) and "v" in node else _SPLIT_TYPES
-        dataio.check_keys(node, at, declared)
-        dataio.check_types(node, declared, at)
-        if declared is _SPLIT_TYPES:
-            if not 0 <= node["f"] < width:
-                raise ValueError(f"{at}: f must index one of the {width} encoded columns")
-            stack += [(node["l"], at + ".l"), (node["r"], at + ".r")]
 
 
 def _check_rules(rules, kinds) -> None:

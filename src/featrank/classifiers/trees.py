@@ -62,13 +62,14 @@ rows, in node order, so the rows kept on each side are, node by node, the
 same rows in the same order as each node's own `rows[go_left]` and
 `rows[~go_left]`, and each child is a slice at cumulative counts.
 
-Fitted and loaded trees are nested dicts. Scoring (`_leaves`) flattens a
-model's trees into feature, threshold, child and value arrays and walks all
+A fitted or loaded model holds its trees as one `NodeTable`: flat node
+arrays, the layout of scikit-learn's `Tree`. Scoring (`_leaves`) walks all
 trees together, one level per step, in blocks of at most SCORE_CELLS (tree,
-row) cells. Each leaf is reached by the same `x <= t` tests as a walk of
-the dicts. GBT adds its trees' terms in tree order, and the forest counts
-each block's votes at once, in integers, so the scores are those of
-scoring one tree at a time.
+row) cells. Each leaf is reached by the same `x <= t` tests as a walk of one
+tree at a time. GBT adds its trees' terms in tree order, and the forest
+counts each block's votes at once, in integers, so the scores are those of
+scoring one tree at a time. The saved form, nested {"f","t","l","r"} /
+{"v"} dicts, is written and read by `NodeTable` alone.
 """
 
 from __future__ import annotations
@@ -79,6 +80,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .. import dataio
 from ..seeding import derive_seed
 from .linear import _sigmoid
 
@@ -314,36 +316,136 @@ def _feature_sampler(rng, p, m):
     return sample
 
 
-def _grow(data, y, trees, max_depth, min_leaf):
-    """Grow one tree per (rows, sample_features) pair of `trees`; return the roots.
+# The JSON type of each value of a saved tree's leaf and split nodes.
+_LEAF_TYPES = {"v": float}
+_SPLIT_TYPES = {"f": int, "t": float, "l": dict, "r": dict}
 
-    `y` holds 0/1 targets as integers. Nodes are nested {"f","t","l","r"} /
-    {"v"} dicts, every node is split from counts, and a leaf holds its
-    positive fraction. `sample_features` returns the sorted candidate feature
-    ids of the next node split. Each step pops one pending node per tree, the
-    newest, so each tree splits its nodes and draws its features in
-    pre-order. `trees` may be a generator, so no tree's root rows outlive its
-    first split.
+
+class NodeTable:
+    """A model's trees as one table of nodes in flat arrays, the layout of
+    scikit-learn's `Tree` (Louppe, "Understanding Random Forests", PhD thesis,
+    Liège 2014, ch. 5). Node i sends a row x to left[i] where x[feature[i]] <=
+    threshold[i], else to right[i]; a leaf is its own left and right child and
+    holds value[i]. Tree k starts at roots[k]; `depth` is the longest path.
+
+    The growers and `load` add nodes to lists, splitting each tree's nodes in
+    pre-order, and a split's children take the next two numbers. `finish`
+    makes the lists arrays, each tree's nodes together, so a fitted table and
+    the one loaded from its saved form are equal. The saved form is a nested
+    {"f","t","l","r"} / {"v"} dict per tree, one dict if `single`.
     """
-    roots, stacks, samplers = [], [], []
+
+    def __init__(self, single=False):
+        self.single = single
+        self.roots = []
+        self.feature, self.threshold, self.left, self.right, self.value = [], [], [], [], []
+        self._tree, self._depth = [], []  # per node, until `finish`
+
+    def __len__(self):
+        return len(self.roots)
+
+    def _node(self, tree, depth):
+        i = len(self.value)
+        self.feature.append(0)
+        self.threshold.append(0.0)
+        self.left.append(i)
+        self.right.append(i)
+        self.value.append(0.0)
+        self._tree.append(tree)
+        self._depth.append(depth)
+        return i
+
+    def add_tree(self):
+        """A new tree's root, a leaf until it splits."""
+        self.roots.append(self._node(len(self.roots), 0))
+        return self.roots[-1]
+
+    def split(self, i, feature, threshold):
+        """Make leaf i test x[feature] <= threshold; return its two new leaves."""
+        self.feature[i], self.threshold[i] = feature, threshold
+        self.left[i] = self._node(self._tree[i], self._depth[i] + 1)
+        self.right[i] = self._node(self._tree[i], self._depth[i] + 1)
+        return self.left[i], self.right[i]
+
+    def finish(self):
+        """Make the lists arrays, each tree's nodes together, in tree order."""
+        order = np.argsort(self._tree, kind="stable")
+        number = np.empty(order.size, np.intp)
+        number[order] = np.arange(order.size)
+        self.feature = np.asarray(self.feature, np.intp)[order]
+        self.threshold = np.asarray(self.threshold, float)[order]
+        self.value = np.asarray(self.value, float)[order]
+        self.left = number[np.asarray(self.left, np.intp)[order]]
+        self.right = number[np.asarray(self.right, np.intp)[order]]
+        self.roots = number[np.asarray(self.roots, np.intp)]
+        self.depth = max(self._depth, default=0)
+        del self._tree, self._depth
+        return self
+
+    def tolist(self):
+        """The saved form."""
+        feature, threshold, left, right, value = (
+            a.tolist() for a in (self.feature, self.threshold, self.left, self.right, self.value)
+        )
+
+        def saved(i):
+            if left[i] == i:
+                return {"v": value[i]}
+            return {"f": feature[i], "t": threshold[i], "l": saved(left[i]), "r": saved(right[i])}
+
+        trees = [saved(root) for root in self.roots.tolist()]
+        return trees[0] if self.single else trees
+
+    @classmethod
+    def load(cls, saved, width):
+        """The table of a saved form, refused unless every node is a leaf {"v": value}
+        or a split {"f": encoded column below width, "t": threshold, "l": node, "r": node}."""
+        table = cls(single=isinstance(saved, dict))
+        for k, root in enumerate([saved] if table.single else saved):
+            stack = [(root, table.add_tree(), f"model document: tree {k} root")]
+            while stack:
+                node, i, at = stack.pop()
+                declared = _LEAF_TYPES if isinstance(node, dict) and "v" in node else _SPLIT_TYPES
+                dataio.check_keys(node, at, declared)
+                dataio.check_types(node, declared, at)
+                if declared is _LEAF_TYPES:
+                    table.value[i] = node["v"]
+                elif not 0 <= node["f"] < width:
+                    raise ValueError(f"{at}: f must index one of the {width} encoded columns")
+                else:
+                    left, right = table.split(i, node["f"], node["t"])
+                    stack += [(node["r"], right, at + ".r"), (node["l"], left, at + ".l")]
+        return table.finish()
+
+
+def _grow(data, y, trees, max_depth, min_leaf):
+    """Grow one tree per (rows, sample_features) pair of `trees` into a NodeTable.
+
+    `y` holds 0/1 targets as integers. Every node is split from counts, and a
+    leaf holds its positive fraction. `sample_features` returns the sorted
+    candidate feature ids of the next node split. Each step pops one pending
+    node per tree, the newest, so each tree splits its nodes and draws its
+    features in pre-order. `trees` may be a generator, so no tree's root rows
+    outlive its first split.
+    """
+    table, stacks, samplers = NodeTable(), [], []
 
     def place(tree, node, depth, rows, npos):
-        """Queue `node` to try a split, or make it a leaf if it cannot split."""
+        """Queue `node` to try a split, or leave it a leaf if it cannot split."""
         n = rows.size
         if depth >= max_depth or n < 2 * min_leaf or npos == 0 or npos == n:
-            node["v"] = npos / n
+            table.value[node] = npos / n
         else:
             stacks[tree].append((tree, node, rows, depth, npos))
 
     for tree, (rows, sampler) in enumerate(trees):
-        roots.append({})
         stacks.append([])
         samplers.append(sampler)
-        place(tree, roots[tree], 0, rows, int(np.count_nonzero(y[rows])))
+        place(tree, table.add_tree(), 0, rows, int(np.count_nonzero(y[rows])))
     while True:
         batch = [stack.pop() for stack in stacks if stack]
         if not batch:
-            return roots
+            return table.finish()
         blocks, cells = [[]], 0
         for pending in batch:
             tree, _, rows, _, _ = pending
@@ -362,7 +464,7 @@ def _grow(data, y, trees, max_depth, min_leaf):
             for pending, split in zip(pendings, found):
                 if split is None:
                     _, node, rows, _, npos = pending
-                    node["v"] = npos / rows.size
+                    table.value[node] = npos / rows.size
                 else:
                     splits.append((pending, split))
             if not splits:
@@ -373,48 +475,47 @@ def _grow(data, y, trees, max_depth, min_leaf):
             for ((tree, node, _, depth, npos), (j, thr, left_pos)), (lefts, rights) in zip(
                 splits, children
             ):
-                left, right = {}, {}
-                node.update(f=j, t=thr, l=left, r=right)
+                left, right = table.split(node, j, thr)
                 # right first: the stack pops the left subtree first
                 place(tree, right, depth + 1, rights, npos - left_pos)
                 place(tree, left, depth + 1, lefts, left_pos)
 
 
-def _grow_sorted(scan, t, max_depth, min_leaf, leaf_value):
-    """Grow one tree with the sorted scan; a leaf holds leaf_value(rows).
+def _grow_sorted(scan, t, max_depth, min_leaf, leaf_value, table):
+    """Grow one tree with the sorted scan into `table`, and return the table; a
+    leaf holds leaf_value(rows).
 
-    Nodes are split in pre-order, into the same nested dicts as `_grow`'s.
-    Only a node that may split gets its presorted order and codes. Pending
-    nodes hold disjoint rows, so together they hold at most one presorted
-    copy of the codes.
+    Nodes are split in pre-order, as in `_grow`. Only a node that may split
+    gets its presorted order and codes. Pending nodes hold disjoint rows, so
+    together they hold at most one presorted copy of the codes.
     """
 
     def made_leaf(out, depth, rows):
-        """Make `out` a leaf if it cannot split, and say whether it did."""
+        """Leave `out` a leaf if it cannot split, and say whether it did."""
         if depth < max_depth and rows.size >= 2 * min_leaf:
             tt = t[rows]
             if tt.max() - tt.min() != 0.0:
                 return False
-        out["v"] = leaf_value(rows)
+        table.value[out] = leaf_value(rows)
         return True
 
-    root = {}
+    root = table.add_tree()
     stack = [] if made_leaf(root, 0, scan.root[0]) else [(root, scan.root, 0)]
     while stack:
         out, node, depth = stack.pop()
         split = scan.split(node, t)
         if split is None:
-            out["v"] = leaf_value(node[0])
+            table.value[out] = leaf_value(node[0])
             continue
         j, thr = split
-        out.update(f=j, t=thr, l={}, r={})
+        left, right = table.split(out, j, thr)
         goes_left = scan.data.x[:, j] <= thr
         go = goes_left[node[0]]
         # right first: the stack pops the left subtree first
-        for side, goes, rows in (("r", ~goes_left, node[0][~go]), ("l", goes_left, node[0][go])):
-            if not made_leaf(out[side], depth + 1, rows):
-                stack.append((out[side], scan.child(node, rows, goes), depth + 1))
-    return root
+        for child, goes, rows in ((right, ~goes_left, node[0][~go]), (left, goes_left, node[0][go])):
+            if not made_leaf(child, depth + 1, rows):
+                stack.append((child, scan.child(node, rows, goes), depth + 1))
+    return table
 
 
 def _binary_target(y) -> np.ndarray:
@@ -424,33 +525,20 @@ def _binary_target(y) -> np.ndarray:
     return t
 
 
-def _leaves(roots, x_mat):
+def _leaves(trees, x_mat):
     """Yield (rows, values) per block of x_mat's rows: a slice of the rows, and
-    each tree's leaf value at those rows (tree × row)."""
-    nodes = list(roots)  # the roots first, then breadth-first over all trees
-    children, depth = [], [0] * len(nodes)
-    for i, node in enumerate(nodes):
-        if "v" in node:
-            children.append((i, i))  # a leaf keeps every row that reaches it
-        else:
-            children.append((len(nodes), len(nodes) + 1))
-            nodes += (node["l"], node["r"])
-            depth += (depth[i] + 1,) * 2
-    feature = np.asarray([node.get("f", 0) for node in nodes], dtype=np.intp)
-    threshold = np.asarray([node.get("t", 0.0) for node in nodes], dtype=float)
-    value = np.asarray([node.get("v", 0.0) for node in nodes], dtype=float)
-    left, right = np.asarray(children, dtype=np.intp).reshape(-1, 2).T
-    tops = np.arange(len(roots))[:, None]
-    step = max(1, SCORE_CELLS // max(len(roots), 1))
+    each tree's leaf value at those rows (tree × row), for a NodeTable."""
+    tops = trees.roots[:, None]
+    step = max(1, SCORE_CELLS // max(len(trees), 1))
     for start in range(0, len(x_mat), step):
         block = x_mat[start : start + step]
         cells = block.ravel()  # row i's values start at cells[row_starts[i]]
         row_starts = np.arange(0, block.size, block.shape[1])
         at = tops.repeat(len(block), axis=1)
-        for _ in range(max(depth, default=0)):
-            x = cells.take(feature.take(at) + row_starts)
-            at = np.where(x <= threshold.take(at), left.take(at), right.take(at))
-        yield slice(start, start + len(block)), value.take(at)
+        for _ in range(trees.depth):
+            x = cells.take(trees.feature.take(at) + row_starts)
+            at = np.where(x <= trees.threshold.take(at), trees.left.take(at), trees.right.take(at))
+        yield slice(start, start + len(block)), trees.value.take(at)
 
 
 @dataclass(eq=False)
@@ -466,13 +554,13 @@ class DecisionTree:
         t = _binary_target(y)
         self.root = _grow_sorted(
             _SortedScan(x_mat, self.min_leaf), t, self.max_depth, self.min_leaf,
-            lambda rows: float(t[rows].mean()),
-        )
+            lambda rows: float(t[rows].mean()), NodeTable(single=True),
+        ).finish()
         return self
 
     def scores(self, x_mat) -> np.ndarray:
         out = np.empty(len(x_mat))
-        for rows, leaves in _leaves([self.root], x_mat):
+        for rows, leaves in _leaves(self.root, x_mat):
             out[rows] = leaves[0]
         return out
 
@@ -538,7 +626,7 @@ class GradientBoostedTrees:
         self.prior_log_odds = float(math.log(pos / (n - pos)))
         raw = np.full(n, self.prior_log_odds)
         scan = _SortedScan(x_mat, self.min_leaf)
-        self.roots = []
+        table = NodeTable()
         for _ in range(self.n_rounds):
             p = _sigmoid(raw)
             residual = t - p
@@ -550,10 +638,9 @@ class GradientBoostedTrees:
                 update[leaf_idx] = value = float(min(max(step, -_MAX_LEAF_STEP), _MAX_LEAF_STEP))
                 return value
 
-            self.roots.append(
-                _grow_sorted(scan, residual, self.max_depth, self.min_leaf, leaf_value)
-            )
+            _grow_sorted(scan, residual, self.max_depth, self.min_leaf, leaf_value, table)
             raw = raw + self.shrinkage * update
+        self.roots = table.finish()
         return self
 
     def scores(self, x_mat) -> np.ndarray:

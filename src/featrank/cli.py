@@ -55,12 +55,11 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _add_io_flags(p, schema_required: bool = True):
+def _add_io_flags(p):
     p.add_argument("--data", required=True, help="input CSV path")
-    p.add_argument("--schema", required=schema_required, help="schema JSON path")
+    p.add_argument("--schema", required=True, help="schema JSON path")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--seed", type=int, default=0, help="global seed (default 0)")
-    p.add_argument("--format", choices=("csv", "md"), default="csv", help="report format")
 
 
 def _add_eval_flags(p):
@@ -164,18 +163,11 @@ def _smote_config(args) -> SmoteConfig | None:
     )
 
 
-def _emit(out_dir: Path, stem: str, rows, fmt: str) -> None:
-    """Write one report as CSV, plus its Markdown rendering under --format md."""
-    write_rows(out_dir / f"{stem}.csv", rows)
-    if fmt == "md":
-        write_rows(out_dir / f"{stem}.md", rows, markdown=True)
-
-
 def cmd_weigh(args) -> int:
     table = _load_table(args)
     matrix = weigh_all(table, n_bins=args.bins, relief_k=args.relief_k)
     out_dir = _ensure_out(args.out)
-    _emit(out_dir, "weights", weight_matrix_rows(matrix), args.format)
+    write_rows(out_dir / "weights.csv", weight_matrix_rows(matrix))
     print(f"wrote weight report for {len(table.feature_names())} attributes to {out_dir}")
     return 0
 
@@ -188,12 +180,9 @@ def cmd_ablate(args) -> int:
     plan = stratified_folds(table, args.folds, derive_seed(args.seed, "folds"))
     out_dir = _ensure_out(args.out)
     report = ablation(table, args.feature, specs, plan, _smote_config(args))
-    for stem, rows in (
-        ("without", eval_report_rows(report.without_report)),
-        ("with", eval_report_rows(report.with_report)),
-        ("delta", delta_rows(report)),
-    ):
-        _emit(out_dir, stem, rows, args.format)
+    write_rows(out_dir / "without.csv", eval_report_rows(report.without_report))
+    write_rows(out_dir / "with.csv", eval_report_rows(report.with_report))
+    write_rows(out_dir / "delta.csv", delta_rows(report))
     if args.save_model:
         model_dir = _ensure_out(out_dir / "models")
         for spec in specs:
@@ -221,8 +210,8 @@ def cmd_groups(args) -> int:
         seed=derive_seed(args.seed, "groups-best"),
         smote_cfg=_smote_config(args),
     )
-    _emit(out_dir, "group_rankings", group_ranking_rows(rankings), args.format)
-    _emit(out_dir, "group_winners", group_winner_rows(winners), args.format)
+    write_rows(out_dir / "group_rankings.csv", group_ranking_rows(rankings))
+    write_rows(out_dir / "group_winners.csv", group_winner_rows(winners))
     ranked = sum(top is not None for top in rankings.values())
     won = sum(winner is not None for winner in winners.values())
     print(f"ranked {ranked} groups, selected winners for {won}; reports in {out_dir}")

@@ -312,14 +312,6 @@ def _column(cells, c: ColumnSchema) -> list | None:
     return [next(numbers) if t else None for t in texts]
 
 
-def _mode(values: list[str]) -> str:
-    counts = {}
-    for v in values:
-        counts[v] = counts.get(v, 0) + 1
-    best = max(counts.values())
-    return min(v for v, c in counts.items() if c == best)  # tie -> lexicographic
-
-
 def load_csv(path: str | Path, schema: list[ColumnSchema]) -> Table:
     """Ingest an RFC 4180 CSV with a header row into a complete Table.
 
@@ -378,7 +370,7 @@ def load_csv(path: str | Path, schema: list[ColumnSchema]) -> Table:
             continue
         if not observed:
             raise ValueError(f"{path}: column {c.name!r} has no observed values to impute from")
-        fill = statistics.median(observed) if c.kind == NUMERIC else _mode(observed)
+        fill = statistics.median(observed) if c.kind == NUMERIC else min(statistics.multimode(observed))
         columns[c.name] = [fill if v is None else v for v in col]
         imputations[c.name] = missing
 

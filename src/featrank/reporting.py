@@ -1,4 +1,4 @@
-"""Fixed-precision report rendering: CSV as the canonical form, Markdown on request.
+"""Fixed-precision report rendering: CSV as the canonical form, Markdown from it.
 
 All numbers are formatted at fixed precision (weights 5 decimals, metrics 2
 decimals) and all files end with a single trailing newline, so identical runs
@@ -121,10 +121,9 @@ def rows_to_markdown(rows: list[list[str]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_rows(path, rows: list[list[str]], markdown: bool = False) -> None:
-    text = rows_to_markdown(rows) if markdown else rows_to_csv(rows)
+def write_rows(path, rows: list[list[str]]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+        fh.write(rows_to_csv(rows))
 
 
 def read_csv_rows(path) -> list[list[str]]:

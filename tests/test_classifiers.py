@@ -228,7 +228,7 @@ class TestKindSpecifics:
         y = np.asarray([y01[i] for i in order], dtype=float)
         raw = np.full(len(y), inner.prior_log_odds)
         losses = []
-        for root in inner.roots:
+        for root in inner.roots.tolist():
             p = np.clip(_sigmoid(raw), 1e-12, 1 - 1e-12)
             losses.append(float(-np.mean(y * np.log(p) + (1 - y) * np.log(1 - p))))
             raw = raw + inner.shrinkage * oracle_tree_apply(root, x_mat)
@@ -334,7 +334,7 @@ class TestSplitSearch:
         t = (rng.random(200) < 0.3 + 0.4 * x_mat[:, 3]).astype(float)
         tree = DecisionTree(max_depth=6, min_leaf=min_leaf).fit(x_mat, t)
         nodes = assert_splits_match_oracle(
-            tree.root, x_mat, t, np.arange(200), min_leaf, range(x_mat.shape[1])
+            tree.root.tolist(), x_mat, t, np.arange(200), min_leaf, range(x_mat.shape[1])
         )
         assert nodes >= 5
 
@@ -348,7 +348,7 @@ class TestSplitSearch:
         t = ((rank >= n - 500) ^ (rank % 97 == 0)).astype(float)
         assert _CodedMatrix(x_mat).codes.max() == n - 1
         tree = DecisionTree(max_depth=2, min_leaf=5).fit(x_mat, t)
-        assert assert_splits_match_oracle(tree.root, x_mat, t, np.arange(n), 5, [0]) == 3
+        assert assert_splits_match_oracle(tree.root.tolist(), x_mat, t, np.arange(n), 5, [0]) == 3
 
 
 # BLOCK_CELLS for the random forest's count path: every node is counted
@@ -379,7 +379,7 @@ class TestGrowerMatchesReference:
             x_mat, y = tie_heavy_case(seed, n)
             for max_depth in (1, 2, 5, 12):
                 tree = DecisionTree(max_depth=max_depth, min_leaf=min_leaf).fit(x_mat, y)
-                assert tree.root == oracle_decision_tree(x_mat, y, max_depth, min_leaf)
+                assert tree.root.tolist() == oracle_decision_tree(x_mat, y, max_depth, min_leaf)
 
     @pytest.mark.parametrize(
         "n_trees, max_depth, min_leaf", [(1, 12, 0), (7, 3, 1), (7, 12, 8), (100, 8, 5)]
@@ -388,14 +388,14 @@ class TestGrowerMatchesReference:
         # bootstrap samples repeat rows, and the forest's nodes split in lockstep
         x_mat, y = tie_heavy_case(n_trees, 120)
         forest = RandomForest(n_trees, max_depth, min_leaf).fit(x_mat, y, seed=11)
-        assert forest.roots == oracle_random_forest(x_mat, y, n_trees, max_depth, min_leaf, 11)
+        assert forest.roots.tolist() == oracle_random_forest(x_mat, y, n_trees, max_depth, min_leaf, 11)
 
     @pytest.mark.parametrize("max_depth, min_leaf", [(1, 0), (3, 5), (6, 2)])
     def test_gbt(self, max_depth, min_leaf):
         x_mat, y = tie_heavy_case(max_depth, 100)
         gbt = GradientBoostedTrees(8, max_depth, min_leaf, 0.3).fit(x_mat, y)
         prior, roots = oracle_gbt(x_mat, y, 8, max_depth, min_leaf, 0.3)
-        assert (gbt.prior_log_odds, gbt.roots) == (prior, roots)
+        assert (gbt.prior_log_odds, gbt.roots.tolist()) == (prior, roots)
 
     def test_codes_wider_than_int16(self, blocks):
         n = 2**15 + 700
@@ -405,9 +405,9 @@ class TestGrowerMatchesReference:
         x_mat = np.column_stack([onehot, rank / 7.0])
         y = ((rank >= n - 900) ^ (rank % 97 == 0) ^ (onehot * (rank % 5 == 0) > 0)).astype(float)
         tree = DecisionTree(max_depth=3, min_leaf=5).fit(x_mat, y)
-        assert tree.root == oracle_decision_tree(x_mat, y, 3, 5)
+        assert tree.root.tolist() == oracle_decision_tree(x_mat, y, 3, 5)
         forest = RandomForest(n_trees=2, max_depth=3, min_leaf=5).fit(x_mat, y, seed=2)
-        assert forest.roots == oracle_random_forest(x_mat, y, 2, 3, 5, 2)
+        assert forest.roots.tolist() == oracle_random_forest(x_mat, y, 2, 3, 5, 2)
 
     def test_threshold_rounding_onto_next_value(self, blocks):
         # (a + b) / 2 rounds up to b for these adjacent doubles, so the split
@@ -419,11 +419,11 @@ class TestGrowerMatchesReference:
         y[[21, 23]] = 1.0
         y[[41, 43]] = 0.0
         tree = DecisionTree(max_depth=1, min_leaf=1).fit(x_mat, y)
-        assert tree.root == oracle_decision_tree(x_mat, y, 1, 1)
-        assert tree.root["t"] == a and tree.root["l"]["v"] == 20 / 20
+        assert tree.root.tolist() == oracle_decision_tree(x_mat, y, 1, 1)
+        assert tree.root.tolist()["t"] == a and tree.root.tolist()["l"]["v"] == 20 / 20
         forest = RandomForest(n_trees=8, max_depth=1, min_leaf=1).fit(x_mat, y, seed=5)
-        assert forest.roots == oracle_random_forest(x_mat, y, 8, 1, 1, 5)
-        assert any(root["t"] == a for root in forest.roots)
+        assert forest.roots.tolist() == oracle_random_forest(x_mat, y, 8, 1, 1, 5)
+        assert any(root["t"] == a for root in forest.roots.tolist())
 
     def test_gbt_many_rounds(self):
         # 40 rounds of shrinking residuals, min_leaf 0, and columns constant
@@ -433,7 +433,7 @@ class TestGrowerMatchesReference:
         x_mat = np.column_stack([x_mat, np.maximum(x_mat[:, 4], 0.0)])
         gbt = GradientBoostedTrees(40, 3, 0, 0.3).fit(x_mat, y)
         prior, roots = oracle_gbt(x_mat, y, 40, 3, 0, 0.3)
-        assert (gbt.prior_log_odds, gbt.roots) == (prior, roots)
+        assert (gbt.prior_log_odds, gbt.roots.tolist()) == (prior, roots)
         used, stack = set(), list(roots)
         while stack:
             node = stack.pop()
@@ -448,9 +448,9 @@ class TestGrowerMatchesReference:
         x_mat, y = tie_heavy_case(0, 10)
         min_leaf = len(y) + extra
         tree = DecisionTree(max_depth=3, min_leaf=min_leaf).fit(x_mat, y)
-        assert tree.root == oracle_decision_tree(x_mat, y, 3, min_leaf) == {"v": 0.5}
+        assert tree.root.tolist() == oracle_decision_tree(x_mat, y, 3, min_leaf) == {"v": 0.5}
         gbt = GradientBoostedTrees(5, 3, min_leaf, 0.3).fit(x_mat, y)
-        assert (gbt.prior_log_odds, gbt.roots) == oracle_gbt(x_mat, y, 5, 3, min_leaf, 0.3)
+        assert (gbt.prior_log_odds, gbt.roots.tolist()) == oracle_gbt(x_mat, y, 5, 3, min_leaf, 0.3)
 
     def test_targets_must_be_binary(self):
         x_mat = np.arange(20.0)[:, None]
@@ -517,14 +517,14 @@ def oracle_scores(inner, x_mat):
     """A tree model's scores from walking each nested tree on its own, adding
     the trees' terms in tree order."""
     if isinstance(inner, DecisionTree):
-        return oracle_tree_apply(inner.root, x_mat)
+        return oracle_tree_apply(inner.root.tolist(), x_mat)
     if isinstance(inner, RandomForest):
         votes = np.zeros(len(x_mat))
-        for root in inner.roots:
+        for root in inner.roots.tolist():
             votes += oracle_tree_apply(root, x_mat) >= 0.5
         return votes / len(inner.roots)
     raw = np.full(len(x_mat), inner.prior_log_odds)
-    for root in inner.roots:
+    for root in inner.roots.tolist():
         raw += inner.shrinkage * oracle_tree_apply(root, x_mat)
     return 1.0 / (1.0 + np.exp(-np.clip(raw, -36.0, 36.0)))
 
@@ -542,7 +542,7 @@ def probe_rows(roots, width, rng, n):
 
 
 def tree_roots(inner):
-    return [inner.root] if isinstance(inner, DecisionTree) else inner.roots
+    return [inner.root.tolist()] if isinstance(inner, DecisionTree) else inner.roots.tolist()
 
 
 class TestFlatScoring:

@@ -3,6 +3,7 @@
 import json
 import re
 
+import numpy as np
 import pytest
 
 import featrank as fr
@@ -112,18 +113,26 @@ class TestWeigh:
         assert len(rows) == 10  # header plus nine attributes
         assert "wrote weight report for 9 attributes" in capsys.readouterr().out
 
-    def test_md_format_also_writes_csv(self, cohort, tmp_path):
-        out = tmp_path / "w"
-        code = run(
-            "weigh", "--data", str(cohort / "cohort.csv"),
-            "--schema", str(cohort / "schema.json"),
-            "--out", str(out), "--format", "md",
-        )
-        assert code == 0
-        assert (out / "weights.md").exists()
-        assert (out / "weights.csv").exists()
-        md = (out / "weights.md").read_text()
-        assert md.splitlines()[0].startswith("| Attribute |")
+    @pytest.mark.parametrize("command, extra, stems, header", [
+        ("weigh", (), ("weights",), "| Attribute |"),
+        ("ablate", ("--feature", "ethnicity", "--folds", "2", "--classifiers", "glm"),
+         ("without", "with", "delta"), "| Metric |"),
+        ("groups", ("--folds", "2", "--classifiers", "glm"), ("group_rankings", "group_winners"),
+         "| Group | Status |"),
+    ], ids=["weigh", "ablate", "groups"])
+    def test_markdown_comes_from_report_only(self, cohort, tmp_path, capsys, command, extra, stems, header):
+        files = ("--data", str(cohort / "cohort.csv"), "--schema", str(cohort / "schema.json"))
+        assert run(command, *files, "--out", str(tmp_path / "md"), *extra, "--format", "md") == 1
+        assert "unrecognized arguments: --format" in capsys.readouterr().err
+        out = tmp_path / "csv"
+        assert run(command, *files, "--out", str(out), *extra) == 0
+        assert sorted(p.name for p in out.iterdir()) == sorted(f"{stem}.csv" for stem in stems)
+        for stem in stems:
+            assert run("report", "--data", str(out / f"{stem}.csv"), "--out", str(tmp_path / "r")) == 0
+            md = (tmp_path / "r" / f"{stem}.md").read_text(encoding="utf-8")
+            # the text `--format md` wrote: the emitted rows rendered as Markdown
+            assert md == rows_to_markdown(read_csv_rows(out / f"{stem}.csv"))
+            assert md.startswith(header)
 
     def test_deterministic_output(self, cohort, tmp_path):
         outs = [tmp_path / "r1", tmp_path / "r2"]
@@ -222,6 +231,25 @@ class TestAblate:
             doc = json.loads((out / "models" / f"{kind}.json").read_text())
             model = model_from_json(doc)
             assert model.spec.kind == kind
+
+    def test_saved_trees_load_and_write_back_equal(self, cohort, tmp_path):
+        out = tmp_path / "a"
+        args = self.base_args(cohort, out)
+        kinds = ("decision_tree", "random_forest", "gbt")
+        args[args.index("decision_tree,glm")] = ",".join(kinds)
+        assert run(*args, "--seed", "4", "--save-model") == 0
+        table = fr.load_csv(cohort / "cohort.csv", fr.load_schema_json(cohort / "schema.json"))
+        for spec in (s for s in fr.default_specs(4) if s.kind in kinds):
+            text = (out / "models" / f"{spec.kind}.json").read_text(encoding="utf-8")
+            loaded = model_from_json(json.loads(text))
+            assert json.dumps(fr.model_to_json(loaded), indent=2, sort_keys=True) + "\n" == text
+            name = "root" if spec.kind == "decision_tree" else "roots"
+            fitted = getattr(fr.fit(spec, table).inner, name)
+            back = getattr(loaded.inner, name)
+            assert (back.single, back.depth) == (fitted.single, fitted.depth)
+            for array in ("feature", "threshold", "left", "right", "value", "roots"):
+                a, b = getattr(fitted, array), getattr(back, array)
+                assert a.dtype == b.dtype and np.array_equal(a, b), (spec.kind, array)
 
     def test_unknown_feature_is_config_error(self, cohort, tmp_path, capsys):
         args = self.base_args(cohort, tmp_path / "o")

@@ -157,10 +157,22 @@ def test_pair_summary_applies_the_gain_rule_and_the_bound():
     assert "PAST BOUND" in ab.report("rows_per_s", regressed)
 
 
-def test_mutants_report_killed_surviving_and_missing(capsys):
+def load_mutants():
     spec = importlib.util.spec_from_file_location("mutants", ROOT / "tools" / "mutants.py")
-    mutants = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mutants)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_mutant_original_occurs_once():
+    # a refactor that moves a guarded text fails here, not only in the tool's own run
+    for mutant in load_mutants().MUTANTS:
+        text = (ROOT / "src" / mutant.file).read_text(encoding="utf-8")
+        assert text.count(mutant.original) == 1, mutant.name
+
+
+def test_mutants_report_killed_surviving_and_missing(capsys):
+    mutants = load_mutants()
     killed = next(m for m in mutants.MUTANTS if m.name == "sigmoid clipped from below only")
     no_op = killed._replace(name="no-op", replacement=killed.original)
     missing = killed._replace(name="moved", original="text that no source file holds")

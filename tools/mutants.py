@@ -30,6 +30,7 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 CLASSIFIER_TESTS = "tests/test_classifiers.py"
+CLI_TESTS = "tests/test_cli.py"
 NEIGHBOR_TESTS = "tests/test_neighbors.py"
 SMOTE_TESTS = "tests/test_smote.py"
 EVALUATION_TESTS = "tests/test_evaluation.py"
@@ -202,6 +203,33 @@ MUTANTS = (
         "mid if lo <= mid < hi else lo",
         "mid if lo <= mid <= hi else lo",
         (f"{CLASSIFIER_TESTS}::TestGrowerMatchesReference::test_threshold_rounding_onto_next_value",),
+    ),
+    Mutant(
+        "loaded split's children linked swapped",
+        "featrank/classifiers/trees.py",
+        'stack += [(node["r"], right, at + ".r"), (node["l"], left, at + ".l")]',
+        'stack += [(node["r"], left, at + ".r"), (node["l"], right, at + ".l")]',
+        (
+            f"{CLASSIFIER_TESTS}::TestFlatScoring::test_loaded_models",
+            f"{CLI_TESTS}::TestAblate::test_saved_trees_load_and_write_back_equal",
+        ),
+    ),
+    Mutant(
+        "saved tree writes the right child under l",
+        "featrank/classifiers/trees.py",
+        '"l": saved(left[i]), "r": saved(right[i])',
+        '"l": saved(right[i]), "r": saved(right[i])',
+        (
+            f"{CLI_TESTS}::TestAblate::test_saved_trees_load_and_write_back_equal",
+            f"{CLASSIFIER_TESTS}::TestGrowerMatchesReference::test_decision_tree",
+        ),
+    ),
+    Mutant(
+        "sorted grower's new children taken in swapped order",
+        "featrank/classifiers/trees.py",
+        "left, right = table.split(out, j, thr)",
+        "right, left = table.split(out, j, thr)",
+        (f"{CLASSIFIER_TESTS}::TestGrowerMatchesReference::test_decision_tree",),
     ),
 )
 
