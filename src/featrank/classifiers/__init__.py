@@ -33,25 +33,18 @@ from .trees import DecisionTree, GradientBoostedTrees, NodeTable, RandomForest
 
 MODEL_FORMAT_VERSION = 1
 
-CLASSIFIER_LABELS = {
-    "rule_induction": "Rule Induction",
-    "mlp": "Deep Learning",
-    "glm": "Generalized Linear Model",
-    "gbt": "Gradient Boosted Tree",
-    "decision_tree": "Decision Tree",
-    "random_forest": "Random Forest",
+# Each kind's report label and estimator, in reporting order.
+_KINDS = {
+    "rule_induction": ("Rule Induction", RuleInduction),
+    "mlp": ("Deep Learning", Mlp),
+    "glm": ("Generalized Linear Model", LogisticGlm),
+    "gbt": ("Gradient Boosted Tree", GradientBoostedTrees),
+    "decision_tree": ("Decision Tree", DecisionTree),
+    "random_forest": ("Random Forest", RandomForest),
 }
-
-# Each kind's estimator, in reporting order.
-_ESTIMATORS = {
-    "rule_induction": RuleInduction,
-    "mlp": Mlp,
-    "glm": LogisticGlm,
-    "gbt": GradientBoostedTrees,
-    "decision_tree": DecisionTree,
-    "random_forest": RandomForest,
-}
-CLASSIFIERS = tuple(_ESTIMATORS)
+CLASSIFIERS = tuple(_KINDS)
+CLASSIFIER_LABELS = {kind: label for kind, (label, _) in _KINDS.items()}
+_ESTIMATORS = {kind: cls for kind, (_, cls) in _KINDS.items()}
 # The kinds whose encoder standardizes the design matrix.
 _STANDARDIZED_KINDS = ("glm", "mlp")
 
@@ -113,16 +106,7 @@ class Model:
 
 def fit(spec: ClassifierSpec, train: Table, features=None) -> Model:
     """Train one classifier on the table's feature columns (or a subset)."""
-    all_feats = list(train.feature_names())
-    if features is None:
-        feats = all_feats
-    else:
-        unknown = set(features) - set(all_feats)
-        if unknown:
-            raise ValueError(f"unknown feature columns: {sorted(unknown)}")
-        feats = [f for f in all_feats if f in set(features)]
-    if not feats:
-        raise ValueError("no feature columns selected")
+    feats = train.features(features)
     if train.n_rows < 10:
         raise ValueError("training requires at least 10 rows")
     y = train.y
@@ -183,7 +167,7 @@ def mlp_gradient_check(spec: ClassifierSpec, train: Table, epsilon: float) -> fl
     """Analytic-vs-central-difference gradient comparison for the mlp kind."""
     if spec.kind != "mlp":
         raise ValueError("gradient check applies to the mlp kind only")
-    feats = list(train.feature_names())
+    feats = train.features()
     kinds = tuple(train.column_schema(f).kind for f in feats)
     columns = [train.encoded(f) for f in feats]
     encoder = FeatureEncoder.build(feats, kinds, columns, standardize=True)

@@ -163,34 +163,40 @@ def _smote_config(args) -> SmoteConfig | None:
     )
 
 
+def _features(table, drop, error) -> list[str]:
+    """The table's feature columns minus `drop`, checked before any work is
+    done; a refused selection raises `error`."""
+    try:
+        return table.features(drop=drop)
+    except ValueError as exc:
+        raise error(str(exc)) from exc
+
+
 def cmd_weigh(args) -> int:
     table = _load_table(args)
+    attributes = _features(table, (), _DataError)
     matrix = weigh_all(table, n_bins=args.bins, relief_k=args.relief_k)
     out_dir = _ensure_out(args.out)
     write_rows(out_dir / "weights.csv", weight_matrix_rows(matrix))
-    print(f"wrote weight report for {len(table.feature_names())} attributes to {out_dir}")
+    print(f"wrote weight report for {len(attributes)} attributes to {out_dir}")
     return 0
 
 
 def cmd_ablate(args) -> int:
     table = _load_table(args)
     specs = _selected_specs(args)
-    if args.feature not in table.feature_names():
-        raise ConfigError(f"--feature {args.feature!r} is not a feature column")
+    _features(table, (args.feature,), ConfigError)
     plan = stratified_folds(table, args.folds, derive_seed(args.seed, "folds"))
-    out_dir = _ensure_out(args.out)
     report = ablation(table, args.feature, specs, plan, _smote_config(args))
+    models = [model_to_json(classifiers.fit(spec, table)) for spec in specs] if args.save_model else []
+    out_dir = _ensure_out(args.out)
     write_rows(out_dir / "without.csv", eval_report_rows(report.without_report))
     write_rows(out_dir / "with.csv", eval_report_rows(report.with_report))
     write_rows(out_dir / "delta.csv", delta_rows(report))
-    if args.save_model:
+    if models:
         model_dir = _ensure_out(out_dir / "models")
-        for spec in specs:
-            model = classifiers.fit(spec, table)
-            doc = model_to_json(model)
-            with open(model_dir / f"{spec.kind}.json", "w", encoding="utf-8") as fh:
-                json.dump(doc, fh, indent=2, sort_keys=True)
-                fh.write("\n")
+        for doc in models:
+            _write_json(model_dir / f"{doc['kind']}.json", doc)
     deltas = ", ".join(f"{m} {report.delta.get(m):+.4f}" for m in METRIC_NAMES)
     print(f"ablation of {args.feature!r} complete ({deltas}); reports in {out_dir}")
     return 0
@@ -200,8 +206,8 @@ def cmd_groups(args) -> int:
     table = _load_table(args)
     if table.group_column is None:
         raise _DataError("the schema has no column with role 'group'")
+    _features(table, (table.group_column.name,), _DataError)
     specs = _selected_specs(args)
-    out_dir = _ensure_out(args.out)
     rankings = per_group_rankings(table, top_n=5, n_bins=args.bins, relief_k=args.relief_k)
     winners = best_classifier_per_group(
         table,
@@ -210,6 +216,7 @@ def cmd_groups(args) -> int:
         seed=derive_seed(args.seed, "groups-best"),
         smote_cfg=_smote_config(args),
     )
+    out_dir = _ensure_out(args.out)
     write_rows(out_dir / "group_rankings.csv", group_ranking_rows(rankings))
     write_rows(out_dir / "group_winners.csv", group_winner_rows(winners))
     ranked = sum(top is not None for top in rankings.values())
@@ -233,16 +240,12 @@ def cmd_synth(args) -> int:
             spec = synth.default_cohort_spec(n_rows=args.rows, seed=args.seed)
         except ValueError as exc:
             raise ConfigError(f"--rows {args.rows}: {exc}") from exc
-    out_dir = _ensure_out(args.out)
     table, truth = synth.generate_with_truth(spec)
+    out_dir = _ensure_out(args.out)
     with open(out_dir / "cohort.csv", "w", encoding="utf-8", newline="") as fh:
         fh.write(table_to_csv_text(table))
-    with open(out_dir / "schema.json", "w", encoding="utf-8") as fh:
-        json.dump(schema_to_json(table.schema), fh, indent=2)
-        fh.write("\n")
-    with open(out_dir / "truth.json", "w", encoding="utf-8") as fh:
-        json.dump(truth, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out_dir / "schema.json", schema_to_json(table.schema), sort_keys=False)
+    _write_json(out_dir / "truth.json", truth)
     counts = ", ".join(f"{g}={c}" for g, c in truth["group_counts"].items())
     print(
         f"generated {table.n_rows} rows, prevalence {truth['realized_prevalence']:.4f}; "
@@ -265,6 +268,12 @@ def cmd_report(args) -> int:
         fh.write(rows_to_markdown(rows))
     print(f"rendered {src} to {out_path}")
     return 0
+
+
+def _write_json(path, doc, sort_keys=True) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=2, sort_keys=sort_keys)
+        fh.write("\n")
 
 
 def _ensure_out(out) -> Path:

@@ -242,6 +242,20 @@ class Table:
         """Columns usable as model/weighting inputs: features plus the group column."""
         return [c.name for c in self.schema if c.role in (ROLE_FEATURE, ROLE_GROUP)]
 
+    def features(self, names=None, drop=()) -> list[str]:
+        """The feature columns among `names` (all by default), minus `drop`, in
+        schema order. The one check of a selection: it refuses a name that is
+        not a feature column and a selection that leaves none."""
+        available = self.feature_names()
+        chosen = available if names is None else list(names)
+        for name in [*chosen, *drop]:
+            if name not in available:
+                raise ValueError(f"unknown feature {name!r}: not a feature column")
+        chosen = [f for f in available if f in chosen and f not in drop]
+        if not chosen:
+            raise ValueError("the selection selects no columns: no feature columns remain")
+        return chosen
+
     @property
     def y(self) -> np.ndarray:
         """Labels as an int64 0/1 array with 1 = positive_label."""
@@ -260,11 +274,9 @@ class Table:
         return Table(self.schema, tuple(d[idx] for d in self.data), self.categories)
 
     def project(self, feature_names) -> "Table":
-        """Keep the listed feature/group columns (plus the label), drop the rest."""
-        keep = set(feature_names)
-        unknown = keep - {c.name for c in self.schema if c.role != ROLE_LABEL}
-        if unknown:
-            raise ValueError(f"unknown feature columns: {sorted(unknown)}")
+        """Keep the listed feature/group columns (plus the label), drop the rest.
+        An empty list keeps the label alone."""
+        keep = self.features(feature_names) if feature_names else ()
         idx = [i for i, c in enumerate(self.schema) if c.role == ROLE_LABEL or c.name in keep]
         return Table(
             tuple(self.schema[i] for i in idx),

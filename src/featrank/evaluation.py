@@ -20,7 +20,7 @@ many there are. With one task or one CPU it runs in this process.
 from __future__ import annotations
 
 import os
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -29,9 +29,6 @@ from .classifiers import ClassifierSpec
 from .dataio import FoldPlan, Table, filter_by_group, observed_groups, split, stratified_folds
 from .seeding import derive_seed
 from .smote import SmoteConfig, smote
-
-METRIC_NAMES = ("accuracy", "precision", "recall", "auc")
-
 
 @dataclass(frozen=True)
 class Metrics:
@@ -47,6 +44,9 @@ class Metrics:
         if name not in METRIC_NAMES:
             raise ValueError(f"unknown metric {name!r}")
         return getattr(self, name)
+
+
+METRIC_NAMES = tuple(f.name for f in fields(Metrics))
 
 
 def confusion(scores, labels, threshold: float) -> tuple[int, int, int, int]:
@@ -243,16 +243,7 @@ def cross_validate(
     feature_mask=None,
 ) -> CrossValResult:
     """k-fold evaluation of one classifier restricted to the masked-in features."""
-    all_feats = list(table.feature_names())
-    if feature_mask is None:
-        mask = all_feats
-    else:
-        mask = [f for f in all_feats if f in set(feature_mask)]
-        unknown = set(feature_mask) - set(all_feats)
-        if unknown:
-            raise ValueError(f"feature mask names unknown columns: {sorted(unknown)}")
-        if not mask:
-            raise ValueError("feature mask selects no columns")
+    mask = table.features(feature_mask)
     folds = _folds(table, plan, smote_cfg)
     return _score([(spec, range(plan.k), mask)], folds)[0]
 
@@ -298,21 +289,13 @@ def ablation(
     smote_cfg: SmoteConfig | None = None,
 ) -> AblationReport:
     """Paired evaluation with one feature included vs. excluded, same folds."""
-    all_feats = list(table.feature_names())
-    if feature not in all_feats:
-        raise ValueError(f"{feature!r} is not a feature column")
-    with_mask = all_feats
-    without_mask = [f for f in all_feats if f != feature]
-    if not without_mask:
-        raise ValueError("cannot ablate the only feature column")
-
+    arms = (table.features(), table.features(drop=(feature,)))
     folds = _folds(table, plan, smote_cfg)
     config = {
         "folds": plan.k,
         "smote": None if smote_cfg is None else asdict(smote_cfg),
         "seeds": {spec.kind: spec.seed for spec in specs},
     }
-    arms = (with_mask, without_mask)
     results = iter(_score([(spec, range(plan.k), mask) for mask in arms for spec in specs], folds))
     reports = []
     for mask in arms:
@@ -353,8 +336,8 @@ def per_group_rankings(
     for value, sub, smaller in _strata(table, 20, 2):
         out[value] = None
         if sub is not None:
-            rankable = [f for f in sub.feature_names() if f != sub.group_column.name]
-            matrix = weigh_all(sub.project(rankable), n_bins=n_bins, relief_k=min(relief_k, smaller - 1))
+            rankable = sub.project(sub.features(drop=(sub.group_column.name,)))
+            matrix = weigh_all(rankable, n_bins=n_bins, relief_k=min(relief_k, smaller - 1))
             out[value] = matrix.by_overall_rank()[:top_n]
     return out
 

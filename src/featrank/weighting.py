@@ -17,8 +17,7 @@ import numpy as np
 from .dataio import CATEGORICAL, NUMERIC, ROLE_LABEL, Table
 from .neighbors import diff, encode, k_nearest
 
-ALGORITHMS = ("information_gain", "gini_index", "rule", "uncertainty", "relief", "chi_squared")
-
+# Each algorithm's report label, in report order.
 ALGORITHM_LABELS = {
     "information_gain": "Information Gain",
     "gini_index": "Gini Index",
@@ -27,6 +26,7 @@ ALGORITHM_LABELS = {
     "relief": "Relief",
     "chi_squared": "Chi-Squared",
 }
+ALGORITHMS = tuple(ALGORITHM_LABELS)
 
 
 @dataclass(frozen=True)
@@ -249,9 +249,7 @@ class WeightMatrix:
 
 def weigh_all(table: Table, n_bins: int = 10, relief_k: int = 10) -> WeightMatrix:
     """Run the six weighters over every feature column and aggregate ranks."""
-    attrs = table.feature_names()
-    if not attrs:
-        raise ValueError("table has no feature columns to weigh")
+    attrs = table.features()
     bins = {}
     for name in attrs:
         if table.column_schema(name).kind == NUMERIC:

@@ -109,6 +109,14 @@ class TestFitValidation:
         with pytest.raises(ValueError, match="no feature columns"):
             fr.fit(ClassifierSpec(kind="glm"), t, features=[])
 
+    @pytest.mark.parametrize("kind", CLASSIFIERS)
+    def test_features_are_taken_in_schema_order(self, kind):
+        # a fit names its columns in schema order, whatever order the caller lists them in
+        t = toy_table()
+        spec = ClassifierSpec(kind=kind, seed=3)
+        listed = fr.fit(spec, t, features=t.feature_names()[::-1])
+        assert fr.model_to_json(listed) == fr.model_to_json(fr.fit(spec, t))
+
 
 @pytest.mark.parametrize("kind", CLASSIFIERS)
 class TestEveryKind:

@@ -1,5 +1,6 @@
 """End-to-end command-line runs against temporary directories."""
 
+import csv
 import json
 import re
 
@@ -18,6 +19,19 @@ SPEC_DOC = fr.spec_to_json(fr.default_cohort_spec(n_rows=120))
 
 def run(*argv):
     return main(list(argv))
+
+
+def cut(cohort, tmp_path, names):
+    """--data and --schema for the cohort's columns `names` alone."""
+    with open(cohort / "cohort.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    at = [rows[0].index(name) for name in names]
+    data, schema = tmp_path / "cut.csv", tmp_path / "cut.json"
+    with open(data, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([row[i] for i in at] for row in rows)
+    entries = json.loads((cohort / "schema.json").read_text())["columns"]
+    schema.write_text(json.dumps({"columns": [e for e in entries if e["name"] in names]}))
+    return ["--data", str(data), "--schema", str(schema)]
 
 
 @pytest.fixture(scope="module")
@@ -199,6 +213,13 @@ class TestWeigh:
         assert "compute error" in capsys.readouterr().err
         assert not (tmp_path / "new").exists()
 
+    def test_label_only_schema_is_data_error(self, cohort, tmp_path, capsys):
+        out = tmp_path / "new" / "w"
+        assert run("weigh", *cut(cohort, tmp_path, ["cad"]), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and "no feature columns" in err
+        assert not (tmp_path / "new").exists()
+
 
 class TestAblate:
     def base_args(self, cohort, out):
@@ -285,6 +306,26 @@ class TestAblate:
         assert "compute error" in capsys.readouterr().err
         assert not (tmp_path / "new").exists()
 
+    def test_only_feature_column_is_config_error(self, cohort, tmp_path, capsys):
+        out = tmp_path / "new" / "a"
+        args = [*cut(cohort, tmp_path, ["age", "cad"]), "--out", str(out), "--folds", "2"]
+        assert run("ablate", *args, "--feature", "age") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "selects no columns" in err
+        assert not (tmp_path / "new").exists()
+
+    def test_failed_fit_makes_no_out_directory(self, tmp_path, capsys):
+        data, schema = tmp_path / "tiny.csv", tmp_path / "tiny.json"
+        rows = (f"{i},{'pq'[i % 2]},{'yes' if i < 6 else 'no'}\n" for i in range(12))
+        data.write_text("x,c,cad\n" + "".join(rows))
+        entries = [{"name": "x", "kind": "numeric"}, {"name": "c", "kind": "categorical"}, LABEL_ENTRY]
+        schema.write_text(json.dumps({"columns": entries}))
+        out = tmp_path / "new" / "a"
+        args = ["--data", str(data), "--schema", str(schema), "--out", str(out), "--folds", "2"]
+        assert run("ablate", *args, "--feature", "x") == 3
+        assert "training requires at least 10 rows" in capsys.readouterr().err
+        assert not (tmp_path / "new").exists()
+
     def test_folds_below_two_rejected(self, cohort, tmp_path, capsys):
         args = self.base_args(cohort, tmp_path / "o")
         args[args.index("3")] = "1"
@@ -357,6 +398,14 @@ class TestGroups:
         assert run("weigh", *files, "--out", str(tmp_path / "w")) == 0
         ablate = ["--feature", "ethnicity", "--folds", "2", "--classifiers", "glm"]
         assert run("ablate", *files, "--out", str(tmp_path / "a"), *ablate) == 0
+
+    def test_group_and_label_only_schema_is_data_error(self, cohort, tmp_path, capsys):
+        out = tmp_path / "new" / "g"
+        args = [*cut(cohort, tmp_path, ["ethnicity", "cad"]), "--out", str(out), "--folds", "2"]
+        assert run("groups", *args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and "no feature columns" in err
+        assert not (tmp_path / "new").exists()
 
 
 class TestReport:

@@ -112,6 +112,25 @@ class TestTable:
         assert t.label01() == [1, 0]
         assert t.column("age") == [50.0, 60.0]
 
+    def test_features_select_in_schema_order(self):
+        t = make_table({"age": [50, 60], "smoke": ["y", "n"]}, [1, 0], group=("eth", ["a", "b"]))
+        assert t.features() == ["age", "smoke", "eth"]
+        assert t.features(["eth", "age"]) == ["age", "eth"]
+        assert t.features(drop=("eth",)) == ["age", "smoke"]
+        assert t.features(["eth", "age"], drop=["age"]) == ["eth"]
+
+    @pytest.mark.parametrize("names, drop", [(["age", "nope"], ()), (None, ("nope",)), (["label"], ())])
+    def test_features_refuse_a_name_that_is_not_a_feature_column(self, names, drop):
+        t = make_table({"age": [50, 60]}, [1, 0], group=("eth", ["a", "b"]))
+        with pytest.raises(ValueError, match="unknown feature '(nope|label)': not a feature column"):
+            t.features(names, drop)
+
+    @pytest.mark.parametrize("names, drop", [([], ()), (None, ("age", "eth")), (["age"], ("age",))])
+    def test_features_refuse_an_empty_selection(self, names, drop):
+        t = make_table({"age": [50, 60]}, [1, 0], group=("eth", ["a", "b"]))
+        with pytest.raises(ValueError, match="selects no columns: no feature columns remain"):
+            t.features(names, drop)
+
     def test_col_index_unknown(self):
         t = make_table({"age": [50, 60]}, [1, 0])
         with pytest.raises(KeyError):

@@ -169,7 +169,7 @@ class TestCrossValidate:
     def test_mask_validation(self):
         t = noisy_table(n=60, seed=1)
         plan = stratified_folds(t, 3, seed=0)
-        with pytest.raises(ValueError, match="unknown columns"):
+        with pytest.raises(ValueError, match="not a feature column"):
             cross_validate(t, ClassifierSpec(kind="glm"), plan, feature_mask=["ghost"])
         with pytest.raises(ValueError, match="selects no columns"):
             cross_validate(t, ClassifierSpec(kind="glm"), plan, feature_mask=[])
@@ -310,7 +310,7 @@ class TestAblation:
         labels = [i % 2 for i in range(40)]
         t = make_table({"x": [y + rng.random() for y in labels]}, labels)
         plan = stratified_folds(t, 3, seed=0)
-        with pytest.raises(ValueError, match="only feature"):
+        with pytest.raises(ValueError, match="selects no columns"):
             ablation(t, "x", self.make_specs(), plan)
 
     def test_masks_and_delta_arithmetic(self):
@@ -544,6 +544,10 @@ class TestTaskRunner:
             ablation(table, "b", self.SPECS, plan, cfg),
             best_classifier_per_group(table, self.SPECS, k=3, seed=2, smote_cfg=cfg),
         )
+
+    def test_dispatch_order_lists_every_kind_once(self):
+        # `_run_tasks` looks each task's kind up in it, on more than one CPU only
+        assert sorted(evaluation._BY_FIT_TIME) == sorted(classifiers.CLASSIFIERS)
 
     @pytest.mark.parametrize("cpus", [2, 4])
     def test_workers_give_the_results_of_one(self, monkeypatch, cpus):

@@ -267,7 +267,7 @@ def test_encode_normalizes_numerics_and_codes_sorted_categories():
     t = make_table({"x": [2.0, 4.0, 3.0], "c": ["b", "a", "b"], "k": [1.0, 1.0, 1.0]}, [1, 0, 1])
     (_, x), (_, c), (_, k) = encode(t)
     assert x.tolist() == [0.0, 1.0, 0.5]
-    assert c.tolist() == [1, 0, 1] and c.dtype == np.int64
+    assert c.tolist() == [1, 0, 1] and c.dtype == np.uint8  # narrowed once, here
     assert k.tolist() == [0.0, 0.0, 0.0]
 
 

@@ -34,6 +34,8 @@ CLI_TESTS = "tests/test_cli.py"
 NEIGHBOR_TESTS = "tests/test_neighbors.py"
 SMOTE_TESTS = "tests/test_smote.py"
 EVALUATION_TESTS = "tests/test_evaluation.py"
+DATAIO_TESTS = "tests/test_dataio.py"
+RANDOM_MIXED = f"{NEIGHBOR_TESTS}::test_k_nearest_equals_full_matrix_argsort_on_random_mixed_tables"
 
 
 class Mutant(NamedTuple):
@@ -230,6 +232,75 @@ MUTANTS = (
         "left, right = table.split(out, j, thr)",
         "right, left = table.split(out, j, thr)",
         (f"{CLASSIFIER_TESTS}::TestGrowerMatchesReference::test_decision_tree",),
+    ),
+    Mutant(
+        "neighbour search's tie fix left out",
+        "featrank/neighbors.py",
+        "if flat.size > rows * k:",
+        "if False:",
+        (
+            f"{NEIGHBOR_TESTS}::test_k_nearest_matches_stable_argsort_on_integer_distances",
+            f"{NEIGHBOR_TESTS}::test_relief_equals_per_anchor_argsort",
+        ),
+    ),
+    Mutant(
+        "neighbour search's self mask left out",
+        "featrank/neighbors.py",
+        "dist[own, pos[own]] = np.inf",
+        "pass",
+        (f"{NEIGHBOR_TESTS}::test_relief_equals_per_anchor_argsort",),
+    ),
+    Mutant(
+        "relief terms summed in reverse anchor order",
+        "featrank/weighting.py",
+        "np.cumsum(terms, axis=0)[-1]",
+        "np.cumsum(terms[::-1], axis=0)[-1]",
+        (f"{NEIGHBOR_TESTS}::test_relief_adds_terms_in_anchor_order",),
+    ),
+    Mutant(
+        "bucket candidates in descending row order",
+        "featrank/neighbors.py",
+        'c_order = np.argsort(c_ids, kind="stable")',
+        'c_order = len(c_ids) - 1 - np.argsort(c_ids[::-1], kind="stable")',
+        (RANDOM_MIXED,),
+    ),
+    Mutant(
+        "bucket signature from the first categorical only",
+        "featrank/neighbors.py",
+        "ids = _signatures(codes, np.concatenate([anchors, candidates]))",
+        "ids = _signatures(codes[:1], np.concatenate([anchors, candidates]))",
+        (RANDOM_MIXED,),
+    ),
+    Mutant(
+        "settled rows written without the a_order mapping",
+        "featrank/neighbors.py",
+        "out[a_order[settled]] = found[settled]",
+        "out[settled] = found[settled]",
+        (RANDOM_MIXED,),
+    ),
+    Mutant(
+        "bucket pass settles an anchor at k-th distance below 2.0",
+        "featrank/neighbors.py",
+        "settled = kth < 1.0",
+        "settled = kth < 2.0",
+        (RANDOM_MIXED,),
+    ),
+    Mutant(
+        "first numeric dropped from bucket blocks",
+        "featrank/neighbors.py",
+        "_search(numerics, [c[c0:c1] for c in cand],",
+        "_search(numerics[1:], [c[c0:c1] for c in cand[1:]],",
+        (RANDOM_MIXED,),
+    ),
+    Mutant(
+        "feature selection in the caller's order",
+        "featrank/dataio.py",
+        "chosen = [f for f in available if f in chosen and f not in drop]",
+        "chosen = [f for f in chosen if f not in drop]",
+        (
+            f"{CLASSIFIER_TESTS}::TestFitValidation::test_features_are_taken_in_schema_order",
+            f"{DATAIO_TESTS}::TestTable::test_features_select_in_schema_order",
+        ),
     ),
 )
 
