@@ -133,6 +133,7 @@ def _validate_common(args) -> None:
         path = getattr(args, attr, None)
         if path is not None and not Path(path).exists():
             raise ConfigError(f"--{attr} path does not exist: {path}")
+    _check_out(args.out)
 
 
 def _selected_specs(args):
@@ -274,6 +275,17 @@ def _write_json(path, doc, sort_keys=True) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=sort_keys)
         fh.write("\n")
+
+
+def _check_out(out) -> None:
+    """Refuse, before any work, an --out that could not be made a directory:
+    one that is, or lies below, an existing non-directory. Creates nothing, so
+    a refused run leaves no directory behind."""
+    for path in (Path(out), *Path(out).parents):
+        if path.exists():
+            if not path.is_dir():
+                raise ConfigError(f"--out {out} is not a usable directory: {path} is not a directory")
+            return
 
 
 def _ensure_out(out) -> Path:

@@ -13,13 +13,16 @@ and then one flat list of (classifier, fold, features) tasks: both arms of an
 ablation, or every stratum of the per-group analysis, in one list. Each task
 depends only on its spec, its fold and its features, and the results are
 gathered in list order. So the list runs on one forked worker process per CPU
-the process may use (`neighbors._cpus`), and the reports do not depend on how
-many there are. With one task or one CPU it runs in this process.
+the process may use (`neighbors._cpus`), each taking the next task index from
+one shared pipe, and the reports do not depend on how many there are. With one
+task or one CPU it runs in this process.
 """
 
 from __future__ import annotations
 
 import os
+import pickle
+import select
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
@@ -161,10 +164,6 @@ def _folds(table: Table, plan: FoldPlan, smote_cfg: SmoteConfig | None):
     return folds
 
 
-# A worker process's folds, set as it starts (`_inherit`). The workers are
-# forked, so the folds reach them without pickling and the caller's module
-# state never changes.
-_FOLDS = None
 # Kinds in falling order of one-core fit time on a 192-row training split of
 # a default cohort (GBT 29, random forest 23, MLP 20 ms). On a 5760-row split
 # the first three are within 5% of each other, about 0.6 s. The longest are
@@ -181,44 +180,119 @@ def _fit_and_score(folds, spec: ClassifierSpec, fold: int, features) -> tuple[fl
     return compute_metrics(classifiers.predict_scores(model, test), test.y).as_tuple()
 
 
-def _inherit(folds) -> None:
-    global _FOLDS
-    _FOLDS = folds
-
-
-def _forked_task(task) -> tuple[float, ...]:
-    return _fit_and_score(_FOLDS, *task)
-
-
 def _run_tasks(tasks, folds) -> list[Metrics]:
     """Each (spec, fold index, features) task's metrics, in list order.
 
     The tasks run on min(CPUs, tasks) forked worker processes, or in this
     process when that is one or the platform cannot fork. A task's exception
     reaches the caller with its type; the first failing task in list order
-    raises, as it would in this process.
+    raises, as it would in this process. A worker that dies raises a
+    RuntimeError naming its exit status.
     """
-    workers = min(neighbors._cpus(), len(tasks))
-    if workers <= 1 or not hasattr(os, "fork"):
+    count = min(neighbors._cpus(), len(tasks))
+    if count <= 1 or not hasattr(os, "fork"):
         return [Metrics(*_fit_and_score(folds, *task)) for task in tasks]
-    # Imported only here, as in neighbors.k_nearest: a process that never
-    # forks does not load them (about 0.7 MB).
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
     order = sorted(range(len(tasks)), key=lambda i: _BY_FIT_TIME.index(tasks[i][0].kind))
-    # `fork` is named because the default differs across platforms and Python
-    # versions: forked workers start without importing anything. The pool
-    # forks all its workers at the first submit, before it starts any thread
-    # of its own.
-    pool = ProcessPoolExecutor(
-        workers, mp_context=multiprocessing.get_context("fork"), initializer=_inherit, initargs=(folds,)
-    )
+    feed_read, feed_write = os.pipe()
+    workers = []
     try:
-        pending = {i: pool.submit(_forked_task, tasks[i]) for i in order}
-        return [Metrics(*pending[i].result()) for i in range(len(tasks))]
+        try:
+            for _ in range(count):
+                workers.append(_fork_worker(folds, tasks, feed_read, feed_write))
+        finally:
+            # Closed before the feed is written: with no worker left to read
+            # it, the write then fails rather than waits.
+            os.close(feed_read)
+        _feed(feed_write, order)
     finally:
-        pool.shutdown(cancel_futures=True)  # joins, and so reaps, every worker
+        os.close(feed_write)  # the end of the feed: each worker then sends its outcomes
+        outcomes, failed = _gather(workers)
+    if failed:
+        raise RuntimeError(f"a task worker died (exit status {failed[0]})")
+    per_task = [outcomes[i] for i in range(len(tasks))]
+    errors = [outcome for outcome in per_task if isinstance(outcome, Exception)]
+    if errors:
+        raise errors[0]
+    return [Metrics(*outcome) for outcome in per_task]
+
+
+def _fork_worker(folds, tasks, feed_read: int, feed_write: int) -> tuple[int, int]:
+    """Fork one worker (`_work`); its pid and the read end of its result pipe.
+    The worker inherits `folds` and `tasks`, so neither is pickled."""
+    result_read, result_write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(result_read)
+        os.close(result_write)
+        raise
+    if pid == 0:
+        _work(folds, tasks, feed_read, feed_write, result_write)
+    os.close(result_write)
+    return pid, result_read
+
+
+def _work(folds, tasks, feed_read: int, feed_write: int, result_write: int) -> None:
+    """A forked worker's life, which ends in `os._exit`: run each task whose
+    index it reads from the feed, one index at a time, and when the feed ends
+    write all its (index, metrics or exception) outcomes to its result pipe as
+    one pickle. Holding them until then means the worker never blocks on a
+    full result pipe while the parent is still writing the feed."""
+    status = 1
+    try:
+        os.close(feed_write)  # else the feed never ends
+        outcomes = []
+        while index := os.read(feed_read, 4):
+            i = int.from_bytes(index, "little")
+            try:
+                outcomes.append((i, _fit_and_score(folds, *tasks[i])))
+            except Exception as exc:
+                outcomes.append((i, _sendable(exc)))
+        with open(result_write, "wb") as pipe:
+            pickle.dump(outcomes, pipe)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _sendable(exc: Exception) -> Exception:
+    """`exc`, or where it does not survive pickling a RuntimeError naming its
+    type and message."""
+    try:
+        pickle.loads(pickle.dumps(exc))
+    except Exception:
+        return RuntimeError(f"{type(exc).__name__}: {exc}")
+    return exc
+
+
+def _feed(feed_write: int, order) -> None:
+    """Write the task indices in `order` to the feed as 4-byte integers. A pipe
+    write of at most PIPE_BUF bytes is atomic, so with whole indices in each
+    the pipe always holds whole indices, and no worker's 4-byte read takes
+    part of one."""
+    feed = b"".join(i.to_bytes(4, "little") for i in order)
+    step = select.PIPE_BUF // 4 * 4
+    try:
+        for start in range(0, len(feed), step):
+            os.write(feed_write, feed[start : start + step])
+    except BrokenPipeError:
+        pass  # every worker has died; `_gather` reports it
+
+
+def _gather(workers) -> tuple[dict, list[int]]:
+    """Read each worker's result pipe to its end and reap the worker: the
+    outcomes by task index, and the exit statuses of the workers that failed
+    (a negative status is the signal that ended one)."""
+    outcomes, failed = {}, []
+    for pid, result_read in workers:
+        with open(result_read, "rb") as pipe:
+            sent = pipe.read()
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if status == 0:
+            outcomes.update(pickle.loads(sent))
+        else:
+            failed.append(status)
+    return outcomes, failed
 
 
 def _score(jobs, folds) -> list[CrossValResult]:

@@ -3,11 +3,12 @@
 The single definition of the distance that Relief and SMOTE share: the sum over
 feature columns, in schema order, of |a - b| for numerics min-max normalized
 over the full table, and of a 0/1 mismatch for categoricals. `k_nearest` cuts
-the anchors into blocks and shares them among worker threads, one per CPU the
-process may use. Each worker holds at most BLOCK_CELLS distances at once, so
-memory is O(workers x block x candidates): about 1 MB of buffers per worker.
+the anchors into blocks and shares them among threads, one per CPU the
+process may use, each taking the next block from one lock-guarded iterator.
+Each thread holds at most BLOCK_CELLS distances at once, so memory is
+O(threads x block x candidates): about 1 MB of buffers per thread.
 Each anchor's neighbours depend only on its own row of distances, so the
-result does not depend on the number of workers or on which block each takes.
+result does not depend on the number of threads or on which block each takes.
 On a table with categoricals, a search of more than one block first settles
 most anchors among the rows with their own category codes (a bucket pass, see
 `k_nearest`), which is exact, and searches all candidates only for the rest.
@@ -166,27 +167,33 @@ def _full_search(arrays, anchors, candidates, k: int, step: int, out) -> None:
     if workers <= 1:
         _search(arrays, cand, anchors, candidates, k, step, out, starts)
         return
-    # Imported only here: a process whose searches are all one block (SMOTE's,
-    # the per-stratum ones) then never loads concurrent.futures and logging,
-    # about 0.7 MB.
-    from concurrent.futures import ThreadPoolExecutor
-
-    # Each worker takes the next whole block when it finishes one, so a worker
+    # Each thread takes the next whole block when it finishes one, so a thread
     # whose CPU is taken away holds up one block rather than a fixed share.
     lock = threading.Lock()
     shared = iter(starts)
+    errors = []
 
     def take():
         with lock:
             return next(shared, None)
 
-    with ThreadPoolExecutor(workers) as pool:
-        runs = [
-            pool.submit(_search, arrays, cand, anchors, candidates, k, step, out, iter(take, None))
-            for _ in range(workers)
-        ]
-        for run in runs:
-            run.result()
+    def run():
+        try:
+            _search(arrays, cand, anchors, candidates, k, step, out, iter(take, None))
+        except Exception as exc:  # raised again on the calling thread
+            errors.append(exc)
+
+    threads = []
+    try:
+        for _ in range(workers):
+            thread = threading.Thread(target=run)
+            thread.start()
+            threads.append(thread)
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
 
 
 def _search(arrays, cand, anchors, candidates, k: int, step: int, out, starts, scratch=None,

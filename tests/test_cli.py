@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import featrank as fr
+from featrank import classifiers, cli, synth
 from featrank.classifiers import model_from_json
 from featrank.cli import main
 from featrank.reporting import read_csv_rows, rows_to_markdown
@@ -465,3 +466,29 @@ def test_existing_file_as_out_is_config_error(cohort, tmp_path, capsys, command,
     assert run(*(paths.get(a, a) for a in command), "--out", str(out)) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(out) in err
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ("weigh", "--data", "CSV", "--schema", "SCHEMA"),
+        ("ablate", "--data", "CSV", "--schema", "SCHEMA", "--feature", "ethnicity", "--folds", "2"),
+        ("groups", "--data", "CSV", "--schema", "SCHEMA", "--folds", "2"),
+        ("synth", "--rows", "150"),
+    ],
+    ids=lambda c: c[0],
+)
+def test_out_below_a_file_is_refused_before_any_work(cohort, tmp_path, capsys, monkeypatch, command):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work began before --out was checked")
+
+    for module, name in ((classifiers, "fit"), (cli, "weigh_all"), (synth, "generate_with_truth")):
+        monkeypatch.setattr(module, name, no_work)
+    taken = tmp_path / "taken"
+    taken.write_text("x")
+    paths = {"CSV": str(cohort / "cohort.csv"), "SCHEMA": str(cohort / "schema.json")}
+    out = taken / "sub" / "out"
+    assert run(*(paths.get(a, a) for a in command), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err and "work began" not in err
+    assert taken.read_text() == "x"

@@ -1,6 +1,6 @@
 """Cross-validated metrics, ablation pairing, and per-group analyses."""
 
-import multiprocessing
+import contextlib
 import os
 import random
 import signal
@@ -38,6 +38,39 @@ from helpers import majority_baseline_accuracy, make_table
 from oracles import holdout_metrics, oracle_auc
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@contextlib.contextmanager
+def deadline(seconds: int):
+    """Turn a body that runs longer than `seconds` into a TimeoutError."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def assert_no_child():
+    """This process has no child left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def run_script(script: str) -> str:
+    """The standard output of `script`, run by a fresh interpreter from the
+    repository root with src/ on its path; it must exit 0."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(script)], cwd=SRC.parent, env=env, capture_output=True,
+        text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
 
 
 def noisy_table(n=200, seed=0, extra=None):
@@ -130,17 +163,9 @@ class TestAuc:
     def test_non_finite_score_rejected(self, bad):
         # A tie-run scan that compares scores with == never steps past a NaN;
         # the alarm turns such a hang into a failure.
-        def expire(signum, frame):
-            raise TimeoutError("auc did not return")
-
-        previous = signal.signal(signal.SIGALRM, expire)
-        signal.alarm(10)
-        try:
+        with deadline(10):
             with pytest.raises(ValueError, match="finite scores"):
                 auc([0.2, bad, 0.7], [0, 1, 1])
-        finally:
-            signal.alarm(0)
-            signal.signal(signal.SIGALRM, previous)
 
 
 class TestComputeMetrics:
@@ -556,7 +581,7 @@ class TestTaskRunner:
         serial = self.run_both(table)
         monkeypatch.setattr(neighbors, "_cpus", lambda: cpus)
         assert self.run_both(table) == serial
-        assert multiprocessing.active_children() == []
+        assert_no_child()
 
     @pytest.mark.parametrize("cpus", [2, 4])
     def test_cli_reports_byte_equal(self, monkeypatch, tmp_path, cpus):
@@ -574,7 +599,7 @@ class TestTaskRunner:
             assert names == sorted(p.name for p in many.iterdir()) and names
             for name in names:
                 assert (one / name).read_bytes() == (many / name).read_bytes(), (command, name)
-        assert multiprocessing.active_children() == []
+        assert_no_child()
 
     def test_task_error_reaches_caller_with_its_type(self, monkeypatch, tmp_path, capsys):
         real_fit = classifiers.fit
@@ -596,11 +621,11 @@ class TestTaskRunner:
             argv = ["ablate", *data, "--out", str(tmp_path / f"out{cpus}"), "--feature", "ethnicity", "--folds", "2"]
             assert main(argv) == 3
             errors.append(capsys.readouterr().err)
-            assert multiprocessing.active_children() == []
+            assert_no_child()
         assert errors[0] == errors[1] == "compute error: ValueError: planted fit failure\n"
 
     def test_one_task_or_one_cpu_forks_nothing_and_imports_no_pool(self):
-        script = textwrap.dedent("""
+        script = """
             import os, sys
             sys.path.insert(0, "tests")
             from featrank import evaluation, neighbors
@@ -622,13 +647,29 @@ class TestTaskRunner:
             evaluation.ablation(t, "b", [ClassifierSpec(kind="glm"), ClassifierSpec(kind="gbt")], plan)
             loaded = [m for m in ("multiprocessing", "concurrent.futures.process") if m in sys.modules]
             print(loaded)
-        """)
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
-        proc = subprocess.run(
-            [sys.executable, "-c", script], cwd=SRC.parent, env=env, capture_output=True, text=True, timeout=120
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == "[]"
+        """
+        assert run_script(script) == "[]"
+
+    def test_forked_workers_and_search_threads_import_no_pool(self):
+        script = """
+            import sys
+            sys.path.insert(0, "tests")
+            import numpy as np
+            from featrank import evaluation, neighbors
+            from featrank.classifiers import ClassifierSpec
+            from featrank.dataio import stratified_folds
+            from helpers import make_table
+
+            labels = [i % 2 for i in range(40)]
+            t = make_table({"a": [y + i % 7 for i, y in enumerate(labels)], "b": [i % 5 for i in range(40)]}, labels)
+            neighbors._cpus = lambda: 2
+            neighbors.BLOCK_CELLS = 1
+            evaluation.ablation(t, "b", [ClassifierSpec(kind="glm"), ClassifierSpec(kind="gbt")],
+                                stratified_folds(t, 2, seed=1))
+            neighbors.k_nearest(neighbors.encode(t), np.arange(40), np.arange(40), 3)  # 40 blocks on 2 threads
+            print([m for m in ("multiprocessing", "concurrent.futures") if m in sys.modules])
+        """
+        assert run_script(script) == "[]"
 
     def test_only_the_main_thread_lives_when_workers_fork(self, monkeypatch):
         real_fork = os.fork
@@ -647,4 +688,61 @@ class TestTaskRunner:
         plan = stratified_folds(table, 2, seed=1)
         ablation(table, "b", [ClassifierSpec(kind="glm"), ClassifierSpec(kind="decision_tree")], plan)
         assert threads == [1, 1]
-        assert multiprocessing.active_children() == [] and threading.active_count() == 1
+        assert_no_child()
+        assert threading.active_count() == 1
+
+    def test_first_failing_task_in_list_order_raises(self, monkeypatch):
+        # The gbt tasks are dispatched first, but a glm task comes first in the list.
+        real_fit = classifiers.fit
+
+        def failing_fit(spec, train, features=None):
+            if spec.kind in ("glm", "gbt"):
+                raise ValueError(f"planted {spec.kind} failure")
+            return real_fit(spec, train, features=features)
+
+        monkeypatch.setattr(classifiers, "fit", failing_fit)
+        for cpus in (1, 2):
+            monkeypatch.setattr(neighbors, "_cpus", lambda: cpus)
+            with pytest.raises(ValueError, match="planted glm failure"):
+                self.run_both(self.grouped())
+        assert_no_child()
+
+    def test_dead_worker_raises_naming_its_exit_status(self, monkeypatch):
+        parent = os.getpid()
+        real_fit = classifiers.fit
+
+        def dying_fit(spec, train, features=None):
+            if os.getpid() != parent and spec.kind == "glm":
+                os._exit(9)
+            return real_fit(spec, train, features=features)
+
+        monkeypatch.setattr(classifiers, "fit", dying_fit)
+        monkeypatch.setattr(neighbors, "_cpus", lambda: 2)
+        with deadline(60), pytest.raises(RuntimeError, match="exit status 9"):
+            self.run_both(self.grouped())
+        assert_no_child()
+
+    def test_feed_longer_than_a_pipe_buffer_returns_in_list_order(self, monkeypatch):
+        # 20,000 four-byte indices: 80,000 bytes of feed, more than one 64 KiB pipe buffer
+        specs = [ClassifierSpec(kind=kind) for kind in classifiers.CLASSIFIERS]
+        tasks = [(specs[i % len(specs)], i, None) for i in range(20_000)]
+        monkeypatch.setattr(evaluation, "_fit_and_score", lambda folds, spec, fold, features: (fold, 0, 0, 0))
+        monkeypatch.setattr(neighbors, "_cpus", lambda: 2)
+        with deadline(60):
+            metrics = evaluation._run_tasks(tasks, None)
+        assert [m.accuracy for m in metrics] == list(range(20_000))
+        assert_no_child()
+
+    def test_unpicklable_task_error_raises_naming_its_type(self, monkeypatch):
+        class LocalError(Exception):  # a local class: its instances cannot be pickled
+            pass
+
+        def failing_task(folds, spec, fold, features):
+            raise LocalError("planted")
+
+        monkeypatch.setattr(evaluation, "_fit_and_score", failing_task)
+        monkeypatch.setattr(neighbors, "_cpus", lambda: 2)
+        tasks = [(ClassifierSpec(kind="glm"), 0, None)] * 2
+        with deadline(60), pytest.raises(RuntimeError, match="LocalError: planted"):
+            evaluation._run_tasks(tasks, None)
+        assert_no_child()

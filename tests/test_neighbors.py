@@ -2,8 +2,8 @@
 
 import random
 import sys
+import threading
 import tracemalloc
-from concurrent import futures
 
 import numpy as np
 import pytest
@@ -193,25 +193,28 @@ def test_label_only_table_has_all_distances_zero(block_rows):
 
 
 def test_threaded_search_equals_oracles_under_frequent_switches(monkeypatch):
-    # more workers than CPUs, one anchor per block, a thread switch every microsecond
-    pools = []
+    # more threads than CPUs, one anchor per block, a thread switch every microsecond
+    starts = []  # one entry per thread started
+    real_start = threading.Thread.start
 
-    class RecordingPool(futures.ThreadPoolExecutor):
-        def __init__(self, workers):
-            pools.append(workers)
-            super().__init__(workers)
+    def recording_start(thread):
+        starts.append(thread)
+        real_start(thread)
 
     searches = []  # blocks of each search over all candidates
+    started = []  # threads started by each search over all candidates
     full_search = neighbors._full_search
 
     def recording_full_search(arrays, anchors, candidates, k, step, out):
         searches.append(-(-len(anchors) // step))
+        before = len(starts)
         full_search(arrays, anchors, candidates, k, step, out)
+        started.append(len(starts) - before)
 
     monkeypatch.setattr(neighbors, "_cpus", lambda: 8)
     monkeypatch.setattr(neighbors, "BLOCK_CELLS", 1)
     monkeypatch.setattr(neighbors, "_full_search", recording_full_search)
-    monkeypatch.setattr(futures, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(threading.Thread, "start", recording_start)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -230,8 +233,9 @@ def test_threaded_search_equals_oracles_under_frequent_switches(monkeypatch):
             assert weight_relief(t, k_neighbors=3) == oracle_relief_argsort(t, 3)
     finally:
         sys.setswitchinterval(interval)
-    # The bucket pass may leave fewer than 8 blocks to a search; its pool then
-    # has one worker per block.
+    # The bucket pass may leave fewer than 8 blocks to a search; it then starts
+    # one thread per block.
+    pools = [count for count in started if count]
     assert pools == [min(8, blocks) for blocks in searches if blocks > 1] and 8 in pools
 
 
@@ -252,12 +256,32 @@ def test_worker_exception_is_reraised(monkeypatch):
         k_nearest(rows, np.arange(n), np.arange(n), 2)
 
 
+def test_search_thread_error_raises_its_type_and_leaves_no_thread(monkeypatch):
+    class PlantedError(Exception):
+        pass
+
+    real_search = neighbors._search
+    threads = threading.active_count()
+
+    def failing_search(*args, **kwargs):
+        if threading.current_thread() is not threading.main_thread():
+            raise PlantedError("search thread failed")
+        return real_search(*args, **kwargs)
+
+    monkeypatch.setattr(neighbors, "_cpus", lambda: 4)
+    monkeypatch.setattr(neighbors, "BLOCK_CELLS", 1)
+    monkeypatch.setattr(neighbors, "_search", failing_search)
+    with pytest.raises(PlantedError, match="search thread failed"):
+        k_nearest([("x", np.arange(12.0))], np.arange(12), np.arange(12), 2)
+    assert threading.active_count() == threads
+
+
 def test_one_block_call_starts_no_thread(monkeypatch):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a one-block call started a thread pool")
+    def no_thread(thread):
+        raise AssertionError("a one-block call started a thread")
 
     monkeypatch.setattr(neighbors, "_cpus", lambda: 8)
-    monkeypatch.setattr(futures, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
     t = rounded_mixed(0)
     assert minority_search(t, 3) == oracle_minority_neighbors(t, 3)
     assert weight_relief(t, k_neighbors=3) == oracle_relief_argsort(t, 3)

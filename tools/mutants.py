@@ -146,9 +146,26 @@ MUTANTS = (
     Mutant(
         "parallel results gathered in dispatch order",
         "featrank/evaluation.py",
-        "for i in range(len(tasks))]",
-        "for i in order]",
+        "per_task = [outcomes[i] for i in range(len(tasks))]",
+        "per_task = [outcomes[i] for i in order]",
         (f"{EVALUATION_TESTS}::TestTaskRunner::test_workers_give_the_results_of_one",),
+    ),
+    Mutant(
+        "the last failing task raised instead of the first",
+        "featrank/evaluation.py",
+        "raise errors[0]",
+        "raise errors[-1]",
+        (f"{EVALUATION_TESTS}::TestTaskRunner::test_first_failing_task_in_list_order_raises",),
+    ),
+    Mutant(
+        "thread errors dropped after the join",
+        "featrank/neighbors.py",
+        "raise errors[0]",
+        "pass",
+        (
+            f"{NEIGHBOR_TESTS}::test_worker_exception_is_reraised",
+            f"{NEIGHBOR_TESTS}::test_search_thread_error_raises_its_type_and_leaves_no_thread",
+        ),
     ),
     Mutant(
         "smote anchors left unshuffled",
