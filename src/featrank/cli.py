@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from pathlib import Path
@@ -78,6 +79,7 @@ def _add_eval_flags(p):
     )
 
 
+@functools.cache
 def build_parser() -> _Parser:
     parser = _Parser(prog="featrank", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -188,7 +188,8 @@ class Table:
 
     @classmethod
     def from_columns(cls, schema, columns, imputations=None) -> "Table":
-        """Build a table from one list of cells per schema column."""
+        """Build a table from one list of cells per schema column (a numeric
+        column may also be a float array)."""
         data, categories = [], []
         for col, values in zip(schema, columns, strict=True):
             if col.kind == NUMERIC:
@@ -197,7 +198,7 @@ class Table:
             else:
                 cats = tuple(sorted(set(values)))
                 index = {v: i for i, v in enumerate(cats)}
-                data.append(np.fromiter((index[v] for v in values), np.int64, len(values)))
+                data.append(np.fromiter(map(index.__getitem__, values), np.int64, len(values)))
                 categories.append(cats)
         return cls(tuple(schema), tuple(data), tuple(categories), imputations or {})
 
@@ -376,10 +377,10 @@ def load_csv(path: str | Path, schema: list[ColumnSchema]) -> Table:
     imputations: dict[str, int] = {}
     for c in schema:
         col = columns[c.name]
-        observed = [v for v in col if v is not None]
-        missing = len(col) - len(observed)
-        if missing == 0:
+        missing = col.count(None)
+        if not missing:
             continue
+        observed = [v for v in col if v is not None]
         if not observed:
             raise ValueError(f"{path}: column {c.name!r} has no observed values to impute from")
         fill = statistics.median(observed) if c.kind == NUMERIC else min(statistics.multimode(observed))

@@ -12,7 +12,7 @@ import csv
 import io
 
 from .classifiers import CLASSIFIER_LABELS
-from .dataio import NUMERIC, Table
+from .dataio import Table
 from .evaluation import METRIC_NAMES, AblationReport, EvalReport
 from .weighting import ALGORITHM_LABELS, ALGORITHMS, WeightMatrix
 
@@ -132,14 +132,26 @@ def read_csv_rows(path) -> list[list[str]]:
 
 
 def table_to_csv_text(table: Table) -> str:
-    """Cohort CSV with full-precision numerics (repr round-trips exactly)."""
+    """Cohort CSV with full-precision numerics (repr round-trips exactly),
+    written a column at a time.
+
+    csv.writer writes the header and, once per category, the category's text
+    in a row of the table's width whose other cells are empty; so csv decides
+    every quote, and an empty category is written "" only as a row's one cell.
+    A float's repr holds no comma, quote or line break, so csv never quotes it.
+    """
+    width = len(table.schema)
+    columns = []
+    for data, cats in zip(table.data, table.categories):
+        if cats is None:
+            columns.append(map(repr, data.tolist()))
+        else:
+            texts = [_csv_line([cat] + [""] * (width - 1))[:-width] for cat in cats]
+            columns.append(map(texts.__getitem__, data.tolist()))
+    return _csv_line(table.column_names()) + "\n".join(map(",".join, zip(*columns))) + "\n"
+
+
+def _csv_line(cells) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    names = table.column_names()
-    writer.writerow(names)
-    kinds = [table.column_schema(n).kind for n in names]
-    for row in table.rows:
-        writer.writerow(
-            [repr(c) if kind == NUMERIC else c for c, kind in zip(row, kinds)]
-        )
+    csv.writer(buf, lineterminator="\n").writerow(cells)
     return buf.getvalue()

@@ -117,6 +117,34 @@ class SynthSpec:
                 raise ValueError(f"unknown coefficient terms: {sorted(bad)}")
         if set(self.group_offsets) - set(probs):
             raise ValueError("group_offsets reference unknown groups")
+        self._check_cells()
+
+    def _check_cells(self) -> None:
+        """Refuse a category, group or label value that the cohort CSV would not
+        read back as written: `load_csv` strips each cell, reads an empty one
+        as missing and refuses a NUL; numpy's string arrays drop a trailing
+        NUL; csv writes a carriage return unquoted. Two equal values in one
+        column would merge, and so would the two labels."""
+        columns = [(f"feature {f.name!r} values", f.values) for f in self.features if f.kind == CATEGORICAL]
+        columns += [("group_distribution", tuple(self.group_distribution)),
+                    ("positive_label", (self.positive_label,)), ("negative_label", (self.negative_label,))]
+        for where, values in columns:
+            for value in values:
+                fault = (
+                    "is not a string" if not isinstance(value, str)
+                    else "is empty" if not value
+                    else "holds a NUL" if "\x00" in value
+                    else "holds a carriage return" if "\r" in value
+                    else "has leading or trailing whitespace" if value != value.strip()
+                    else None
+                )
+                if fault:
+                    raise ValueError(f"{where}: {value!r} {fault}, which the cohort CSV cannot carry")
+            dupes = sorted({v for v in values if values.count(v) > 1})
+            if dupes:
+                raise ValueError(f"{where}: duplicate values {dupes}")
+        if self.positive_label == self.negative_label:
+            raise ValueError(f"negative_label must differ from positive_label {self.positive_label!r}")
 
     def schema(self) -> tuple[ColumnSchema, ...]:
         cols = [ColumnSchema(name=f.name, kind=f.kind, role=ROLE_FEATURE) for f in self.features]
@@ -144,7 +172,7 @@ def generate_with_truth(spec: SynthSpec) -> tuple[Table, dict]:
     group_probs = [spec.group_distribution[g] for g in group_names]
     groups = rng.choice(group_names, size=n, p=group_probs)
 
-    columns: dict[str, np.ndarray] = {}
+    columns: dict[str, np.ndarray | list[str]] = {}
     terms: dict[str, np.ndarray] = {}
     for f in spec.features:
         if f.kind == NUMERIC:
@@ -153,7 +181,7 @@ def generate_with_truth(spec: SynthSpec) -> tuple[Table, dict]:
             terms[f.name] = (x - f.mean) / f.sd if f.sd > 0 else np.zeros(n)
         else:
             x = rng.choice(list(f.values), size=n, p=list(f.probabilities))
-            columns[f.name] = x
+            columns[f.name] = x.tolist()
             for v in f.values:
                 terms[f"{f.name}={v}"] = (x == v).astype(float)
 
@@ -184,8 +212,8 @@ def generate_with_truth(spec: SynthSpec) -> tuple[Table, dict]:
     realized = int(labels.sum())
 
     label_cells = np.where(labels, spec.positive_label, spec.negative_label)
-    cells = [columns[f.name] for f in spec.features] + [groups, label_cells]
-    table = Table.from_columns(spec.schema(), [c.tolist() for c in cells])
+    cells = [columns[f.name] for f in spec.features] + [groups.tolist(), label_cells.tolist()]
+    table = Table.from_columns(spec.schema(), cells)
 
     truth = {
         "intercept": intercept,

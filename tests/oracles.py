@@ -7,6 +7,8 @@ exactly. Speed is irrelevant; obviousness is the point. The production code must
 tolerances asserted in the test suite.
 """
 
+import csv
+import io
 import math
 import random
 
@@ -46,6 +48,19 @@ def oracle_csv_cells(path, header, rows, schema):
             else:
                 columns[c.name].append(text)
     return columns
+
+
+def oracle_table_csv_text(table):
+    """The row-at-a-time cohort writer: one csv.writer row per table row, each
+    numeric cell as its repr."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    names = table.column_names()
+    writer.writerow(names)
+    kinds = [table.column_schema(n).kind for n in names]
+    for row in table.rows:
+        writer.writerow([repr(c) if kind == "numeric" else c for c, kind in zip(row, kinds)])
+    return buf.getvalue()
 
 
 # --- contingency-table weighters -------------------------------------------

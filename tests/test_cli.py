@@ -43,6 +43,50 @@ def cohort(tmp_path_factory):
     return out
 
 
+class TestParser:
+    """build_parser is built once per process; each call still parses on its own."""
+
+    def test_each_argv_parses_as_on_a_fresh_parser(self):
+        assert cli.build_parser() is cli.build_parser()
+        io_flags = ["--data", "d.csv", "--schema", "s.json", "--out", "o"]
+        argvs = [
+            ["ablate", *io_flags, "--folds", "3", "--feature", "ethnicity", "--save-model"],
+            ["groups", *io_flags, "--classifiers", "glm"],
+            ["weigh", *io_flags, "--bins", "x"],  # refused
+            ["ablate", *io_flags, "--feature", "gender"],
+            ["synth", "--out", "o", "--rows", "300", "--seed", "4"],
+            ["groups", *io_flags],
+            ["synth", "--out", "o", "--seed"],  # refused
+            ["report", "--data", "r.csv", "--out", "o"],
+            ["synth", "--out", "o"],
+            ["weigh", *io_flags],
+        ]
+        parsed = []
+        for argv in argvs:
+            outcomes = []
+            for parser in (cli.build_parser(), cli.build_parser.__wrapped__()):
+                try:
+                    outcomes.append(vars(parser.parse_args(argv)))
+                except cli.ConfigError as exc:
+                    outcomes.append(str(exc))
+            assert outcomes[0] == outcomes[1], argv
+            parsed.append(outcomes[0])
+        assert isinstance(parsed[2], str) and isinstance(parsed[6], str)
+        assert parsed[3]["folds"] == 10 and parsed[3]["save_model"] is False
+        assert parsed[5]["classifiers"] == "all"
+        assert parsed[8]["rows"] == 1000 and parsed[8]["seed"] == 0
+
+    def test_alternating_calls_of_main(self, cohort, tmp_path, capsys):
+        assert run("synth", "--rows", "150", "--seed", "2", "--out", str(tmp_path / "a")) == 0
+        assert run("weigh", "--data", str(cohort / "cohort.csv"), "--schema", str(cohort / "schema.json"),
+                   "--out", str(tmp_path / "w"), "--relief-k", "x") == 1
+        assert "--relief-k" in capsys.readouterr().err
+        assert run("synth", "--out", str(tmp_path / "b")) == 0
+        truth = json.loads((tmp_path / "b" / "truth.json").read_text())
+        assert sum(truth["group_counts"].values()) == 1000
+        assert not (tmp_path / "w").exists()
+
+
 class TestSynth:
     def test_writes_cohort_schema_truth(self, tmp_path, capsys):
         assert run("synth", "--rows", "200", "--seed", "1", "--out", str(tmp_path)) == 0

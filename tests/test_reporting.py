@@ -6,7 +6,7 @@ import pytest
 
 from featrank import synth
 from featrank.classifiers import CLASSIFIER_LABELS
-from featrank.dataio import load_csv
+from featrank.dataio import CATEGORICAL, NUMERIC, ColumnSchema, Table, load_csv
 from featrank.evaluation import AblationReport, EvalReport, Metrics
 from featrank.reporting import (
     delta_rows,
@@ -25,6 +25,7 @@ from featrank.reporting import (
 )
 from featrank.weighting import ALGORITHMS, weigh_all
 from helpers import make_table
+from oracles import oracle_table_csv_text
 
 
 def small_report(shift=0.0):
@@ -171,3 +172,57 @@ class TestTableCsvText:
             cells += [c for name in t.column_names() for c in t.column(name)]
             assert {type(c) for c in cells} == {float, str}
             assert {type(v) for v in t.label01()} == {int}
+
+
+# Category texts csv must quote or keep as written: a delimiter, a quote, both
+# line breaks, spaces, non-ASCII text and the empty string.
+ODD_CATEGORIES = ["a,b", 'say "hi"', "two\nlines", "cr\rhere", "  spaced  ", "ümlaut ✓", "", "plain"]
+
+
+def odd_table():
+    n = 3 * len(ODD_CATEGORIES)
+    schema = (
+        ColumnSchema(name="odd", kind=CATEGORICAL),
+        ColumnSchema(name="x", kind=NUMERIC),
+        ColumnSchema(name="g,roup", kind=CATEGORICAL, role="group"),
+        ColumnSchema(name="label", kind=CATEGORICAL, role="label", positive_label="yes"),
+    )
+    cells = [
+        [ODD_CATEGORIES[i % len(ODD_CATEGORIES)] for i in range(n)],
+        [i / 7 for i in range(n)],
+        [ODD_CATEGORIES[(i * 5) % len(ODD_CATEGORIES)] for i in range(n)],
+        [["yes", "", "no, really"][i % 3] for i in range(n)],
+    ]
+    return Table.from_columns(schema, cells)
+
+
+class TestColumnWiseWriter:
+    """table_to_csv_text against the row-at-a-time writer, byte for byte."""
+
+    def test_odd_categories_in_every_column_position(self):
+        table = odd_table()
+        for names in (None, ["odd"], ["g,roup"], ["x"], ["odd", "x"]):
+            t = table if names is None else table.project(names)
+            text = table_to_csv_text(t)
+            assert text == oracle_table_csv_text(t)
+
+    def test_one_column_table_writes_an_empty_cell_as_two_quotes(self):
+        t = odd_table().project([])
+        assert t.column_names() == ["label"]
+        text = table_to_csv_text(t)
+        assert text == oracle_table_csv_text(t)
+        assert text.splitlines()[1:4] == ["yes", '""', '"no, really"']
+
+    def test_extreme_numerics(self):
+        values = [0.1 + 0.2, 1e-17, -0.0, 1e16, 5e-324, 1.7976931348623157e308, -1.5, 3.0]
+        t = make_table({"x": values, "c": ["u", "v"] * 4}, [1, 0] * 4)
+        text = table_to_csv_text(t)
+        assert text == oracle_table_csv_text(t)
+        cells = [row.split(",")[0] for row in text.splitlines()[1:]]
+        assert cells == [repr(v) for v in values]
+
+    def test_default_cohort_of_3000_rows(self):
+        table = synth.generate(synth.default_cohort_spec(n_rows=3000, seed=1))
+        text = table_to_csv_text(table)
+        assert text == oracle_table_csv_text(table)
+        assert text.count("\n") == 3001 and text.endswith("\n") and not text.endswith("\n\n")

@@ -2,10 +2,16 @@
 
 import dataclasses
 import json
+import re
 
+import numpy as np
 import pytest
 
-from featrank.dataio import CATEGORICAL, NUMERIC, load_schema_json, observed_groups, schema_to_json
+from featrank import cli
+from featrank.dataio import (
+    CATEGORICAL, NUMERIC, load_csv, load_schema_json, observed_groups, schema_to_json,
+)
+from featrank.reporting import table_to_csv_text
 from featrank.synth import (
     FeatureDef,
     SynthSpec,
@@ -352,3 +358,71 @@ class TestSpecJson:
         spec = tiny_spec()
         back = spec_from_json(spec_to_json(spec))
         assert generate(spec).rows == generate(back).rows
+
+
+def cells_doc(values=("u", "v"), groups=("a", "b"), positive="yes", negative="no") -> dict:
+    """tiny_spec's document with the given category values of feature c, group
+    names and labels, each value equally likely."""
+    doc = spec_to_json(tiny_spec(coefficients={}))
+    doc["features"][1] |= {"values": list(values), "probabilities": [1 / len(values)] * len(values)}
+    doc["group_distribution"] = {g: 1 / len(groups) for g in groups}
+    return doc | {"positive_label": positive, "negative_label": negative}
+
+
+# (case, a spec the cohort CSV cannot carry, the start of its error, a spec just
+# inside the same rule, which must survive the CSV round trip exactly)
+CELL_CASES = [
+    ("padded value", {"values": (" female", "male")},
+     "feature 'c' values: ' female' has leading or trailing whitespace", {"values": ("fe male", "male")}),
+    ("padded twin", {"values": ("male", "male ")},
+     "feature 'c' values: 'male ' has leading or trailing whitespace", {"values": ("male", "Male")}),
+    ("padded group", {"groups": ("a", "b\u00a0")},
+     "group_distribution: 'b\\xa0' has leading or trailing whitespace", {"groups": ("a", "b\u00a0c")}),
+    ("padded label", {"positive": "yes\t"},
+     "positive_label: 'yes\\t' has leading or trailing whitespace", {"positive": "y\tes"}),
+    ("empty value", {"values": ("", "v")}, "feature 'c' values: '' is empty", {"values": ("x", "v")}),
+    ("empty label", {"negative": ""}, "negative_label: '' is empty", {"negative": "n"}),
+    ("trailing NUL", {"values": ("u\x00", "v")},
+     "feature 'c' values: 'u\\x00' holds a NUL", {"values": ("u\x01", "v")}),
+    ("NUL in a group", {"groups": ("a\x00b", "b")},
+     "group_distribution: 'a\\x00b' holds a NUL", {"groups": ("a\x01b", "b")}),
+    ("carriage return", {"values": ("a\rb", "v")},
+     "feature 'c' values: 'a\\rb' holds a carriage return", {"values": ("a\nb", 'c,"d"')}),
+    ("duplicate values", {"values": ("u", "v", "u")},
+     "feature 'c' values: duplicate values ['u']", {"values": ("u", "v", "U")}),
+    ("equal labels", {"negative": "yes"},
+     "negative_label must differ from positive_label 'yes'", {"negative": "Yes"}),
+]
+
+
+class TestCsvCells:
+    """A spec is refused unless its cohort CSV reads back as the table it generated."""
+
+    @pytest.mark.parametrize("case, refused, error, edge", CELL_CASES, ids=[c[0] for c in CELL_CASES])
+    def test_refused_in_process_naming_the_field(self, case, refused, error, edge):
+        with pytest.raises(ValueError, match="^" + re.escape(error)):
+            spec_from_json(cells_doc(**refused))
+
+    @pytest.mark.parametrize("case, refused, error, edge", CELL_CASES, ids=[c[0] for c in CELL_CASES])
+    def test_refused_by_synth_with_exit_1(self, case, refused, error, edge, tmp_path, capsys):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(cells_doc(**refused)), encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli.main(["synth", "--spec", str(path), "--out", str(out)]) == 1
+        assert f"error: invalid synth spec: {error}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case, refused, error, edge", CELL_CASES, ids=[c[0] for c in CELL_CASES])
+    def test_edge_round_trips_through_load_csv(self, case, refused, error, edge, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(cells_doc(**edge)), encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli.main(["synth", "--spec", str(path), "--out", str(out)]) == 0
+        table = generate(spec_from_json(cells_doc(**edge)))
+        loaded = load_csv(out / "cohort.csv", load_schema_json(out / "schema.json"))
+        assert loaded.categories == table.categories and loaded.imputations == {}
+        assert all(np.array_equal(a, b) for a, b in zip(loaded.data, table.data, strict=True))
+        spelled = set(edge.get("values", ())) | set(edge.get("groups", ()))
+        spelled |= {edge[k] for k in ("positive", "negative") if k in edge}
+        assert spelled <= {c for cats in table.categories if cats for c in cats}
+        assert table_to_csv_text(loaded) == (out / "cohort.csv").read_bytes().decode("utf-8")

@@ -35,6 +35,8 @@ NEIGHBOR_TESTS = "tests/test_neighbors.py"
 SMOTE_TESTS = "tests/test_smote.py"
 EVALUATION_TESTS = "tests/test_evaluation.py"
 DATAIO_TESTS = "tests/test_dataio.py"
+WRITER_TESTS = "tests/test_reporting.py::TestColumnWiseWriter"
+SYNTH_TESTS = "tests/test_synth.py"
 RANDOM_MIXED = f"{NEIGHBOR_TESTS}::test_k_nearest_equals_full_matrix_argsort_on_random_mixed_tables"
 
 
@@ -317,6 +319,40 @@ MUTANTS = (
         (
             f"{CLASSIFIER_TESTS}::TestFitValidation::test_features_are_taken_in_schema_order",
             f"{DATAIO_TESTS}::TestTable::test_features_select_in_schema_order",
+        ),
+    ),
+    Mutant(
+        "cohort category written raw in place of its csv text",
+        "featrank/reporting.py",
+        'texts = [_csv_line([cat] + [""] * (width - 1))[:-width] for cat in cats]',
+        "texts = list(cats)",
+        (f"{WRITER_TESTS}::test_odd_categories_in_every_column_position",),
+    ),
+    Mutant(
+        "cohort CSV's last line break dropped",
+        "featrank/reporting.py",
+        '"\\n".join(map(",".join, zip(*columns))) + "\\n"',
+        '"\\n".join(map(",".join, zip(*columns)))',
+        (
+            f"{WRITER_TESTS}::test_default_cohort_of_3000_rows",
+            f"{WRITER_TESTS}::test_extreme_numerics",
+        ),
+    ),
+    Mutant(
+        "category text taken from a two-cell row, losing a one-cell row's quotes",
+        "featrank/reporting.py",
+        '_csv_line([cat] + [""] * (width - 1))[:-width]',
+        '_csv_line([cat, ""])[:-2]',
+        (f"{WRITER_TESTS}::test_one_column_table_writes_an_empty_cell_as_two_quotes",),
+    ),
+    Mutant(
+        "synth spec's cohort-cell check left out",
+        "featrank/synth.py",
+        "self._check_cells()",
+        "pass",
+        (
+            f"{SYNTH_TESTS}::TestCsvCells::test_refused_in_process_naming_the_field",
+            f"{SYNTH_TESTS}::TestCsvCells::test_refused_by_synth_with_exit_1",
         ),
     ),
 )
