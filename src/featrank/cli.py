@@ -33,6 +33,7 @@ from .reporting import (
     table_to_csv_text,
     weight_matrix_rows,
     write_rows,
+    write_text,
 )
 from .seeding import derive_seed
 from .smote import SmoteConfig
@@ -245,8 +246,7 @@ def cmd_synth(args) -> int:
             raise ConfigError(f"--rows {args.rows}: {exc}") from exc
     table, truth = synth.generate_with_truth(spec)
     out_dir = _ensure_out(args.out)
-    with open(out_dir / "cohort.csv", "w", encoding="utf-8", newline="") as fh:
-        fh.write(table_to_csv_text(table))
+    write_text(out_dir / "cohort.csv", table_to_csv_text(table))
     _write_json(out_dir / "schema.json", schema_to_json(table.schema), sort_keys=False)
     _write_json(out_dir / "truth.json", truth)
     counts = ", ".join(f"{g}={c}" for g, c in truth["group_counts"].items())
@@ -267,16 +267,13 @@ def cmd_report(args) -> int:
         raise _DataError(f"{src} is empty")
     out_dir = _ensure_out(args.out)
     out_path = out_dir / (src.stem + ".md")
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(rows_to_markdown(rows))
+    write_text(out_path, rows_to_markdown(rows))
     print(f"rendered {src} to {out_path}")
     return 0
 
 
 def _write_json(path, doc, sort_keys=True) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=sort_keys)
-        fh.write("\n")
+    write_text(path, json.dumps(doc, indent=2, sort_keys=sort_keys) + "\n")
 
 
 def _check_out(out) -> None:

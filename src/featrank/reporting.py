@@ -4,12 +4,24 @@ All numbers are formatted at fixed precision (weights 5 decimals, metrics 2
 decimals) and all files end with a single trailing newline, so identical runs
 produce byte-identical files. Accuracy, precision, and recall are reported as
 percentages; AUC stays a fraction.
+
+Every CSV file featrank writes, reports and cohorts alike, follows one cell
+rule, that of RFC 4180, section 2: a cell that holds a comma, a double quote,
+a line feed or a carriage return is enclosed in double quotes, with its inner
+quotes doubled. The one empty cell of a one-cell row is also written `""`,
+so that the row is not a blank line, and each row ends with a line feed. The
+rule is written out here, not left to the `csv` module's writer, whose
+quoting of a carriage return differs between Python versions; so the bytes
+no longer depend on the Python version, and `csv` only reads. In Markdown
+(GitHub Flavored Markdown tables) a cell's `|` is written `\\|` and each
+line break `<br>`, so every CSV row renders as one table line with its
+number of cells.
 """
 
 from __future__ import annotations
 
 import csv
-import io
+import re
 
 from .classifiers import CLASSIFIER_LABELS
 from .dataio import Table
@@ -103,27 +115,43 @@ def group_winner_rows(winners: dict) -> list[list[str]]:
     return rows
 
 
+def _csv_cell(cell: str, alone: bool) -> str:
+    """`cell` as a CSV field; `alone` when it is the only cell of its row."""
+    if any(ch in cell for ch in ',"\n\r'):
+        return '"' + cell.replace('"', '""') + '"'
+    return '""' if alone and not cell else cell
+
+
+def _csv_row(cells) -> str:
+    return ",".join(_csv_cell(cell, len(cells) == 1) for cell in cells) + "\n"
+
+
 def rows_to_csv(rows: list[list[str]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerows(rows)
-    return buf.getvalue()
+    return "".join(map(_csv_row, rows))
+
+
+_LINE_BREAK = re.compile("\r\n|\r|\n")
+
+
+def _markdown_row(cells) -> str:
+    return "| " + " | ".join(_LINE_BREAK.sub("<br>", c.replace("|", "\\|")) for c in cells) + " |"
 
 
 def rows_to_markdown(rows: list[list[str]]) -> str:
     header, *body = rows
-    lines = [
-        "| " + " | ".join(header) + " |",
-        "| " + " | ".join("---" for _ in header) + " |",
-    ]
-    for row in body:
-        lines.append("| " + " | ".join(row) + " |")
+    lines = [_markdown_row(header), "| " + " | ".join("---" for _ in header) + " |"]
+    lines += map(_markdown_row, body)
     return "\n".join(lines) + "\n"
 
 
-def write_rows(path, rows: list[list[str]]) -> None:
+def write_text(path, text: str) -> None:
+    """Write `text` to `path` as UTF-8, with no newline translation."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(rows_to_csv(rows))
+        fh.write(text)
+
+
+def write_rows(path, rows: list[list[str]]) -> None:
+    write_text(path, rows_to_csv(rows))
 
 
 def read_csv_rows(path) -> list[list[str]]:
@@ -133,25 +161,14 @@ def read_csv_rows(path) -> list[list[str]]:
 
 def table_to_csv_text(table: Table) -> str:
     """Cohort CSV with full-precision numerics (repr round-trips exactly),
-    written a column at a time.
-
-    csv.writer writes the header and, once per category, the category's text
-    in a row of the table's width whose other cells are empty; so csv decides
-    every quote, and an empty category is written "" only as a row's one cell.
-    A float's repr holds no comma, quote or line break, so csv never quotes it.
-    """
-    width = len(table.schema)
+    written a column at a time: each category's field is made once. A float's
+    repr holds no comma, quote or line break, so it is never quoted."""
+    alone = len(table.schema) == 1
     columns = []
     for data, cats in zip(table.data, table.categories):
         if cats is None:
             columns.append(map(repr, data.tolist()))
         else:
-            texts = [_csv_line([cat] + [""] * (width - 1))[:-width] for cat in cats]
+            texts = [_csv_cell(cat, alone) for cat in cats]
             columns.append(map(texts.__getitem__, data.tolist()))
-    return _csv_line(table.column_names()) + "\n".join(map(",".join, zip(*columns))) + "\n"
-
-
-def _csv_line(cells) -> str:
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow(cells)
-    return buf.getvalue()
+    return _csv_row(table.column_names()) + "\n".join(map(",".join, zip(*columns))) + "\n"

@@ -91,6 +91,12 @@ class SynthSpec:
                 raise ValueError(f"{what} must be an integer of at least {low}, got {value!r}")
         if not 0.0 < self.prevalence < 1.0:
             raise ValueError("prevalence must lie in (0, 1)")
+        positives = round(self.n_rows * self.prevalence)
+        if not 0 < positives < self.n_rows:
+            raise ValueError(
+                f"prevalence {self.prevalence!r} puts {positives} of {self.n_rows} rows "
+                "in the positive class; the label needs both classes"
+            )
         if self.noise_sd < 0:
             raise ValueError("noise_sd must be nonnegative")
         probs = self.group_distribution
@@ -123,8 +129,8 @@ class SynthSpec:
         """Refuse a category, group or label value that the cohort CSV would not
         read back as written: `load_csv` strips each cell, reads an empty one
         as missing and refuses a NUL; numpy's string arrays drop a trailing
-        NUL; csv writes a carriage return unquoted. Two equal values in one
-        column would merge, and so would the two labels."""
+        NUL. Two equal values in one column would merge, and so would the two
+        labels."""
         columns = [(f"feature {f.name!r} values", f.values) for f in self.features if f.kind == CATEGORICAL]
         columns += [("group_distribution", tuple(self.group_distribution)),
                     ("positive_label", (self.positive_label,)), ("negative_label", (self.negative_label,))]
@@ -134,7 +140,6 @@ class SynthSpec:
                     "is not a string" if not isinstance(value, str)
                     else "is empty" if not value
                     else "holds a NUL" if "\x00" in value
-                    else "holds a carriage return" if "\r" in value
                     else "has leading or trailing whitespace" if value != value.strip()
                     else None
                 )

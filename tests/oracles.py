@@ -50,17 +50,26 @@ def oracle_csv_cells(path, header, rows, schema):
     return columns
 
 
+def oracle_csv_text(rows):
+    """csv.writer's text of `rows`, each row written with the "\r\n" terminator,
+    so that every Python version's csv quotes both line breaks, and its final
+    "\r\n" then swapped for "\n"."""
+    lines = []
+    for row in rows:
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\r\n").writerow(row)
+        lines.append(buf.getvalue()[:-2] + "\n")
+    return "".join(lines)
+
+
 def oracle_table_csv_text(table):
-    """The row-at-a-time cohort writer: one csv.writer row per table row, each
-    numeric cell as its repr."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    """The row-at-a-time cohort writer: one CSV row per table row, each numeric
+    cell as its repr."""
     names = table.column_names()
-    writer.writerow(names)
     kinds = [table.column_schema(n).kind for n in names]
-    for row in table.rows:
-        writer.writerow([repr(c) if kind == "numeric" else c for c, kind in zip(row, kinds)])
-    return buf.getvalue()
+    return oracle_csv_text(
+        [names] + [[repr(c) if kind == "numeric" else c for c, kind in zip(row, kinds)] for row in table.rows]
+    )
 
 
 # --- contingency-table weighters -------------------------------------------

@@ -1,12 +1,17 @@
 """Fixed-precision rendering of weight, evaluation, and group reports."""
 
 import csv
+import io
+import json
+import random
+import re
 
+import numpy as np
 import pytest
 
-from featrank import synth
+from featrank import cli, synth
 from featrank.classifiers import CLASSIFIER_LABELS
-from featrank.dataio import CATEGORICAL, NUMERIC, ColumnSchema, Table, load_csv
+from featrank.dataio import CATEGORICAL, NUMERIC, ColumnSchema, Table, load_csv, load_schema_json
 from featrank.evaluation import AblationReport, EvalReport, Metrics
 from featrank.reporting import (
     delta_rows,
@@ -25,7 +30,7 @@ from featrank.reporting import (
 )
 from featrank.weighting import ALGORITHMS, weigh_all
 from helpers import make_table
-from oracles import oracle_table_csv_text
+from oracles import oracle_csv_text, oracle_table_csv_text
 
 
 def small_report(shift=0.0):
@@ -146,6 +151,34 @@ class TestSerialization:
     def test_rows_to_csv_newlines(self):
         assert rows_to_csv([["a", "b"], ["c", "d"]]) == "a,b\nc,d\n"
 
+    def test_rows_to_csv_quotes_a_carriage_return(self):
+        text = rows_to_csv([["g", "x"], ["Fa\rrs", "1"]])
+        assert text == 'g,x\n"Fa\rrs",1\n'
+        assert list(csv.reader(io.StringIO(text, newline=""))) == [["g", "x"], ["Fa\rrs", "1"]]
+
+    def test_cell_rule(self):
+        cases = [
+            ("plain", "plain"), ("", ""), (" padded ", " padded "), ("a|b", "a|b"), ("\x00", "\x00"),
+            ("a,b", '"a,b"'), ('say "hi"', '"say ""hi"""'), ('"', '""""'), ("a\nb", '"a\nb"'),
+            ("a\rb", '"a\rb"'), ("\r\n", '"\r\n"'),
+        ]
+        for cell, field in cases:
+            assert rows_to_csv([[cell, "z"]]) == field + ",z\n", cell
+            assert rows_to_csv([["z", cell]]) == "z," + field + "\n", cell
+        assert rows_to_csv([[""], ["", ""], ["a"]]) == '""\n,\n' + "a\n"
+
+    def test_cell_rule_is_csv_writer_quoting_both_line_breaks(self):
+        rng = random.Random(4180)
+        for _ in range(500):
+            rows = [[hostile_cell(rng) for _ in range(rng.randint(1, 4))] for _ in range(rng.randint(1, 4))]
+            assert rows_to_csv(rows) == oracle_csv_text(rows), rows
+
+    def test_markdown_keeps_each_row_on_one_line(self):
+        text = rows_to_markdown([["Group", "Status"], ["A|B", "ok"], ["C\nD", "ok"], ["E\r\nF\rG", "ok"]])
+        assert text.splitlines() == [
+            "| Group | Status |", "| --- | --- |", "| A\\|B | ok |", "| C<br>D | ok |", "| E<br>F<br>G | ok |",
+        ]
+
 
 class TestTableCsvText:
     def test_numeric_cells_round_trip_exactly(self):
@@ -226,3 +259,107 @@ class TestColumnWiseWriter:
         text = table_to_csv_text(table)
         assert text == oracle_table_csv_text(table)
         assert text.count("\n") == 3001 and text.endswith("\n") and not text.endswith("\n\n")
+
+
+# Pieces of hostile cell text: both line breaks and their pair, a quote, the
+# delimiter, a pipe, padding and non-ASCII text; a cell of no pieces is empty.
+HOSTILE_PIECES = ["\r", "\n", "\r\n", '"', ",", "|", " ", "\t", "ü", "✓", "Fars", "x"]
+
+
+def hostile_cell(rng) -> str:
+    return "".join(rng.choice(HOSTILE_PIECES) for _ in range(rng.randint(0, 4)))
+
+
+def hostile_values(rng, count, taken=("label",)) -> list[str]:
+    """`count` distinct hostile texts that a cohort carries as written: each is
+    neither empty nor padded, and none is in `taken`."""
+    values = []
+    while len(values) < count:
+        value = rng.choice("abc") + hostile_cell(rng) + rng.choice("xyz")
+        if value not in values and value not in taken:
+            values.append(value)
+    return values
+
+
+def markdown_cell_counts(text) -> list[int]:
+    """The number of cells of each line of a Markdown table; a `\\|` is no
+    delimiter."""
+    assert text.endswith("\n") and "\r" not in text
+    return [len(re.split(r"(?<!\\)\|", line)) - 2 for line in text[:-1].split("\n")]
+
+
+class TestHostileCells:
+    """Reports and cohorts whose text holds line breaks, quotes, delimiters and
+    pipes read back as written, and each report renders as one Markdown line per
+    CSV row."""
+
+    def report_kinds(self, rng) -> dict:
+        """Each report kind's rows, with hostile text wherever a report carries
+        text from the cohort: attribute and group names."""
+        names = hostile_values(rng, 3)
+        cats = hostile_values(rng, 2)
+        table = make_table(
+            {names[0]: [float(i % 5) for i in range(24)],
+             names[1]: [cats[i % 3 == 0] for i in range(24)],
+             names[2]: [i * 0.5 for i in range(24)]},
+            [i % 2 for i in range(24)],
+        )
+        groups = hostile_values(rng, 3)
+        winner = Metrics(0.8, 0.75, 0.9, 0.82)
+        return {
+            "weights": weight_matrix_rows(weigh_all(table, n_bins=3, relief_k=2)),
+            "without": eval_report_rows(small_report()),
+            "delta": delta_rows(AblationReport.build(small_report(shift=0.01), small_report())),
+            "group_rankings": group_ranking_rows({groups[0]: names[:2], groups[1]: None, groups[2]: names}),
+            "group_winners": group_winner_rows({groups[0]: ("glm", winner), groups[1]: None, groups[2]: ("mlp", winner)}),
+        }
+
+    def test_each_report_kind_reads_back_as_written(self, tmp_path):
+        rng = random.Random(58)
+        for trial in range(20):
+            for kind, rows in self.report_kinds(rng).items():
+                write_rows(tmp_path / f"{kind}.csv", rows)
+                assert read_csv_rows(tmp_path / f"{kind}.csv") == rows, (trial, kind)
+
+    def test_random_rows_read_back_as_written(self, tmp_path):
+        rng = random.Random(4180)
+        for trial in range(300):
+            rows = [[hostile_cell(rng) for _ in range(rng.randint(1, 4))] for _ in range(rng.randint(1, 5))]
+            write_rows(tmp_path / "r.csv", rows)
+            assert read_csv_rows(tmp_path / "r.csv") == rows, trial
+            assert markdown_cell_counts(rows_to_markdown(rows)) == [len(rows[0])] + [len(r) for r in rows], trial
+
+    def test_report_renders_one_markdown_line_per_csv_row(self, tmp_path, capsys):
+        rng = random.Random(26)
+        for trial in range(5):
+            for kind, rows in self.report_kinds(rng).items():
+                src = tmp_path / f"{kind}.csv"
+                write_rows(src, rows)
+                assert cli.main(["report", "--data", str(src), "--out", str(tmp_path / "md")]) == 0
+                text = (tmp_path / "md" / f"{kind}.md").read_bytes().decode("utf-8")
+                assert markdown_cell_counts(text) == [len(rows[0])] * (len(rows) + 1), (trial, kind)
+        capsys.readouterr()
+
+    def test_cohorts_of_hostile_categories_load_back_unchanged(self, tmp_path, capsys):
+        rng = random.Random(57)
+        for trial in range(8):
+            names = hostile_values(rng, 4)
+            values, groups, labels = (hostile_values(rng, k) for k in (3, 3, 2))
+            spec = synth.SynthSpec(
+                n_rows=100, group_column=names[2], group_distribution=dict.fromkeys(groups, 1 / 3),
+                features=(synth.FeatureDef(name=names[0], kind=NUMERIC),
+                          synth.FeatureDef(name=names[1], kind=CATEGORICAL, values=tuple(values),
+                                           probabilities=(0.5, 0.25, 0.25))),
+                coefficients={}, label_column=names[3], positive_label=labels[0], negative_label=labels[1],
+                seed=trial,
+            )
+            (tmp_path / "spec.json").write_text(json.dumps(synth.spec_to_json(spec)), encoding="utf-8")
+            out = tmp_path / f"cohort{trial}"
+            assert cli.main(["synth", "--spec", str(tmp_path / "spec.json"), "--out", str(out)]) == 0
+            table = synth.generate(spec)
+            loaded = load_csv(out / "cohort.csv", load_schema_json(out / "schema.json"))
+            assert loaded.column_names() == table.column_names() and loaded.imputations == {}
+            assert loaded.categories == table.categories, trial
+            assert all(np.array_equal(a, b) for a, b in zip(loaded.data, table.data, strict=True))
+            assert sorted(c for cats in loaded.categories if cats for c in cats) == sorted(values + groups + labels)
+        capsys.readouterr()

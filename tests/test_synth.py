@@ -174,6 +174,24 @@ class TestSynthSpecValidation:
             with pytest.raises(ValueError, match="prevalence"):
                 tiny_spec(prevalence=bad)
 
+    @pytest.mark.parametrize("prevalence, positives", [(0.004, 0), (0.005, 0), (0.995, 100), (0.999, 100)])
+    def test_prevalence_that_rounds_to_one_class_refused(self, prevalence, positives):
+        with pytest.raises(ValueError, match=f"^prevalence {prevalence} puts {positives} of 100 rows"):
+            dataclasses.replace(default_cohort_spec(n_rows=100), prevalence=prevalence)
+        for edge in (0.006, 0.994):  # one row in the smaller class
+            spec = dataclasses.replace(default_cohort_spec(n_rows=100), prevalence=edge)
+            assert set(generate(spec).label01()) == {0, 1}
+
+    def test_prevalence_that_rounds_to_one_class_exits_1(self, tmp_path, capsys):
+        doc = spec_to_json(default_cohort_spec(n_rows=100)) | {"prevalence": 0.004}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        out = tmp_path / "out"
+        assert cli.main(["synth", "--spec", str(path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid synth spec: prevalence 0.004 ") and "0 of 100 rows" in err
+        assert not out.exists()
+
     def test_noise_sd_nonnegative(self):
         with pytest.raises(ValueError, match="noise_sd"):
             tiny_spec(noise_sd=-0.5)
@@ -369,8 +387,8 @@ def cells_doc(values=("u", "v"), groups=("a", "b"), positive="yes", negative="no
     return doc | {"positive_label": positive, "negative_label": negative}
 
 
-# (case, a spec the cohort CSV cannot carry, the start of its error, a spec just
-# inside the same rule, which must survive the CSV round trip exactly)
+# (case, a spec the cohort CSV cannot carry or None, the start of its error, a
+# spec just inside the same rule, which must survive the CSV round trip exactly)
 CELL_CASES = [
     ("padded value", {"values": (" female", "male")},
      "feature 'c' values: ' female' has leading or trailing whitespace", {"values": ("fe male", "male")}),
@@ -386,8 +404,7 @@ CELL_CASES = [
      "feature 'c' values: 'u\\x00' holds a NUL", {"values": ("u\x01", "v")}),
     ("NUL in a group", {"groups": ("a\x00b", "b")},
      "group_distribution: 'a\\x00b' holds a NUL", {"groups": ("a\x01b", "b")}),
-    ("carriage return", {"values": ("a\rb", "v")},
-     "feature 'c' values: 'a\\rb' holds a carriage return", {"values": ("a\nb", 'c,"d"')}),
+    ("carriage return", None, None, {"values": ("a\rb", "a\nb", "a\r\nb", 'c,"d"')}),
     ("duplicate values", {"values": ("u", "v", "u")},
      "feature 'c' values: duplicate values ['u']", {"values": ("u", "v", "U")}),
     ("equal labels", {"negative": "yes"},
@@ -395,15 +412,18 @@ CELL_CASES = [
 ]
 
 
+REFUSED_CASES = [c for c in CELL_CASES if c[1] is not None]
+
+
 class TestCsvCells:
     """A spec is refused unless its cohort CSV reads back as the table it generated."""
 
-    @pytest.mark.parametrize("case, refused, error, edge", CELL_CASES, ids=[c[0] for c in CELL_CASES])
+    @pytest.mark.parametrize("case, refused, error, edge", REFUSED_CASES, ids=[c[0] for c in REFUSED_CASES])
     def test_refused_in_process_naming_the_field(self, case, refused, error, edge):
         with pytest.raises(ValueError, match="^" + re.escape(error)):
             spec_from_json(cells_doc(**refused))
 
-    @pytest.mark.parametrize("case, refused, error, edge", CELL_CASES, ids=[c[0] for c in CELL_CASES])
+    @pytest.mark.parametrize("case, refused, error, edge", REFUSED_CASES, ids=[c[0] for c in REFUSED_CASES])
     def test_refused_by_synth_with_exit_1(self, case, refused, error, edge, tmp_path, capsys):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(cells_doc(**refused)), encoding="utf-8")

@@ -39,6 +39,21 @@ def test_changed_report_bytes_are_listed(tmp_path):
     assert "differs: cohorts/warmup/cohort.csv" not in result.stdout
 
 
+def test_changed_markdown_is_listed(tmp_path):
+    changed = tmp_path / "src"
+    shutil.copytree(ROOT / "src", changed, ignore=shutil.ignore_patterns("__pycache__"))
+    with open(changed / "featrank" / "reporting.py", "a", encoding="utf-8") as fh:
+        fh.write("\n_plain_markdown = rows_to_markdown\nrows_to_markdown = lambda rows: _plain_markdown(rows) + '\\n'\n")
+    result = compare(ROOT / "src", changed, tmp_path)
+    assert result.returncode == 1
+    stems = ("delta", "with", "without")
+    assert sorted(line.strip() for line in result.stdout.splitlines() if "differs:" in line) == [
+        f"differs: reports/warmup/{stem}.md" for stem in stems
+    ], result.stdout
+    old = tmp_path / "work" / "ablate-seed1" / "old" / "reports" / "warmup"
+    assert sorted(p.name for p in old.glob("*.md")) == [f"{stem}.md" for stem in stems]
+
+
 def test_changed_model_document_is_listed(tmp_path):
     changed = tmp_path / "src"
     shutil.copytree(ROOT / "src", changed, ignore=shutil.ignore_patterns("__pycache__"))

@@ -7,7 +7,9 @@
 OLD_SRC and NEW_SRC are `src/` directories. For every workload and seed, each
 tree generates the benchmark's cohorts with `featrank synth --spec` (the recipe,
 seeds and sizes are read from perfbench/workloads.py) and runs the workload's
-command on each of them, in a fresh process per tree. `--rows N` generates the
+command on each of them, in a fresh process per tree. Each CSV report is then
+rendered with `featrank report` into the same directory, so the Markdown files
+are compared too. `--rows N` generates the
 timed cohorts at N rows instead of the workload's own size (the warm-up cohort
 keeps its size), for example so that SMOTE's and the per-stratum Relief
 searches of `ablate` and `groups` span several blocks. What each command prints
@@ -86,6 +88,13 @@ def run_tree(src: Path, out: Path, workload_name: str, seed: int, count: int | N
                 print(f"{src}: featrank {argv[0]} exited with code {rc} on cohort {name}")
                 failed += 1
                 break
+        else:
+            reports = out / "reports" / name
+            for report in sorted(reports.glob("*.csv")):
+                rc, _ = _quiet_main(cli, ["report", "--data", str(report), "--out", str(reports)])
+                if rc != 0:
+                    print(f"{src}: featrank report exited with code {rc} on {report.relative_to(out)}")
+                    failed += 1
     return 1 if failed else 0
 
 

@@ -36,6 +36,9 @@ SMOTE_TESTS = "tests/test_smote.py"
 EVALUATION_TESTS = "tests/test_evaluation.py"
 DATAIO_TESTS = "tests/test_dataio.py"
 WRITER_TESTS = "tests/test_reporting.py::TestColumnWiseWriter"
+SERIALIZATION_TESTS = "tests/test_reporting.py::TestSerialization"
+HOSTILE_TESTS = "tests/test_reporting.py::TestHostileCells"
+LOAD_CSV_TESTS = "tests/test_dataio.py::TestLoadCsv"
 SYNTH_TESTS = "tests/test_synth.py"
 RANDOM_MIXED = f"{NEIGHBOR_TESTS}::test_k_nearest_equals_full_matrix_argsort_on_random_mixed_tables"
 
@@ -322,9 +325,9 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "cohort category written raw in place of its csv text",
+        "cohort category written raw in place of its csv field",
         "featrank/reporting.py",
-        'texts = [_csv_line([cat] + [""] * (width - 1))[:-width] for cat in cats]',
+        "texts = [_csv_cell(cat, alone) for cat in cats]",
         "texts = list(cats)",
         (f"{WRITER_TESTS}::test_odd_categories_in_every_column_position",),
     ),
@@ -339,11 +342,98 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "category text taken from a two-cell row, losing a one-cell row's quotes",
+        "carriage return left out of the csv quote set",
         "featrank/reporting.py",
-        '_csv_line([cat] + [""] * (width - 1))[:-width]',
-        '_csv_line([cat, ""])[:-2]',
-        (f"{WRITER_TESTS}::test_one_column_table_writes_an_empty_cell_as_two_quotes",),
+        """for ch in ',"\\n\\r'""",
+        """for ch in ',"\\n'""",
+        (
+            f"{SERIALIZATION_TESTS}::test_rows_to_csv_quotes_a_carriage_return",
+            f"{WRITER_TESTS}::test_odd_categories_in_every_column_position",
+            f"{HOSTILE_TESTS}::test_cohorts_of_hostile_categories_load_back_unchanged",
+        ),
+    ),
+    Mutant(
+        "csv field's inner quotes not doubled",
+        "featrank/reporting.py",
+        """cell.replace('"', '""')""",
+        "cell",
+        (
+            f"{SERIALIZATION_TESTS}::test_cell_rule",
+            f"{WRITER_TESTS}::test_odd_categories_in_every_column_position",
+            f"{HOSTILE_TESTS}::test_each_report_kind_reads_back_as_written",
+        ),
+    ),
+    Mutant(
+        "one-cell row's empty cell written as a blank line",
+        "featrank/reporting.py",
+        """return '""' if alone and not cell else cell""",
+        "return cell",
+        (
+            f"{SERIALIZATION_TESTS}::test_cell_rule",
+            f"{WRITER_TESTS}::test_one_column_table_writes_an_empty_cell_as_two_quotes",
+            f"{HOSTILE_TESTS}::test_random_rows_read_back_as_written",
+        ),
+    ),
+    Mutant(
+        "markdown cell's pipe left unescaped",
+        "featrank/reporting.py",
+        """c.replace("|", "\\\\|")""",
+        "c",
+        (
+            f"{SERIALIZATION_TESTS}::test_markdown_keeps_each_row_on_one_line",
+            f"{HOSTILE_TESTS}::test_report_renders_one_markdown_line_per_csv_row",
+        ),
+    ),
+    Mutant(
+        "synth spec's one-class prevalence check left out",
+        "featrank/synth.py",
+        "if not 0 < positives < self.n_rows:",
+        "if False:",
+        (
+            f"{SYNTH_TESTS}::TestSynthSpecValidation::test_prevalence_that_rounds_to_one_class_refused",
+            f"{SYNTH_TESTS}::TestSynthSpecValidation::test_prevalence_that_rounds_to_one_class_exits_1",
+        ),
+    ),
+    Mutant(
+        "split threshold's upper value taken from code c + 1",
+        "featrank/classifiers/trees.py",
+        "codes[j, c : c + 2]",
+        "codes[j, c] + np.arange(2)",
+        (f"{CLASSIFIER_TESTS}::TestGrowerMatchesReference::test_gbt_many_rounds",),
+    ),
+    Mutant(
+        "tree codes int16 for any row count",
+        "featrank/classifiers/trees.py",
+        "np.int16 if n < 2**15 else np.intp",
+        "np.int16",
+        (
+            f"{CLASSIFIER_TESTS}::TestSplitSearch::test_codes_wider_than_int16",
+            f"{CLASSIFIER_TESTS}::TestGrowerMatchesReference::test_codes_wider_than_int16",
+        ),
+    ),
+    Mutant(
+        "load_csv reports a ragged row before an earlier bad cell",
+        "featrank/dataio.py",
+        "raw_rows[:whole] if bad else ()",
+        "raw_rows[:whole] if bad and whole == len(raw_rows) else ()",
+        (f"{LOAD_CSV_TESTS}::test_bad_cell_reported_before_later_ragged_row",),
+    ),
+    Mutant(
+        "load_csv reports one row's bad cells in header order",
+        "featrank/dataio.py",
+        "bad = [(c, header.index(c.name)) for c in schema if columns[c.name] is None]",
+        "bad = sorted([(c, header.index(c.name)) for c in schema if columns[c.name] is None],\n"
+        "                 key=lambda b: b[1])",
+        (f"{LOAD_CSV_TESTS}::test_bad_cells_in_one_row_reported_in_schema_order",),
+    ),
+    Mutant(
+        "load_csv scans bad cells a column at a time",
+        "featrank/dataio.py",
+        "    for r, raw in enumerate(raw_rows[:whole] if bad else ()):\n"
+        "        for c, pos in bad:  # raises at the first bad cell\n",
+        "    for c, pos in bad:\n"
+        "        for r, raw in enumerate(raw_rows[:whole]):\n",
+        (f"{LOAD_CSV_TESTS}::test_earlier_row_reported_before_earlier_column",),
     ),
     Mutant(
         "synth spec's cohort-cell check left out",
