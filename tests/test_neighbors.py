@@ -137,6 +137,12 @@ def random_mixed_table(rng):
                for i in range(rng.integers(0, 4))]
     columns += [(f"c{i}", ["lmn"[j] for j in rng.integers(0, rng.integers(2, 4), n)])
                 for i in range(rng.integers(1, 4))]
+    if rng.random() < 0.5:
+        # a skewed categorical of 6-9 levels, the widest one, which the near
+        # pass leaves out of its groups
+        weights = 0.5 ** np.arange(rng.integers(6, 10))
+        columns.append(("w", ["abcdefghi"[j] for j in
+                              rng.choice(len(weights), n, p=weights / weights.sum())]))
     shuffled = [columns[i] for i in rng.permutation(len(columns))]
     return make_table(dict(shuffled), rng.integers(0, 2, n).tolist()), n
 
@@ -144,7 +150,17 @@ def random_mixed_table(rng):
 @pytest.mark.parametrize("seed", range(8))
 def test_k_nearest_equals_full_matrix_argsort_on_random_mixed_tables(seed, monkeypatch):
     # Block sizes from one anchor per block to one block for the whole search,
-    # so the bucket pass runs with and without the search over all candidates.
+    # so the bucket and near passes run with and without the search over all
+    # candidates.
+    near_calls = []  # (anchors given, anchors left) of each near pass
+    near_pass = neighbors._near_pass
+
+    def recording_near_pass(arrays, codes, anchors, at, candidates, k, out):
+        rest = near_pass(arrays, codes, anchors, at, candidates, k, out)
+        near_calls.append((len(at), len(rest)))
+        return rest
+
+    monkeypatch.setattr(neighbors, "_near_pass", recording_near_pass)
     rng = np.random.default_rng(seed)
     for _ in range(60):
         t, n = random_mixed_table(rng)
@@ -157,6 +173,8 @@ def test_k_nearest_equals_full_matrix_argsort_on_random_mixed_tables(seed, monke
         monkeypatch.setattr(neighbors, "BLOCK_CELLS", int(rng.choice([1, 7, 50, 300, 2**16])))
         expected = oracle_k_nearest(t, anchors, candidates, k)
         assert (k_nearest(encode(t), anchors, candidates, k) == expected).all()
+    # Some near pass settled anchors and still left some to the full search.
+    assert any(0 < left < given for given, left in near_calls), near_calls
 
 
 def test_bucket_kth_distance_of_one_takes_the_search_over_all_candidates(monkeypatch):
@@ -166,6 +184,34 @@ def test_bucket_kth_distance_of_one_takes_the_search_over_all_candidates(monkeyp
     monkeypatch.setattr(neighbors, "BLOCK_CELLS", 3)  # one anchor per block: the bucket pass runs
     rows = np.arange(3)
     assert k_nearest(encode(t), rows, rows, 1).tolist() == [[1], [0], [1]]
+
+
+def test_near_kth_distance_of_two_takes_the_search_over_all_candidates(monkeypatch):
+    # Row 1 is alone in its bucket. Its coarse group (a, b) = (p, r) has the
+    # near set {1, 2, 3}, where its nearest, row 2, is at exactly 2.0 (b and
+    # w differ). Row 0 differs in a and b, so it is outside the near set, also
+    # at 2.0, and wins the tie by its lower index.
+    t = make_table({"x": [0.0, 0.0, 0.0, 1.0], "a": ["q", "p", "p", "q"],
+                    "b": ["s", "r", "s", "r"], "w": ["u", "u", "v", "z"]}, [0, 0, 0, 0])
+    monkeypatch.setattr(neighbors, "BLOCK_CELLS", 4)  # one anchor per block: both passes run
+    rows = np.arange(4)
+    expected = oracle_k_nearest(t, rows, rows, 1)
+    assert expected[1].tolist() == [0]
+    assert (k_nearest(encode(t), rows, rows, 1) == expected).all()
+
+
+def test_near_set_holds_the_rows_one_coarse_category_away(monkeypatch):
+    # Row 1 is alone in its bucket. Its true nearest, row 0, differs only in a,
+    # at 1.0. Row 2 shares its coarse codes (a, b) and is at 1.5 (w differs,
+    # and x by 0.5), so a near set of its own coarse group alone would settle
+    # row 1 on row 2.
+    t = make_table({"x": [0.0, 0.0, 0.5, 1.0], "a": ["q", "p", "p", "q"],
+                    "b": ["r", "r", "r", "s"], "w": ["u", "u", "v", "z"]}, [0, 0, 0, 0])
+    monkeypatch.setattr(neighbors, "BLOCK_CELLS", 4)
+    rows = np.arange(4)
+    expected = oracle_k_nearest(t, rows, rows, 1)
+    assert expected[1].tolist() == [0]
+    assert (k_nearest(encode(t), rows, rows, 1) == expected).all()
 
 
 def test_signatures_stay_below_the_row_count():

@@ -2,12 +2,17 @@
 the alternating-pairs judge and the mutant list."""
 
 import importlib.util
+import json
 import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from featrank import cli, neighbors, synth
+from featrank.dataio import load_csv, load_schema_json
+from featrank.weighting import weight_relief
 
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "compare_reports.py"
@@ -141,15 +146,46 @@ def test_rows_option_resizes_the_timed_cohorts(tmp_path):
         assert not (cohorts / "001").exists()
 
 
-def load_ab_pairs():
-    spec = importlib.util.spec_from_file_location("ab_pairs", ROOT / "tools" / "ab_pairs.py")
+def load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
+def test_derived_shapes_take_their_search_paths(tmp_path, monkeypatch):
+    # Relief on each shape, in blocks of one anchor, records which passes of
+    # the neighbour search run.
+    tool = load_tool("compare_reports")
+    cohort = tmp_path / "cohort"
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(synth.spec_to_json(synth.default_cohort_spec(n_rows=300, seed=5))))
+    assert cli.main(["synth", "--spec", str(spec), "--out", str(cohort)]) == 0
+    runs = []
+    for name in ("_bucket_pass", "_near_pass", "_full_search"):
+        real = getattr(neighbors, name)
+        monkeypatch.setattr(neighbors, name,
+                            lambda *args, real=real, name=name: runs.append(name) or real(*args))
+    monkeypatch.setattr(neighbors, "BLOCK_CELLS", 300)
+
+    def passes(path):
+        table = load_csv(path / "cohort.csv", load_schema_json(path / "schema.json"))
+        categoricals = [n for n in table.feature_names() if table.encoded(n)[1] is not None]
+        runs.clear()
+        weight_relief(table, k_neighbors=10)
+        return len(categoricals), set(runs)
+
+    assert passes(cohort) == (5, {"_bucket_pass", "_near_pass", "_full_search"})
+    expected = {"numeric": (0, {"_full_search"}),
+                "one-categorical": (1, {"_bucket_pass", "_full_search"})}
+    assert set(tool.SHAPES) == set(expected)
+    for shape, keep in tool.SHAPES.items():
+        tool.derive_shape(cohort, tmp_path / shape, keep)
+        assert passes(tmp_path / shape) == expected[shape], shape
+
+
 def test_pair_summary_applies_the_gain_rule_and_the_bound():
-    ab = load_ab_pairs()
+    ab = load_tool("ab_pairs")
     parent = [0.170, 0.172, 0.173, 0.174, 0.174, 0.175, 0.176, 0.177, 0.178, 0.180]
 
     held = ab.summarize(parent, [p - 0.012 for p in parent], "lower", 0.25)
@@ -172,22 +208,15 @@ def test_pair_summary_applies_the_gain_rule_and_the_bound():
     assert "PAST BOUND" in ab.report("rows_per_s", regressed)
 
 
-def load_mutants():
-    spec = importlib.util.spec_from_file_location("mutants", ROOT / "tools" / "mutants.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_every_mutant_original_occurs_once():
     # a refactor that moves a guarded text fails here, not only in the tool's own run
-    for mutant in load_mutants().MUTANTS:
+    for mutant in load_tool("mutants").MUTANTS:
         text = (ROOT / "src" / mutant.file).read_text(encoding="utf-8")
         assert text.count(mutant.original) == 1, mutant.name
 
 
 def test_mutants_report_killed_surviving_and_missing(capsys):
-    mutants = load_mutants()
+    mutants = load_tool("mutants")
     killed = next(m for m in mutants.MUTANTS if m.name == "sigmoid clipped from below only")
     no_op = killed._replace(name="no-op", replacement=killed.original)
     missing = killed._replace(name="moved", original="text that no source file holds")

@@ -9,7 +9,8 @@ tree generates the benchmark's cohorts with `featrank synth --spec` (the recipe,
 seeds and sizes are read from perfbench/workloads.py) and runs the workload's
 command on each of them, in a fresh process per tree. Each CSV report is then
 rendered with `featrank report` into the same directory, so the Markdown files
-are compared too. `--rows N` generates the
+are compared too. Each timed `rank` cohort also yields two derived shapes,
+which both trees run `weigh` on (see SHAPES). `--rows N` generates the
 timed cohorts at N rows instead of the workload's own size (the warm-up cohort
 keeps its size), for example so that SMOTE's and the per-stratum Relief
 searches of `ablate` and `groups` span several blocks. What each command prints
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
 import io
 import json
 import shutil
@@ -39,6 +41,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
+# Shapes derived from each timed `rank` cohort, by how many of its categorical
+# feature and group columns each keeps (the first ones; the label stays): with
+# none, Relief's neighbour search has no bucket pass and runs the threaded
+# search over all candidates alone; with one, it has a bucket pass but no near
+# pass, which needs two categoricals.
+SHAPES = {"numeric": 0, "one-categorical": 1}
 
 
 def _workloads():
@@ -57,10 +65,29 @@ def _quiet_main(cli, argv) -> tuple[int, str]:
     return code, f"stdout:\n{stdout.getvalue()}stderr:\n{stderr.getvalue()}"
 
 
+def derive_shape(cohort: Path, derived: Path, keep: int) -> None:
+    """Write into `derived` the cohort at `cohort` (its cohort.csv and
+    schema.json) without its categorical feature and group columns after the
+    first `keep`."""
+    schema = json.loads((cohort / "schema.json").read_text(encoding="utf-8"))
+    categoricals = [c["name"] for c in schema["columns"]
+                    if c["kind"] == "categorical" and c["role"] != "label"]
+    dropped = set(categoricals[keep:])
+    schema["columns"] = [c for c in schema["columns"] if c["name"] not in dropped]
+    with open(cohort / "cohort.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))
+    kept = [i for i, name in enumerate(rows[0]) if name not in dropped]
+    derived.mkdir(parents=True)
+    (derived / "schema.json").write_text(json.dumps(schema, indent=2) + "\n", encoding="utf-8")
+    with open(derived / "cohort.csv", "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([row[i] for i in kept] for row in rows)
+
+
 def run_tree(src: Path, out: Path, workload_name: str, seed: int, count: int | None,
              rows: int | None) -> int:
     """Generate one workload's cohorts (the timed ones at `rows` rows, when given)
-    and run its command on each, with the program at src."""
+    and run its command on each, and `weigh` on each derived shape of a timed
+    `rank` cohort, with the program at src."""
     sys.path.insert(0, str(src))
     import featrank
     import featrank.cli as cli
@@ -80,22 +107,37 @@ def run_tree(src: Path, out: Path, workload_name: str, seed: int, count: int | N
         job = workload.job_args(cohort, out / "reports" / name)
         if workload_name == "ablate" and index == "warmup":
             job.append("--save-model")
-        for argv in (["synth", "--spec", str(cohort / "spec.json"), "--out", str(cohort)], job):
-            rc, console = _quiet_main(cli, argv)
-            console_file = out / "console" / f"{name}-{argv[0]}.txt"
-            console_file.write_text(console.replace(str(out), "OUT"), encoding="utf-8")
-            if rc != 0:
-                print(f"{src}: featrank {argv[0]} exited with code {rc} on cohort {name}")
-                failed += 1
-                break
-        else:
-            reports = out / "reports" / name
-            for report in sorted(reports.glob("*.csv")):
-                rc, _ = _quiet_main(cli, ["report", "--data", str(report), "--out", str(reports)])
-                if rc != 0:
-                    print(f"{src}: featrank report exited with code {rc} on {report.relative_to(out)}")
-                    failed += 1
+        synth = ["synth", "--spec", str(cohort / "spec.json"), "--out", str(cohort)]
+        if _run(cli, src, out, name, [synth, job]):
+            failed += 1
+        elif workload_name == "rank" and index != "warmup":
+            for shape, keep in SHAPES.items():
+                derived = f"{name}-{shape}"
+                derive_shape(cohort, out / "cohorts" / derived, keep)
+                job = workload.job_args(out / "cohorts" / derived, out / "reports" / derived)
+                failed += _run(cli, src, out, derived, [job])
     return 1 if failed else 0
+
+
+def _run(cli, src: Path, out: Path, name: str, commands) -> int:
+    """Run each command in turn on cohort `name`, keeping what it prints, then
+    render each CSV report it wrote with `featrank report`. Returns the number
+    of failed commands; the first failure stops the rest."""
+    for argv in commands:
+        rc, console = _quiet_main(cli, argv)
+        console_file = out / "console" / f"{name}-{argv[0]}.txt"
+        console_file.write_text(console.replace(str(out), "OUT"), encoding="utf-8")
+        if rc != 0:
+            print(f"{src}: featrank {argv[0]} exited with code {rc} on cohort {name}")
+            return 1
+    failed = 0
+    reports = out / "reports" / name
+    for report in sorted(reports.glob("*.csv")):
+        rc, _ = _quiet_main(cli, ["report", "--data", str(report), "--out", str(reports)])
+        if rc != 0:
+            print(f"{src}: featrank report exited with code {rc} on {report.relative_to(out)}")
+            failed += 1
+    return failed
 
 
 def unloadable_models(src: Path, outs) -> list[str]:

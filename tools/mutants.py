@@ -131,8 +131,8 @@ MUTANTS = (
     Mutant(
         "bucket pass settles an anchor at k-th distance 1.0",
         "featrank/neighbors.py",
-        "settled = kth < 1.0",
-        "settled = kth <= 1.0",
+        "a_ids, sets(), k, 1.0, cells, out)",
+        "a_ids, sets(), k, np.nextafter(1.0, 2.0), cells, out)",
         (
             f"{NEIGHBOR_TESTS}::test_bucket_kth_distance_of_one_takes_the_search_over_all_candidates",
             f"{NEIGHBOR_TESTS}::test_k_nearest_equals_full_matrix_argsort_on_random_mixed_tables",
@@ -296,23 +296,41 @@ MUTANTS = (
     Mutant(
         "settled rows written without the a_order mapping",
         "featrank/neighbors.py",
-        "out[a_order[settled]] = found[settled]",
-        "out[settled] = found[settled]",
+        "out[at[a_order[settled]]] = found[settled]",
+        "out[at[settled]] = found[settled]",
         (RANDOM_MIXED,),
     ),
     Mutant(
         "bucket pass settles an anchor at k-th distance below 2.0",
         "featrank/neighbors.py",
-        "settled = kth < 1.0",
-        "settled = kth < 2.0",
+        "a_ids, sets(), k, 1.0, cells, out)",
+        "a_ids, sets(), k, 2.0, cells, out)",
         (RANDOM_MIXED,),
     ),
     Mutant(
         "first numeric dropped from bucket blocks",
         "featrank/neighbors.py",
-        "_search(numerics, [c[c0:c1] for c in cand],",
-        "_search(numerics[1:], [c[c0:c1] for c in cand[1:]],",
+        "cand = [arr[grouped] for arr in numerics]",
+        "numerics = numerics[1:]\n    cand = [arr[grouped] for arr in numerics]",
         (RANDOM_MIXED,),
+    ),
+    # The near pass may leave out any one categorical, not only the widest:
+    # each choice is exact (see `k_nearest`), so another choice is no mutant.
+    Mutant(
+        "near pass settles an anchor at k-th distance 2.0",
+        "featrank/neighbors.py",
+        "a_ids, sets(), k, 2.0, cells, out)",
+        "a_ids, sets(), k, np.nextafter(2.0, 3.0), cells, out)",
+        (f"{NEIGHBOR_TESTS}::test_near_kth_distance_of_two_takes_the_search_over_all_candidates",
+         RANDOM_MIXED),
+    ),
+    Mutant(
+        "near set only the group's own coarse codes",
+        "featrank/neighbors.py",
+        "(tuples != tuples[g]).sum(axis=1) <= 1",
+        "(tuples != tuples[g]).sum(axis=1) <= 0",
+        (f"{NEIGHBOR_TESTS}::test_near_set_holds_the_rows_one_coarse_category_away",
+         RANDOM_MIXED),
     ),
     Mutant(
         "feature selection in the caller's order",
