@@ -13,7 +13,7 @@ and then one flat list of (classifier, fold, features) tasks: both arms of an
 ablation, or every stratum of the per-group analysis, in one list. Each task
 depends only on its spec, its fold and its features, and the results are
 gathered in list order. So the list runs on one forked worker process per CPU
-the process may use (`neighbors._cpus`), each taking the next task index from
+the process may use (`_cpus`), each taking the next task index from
 one shared pipe, and the reports do not depend on how many there are. With one
 task or one CPU it runs in this process.
 """
@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
-from . import classifiers, neighbors
+from . import classifiers
 from .classifiers import ClassifierSpec
 from .dataio import FoldPlan, Table, filter_by_group, observed_groups, split, stratified_folds
 from .seeding import derive_seed
@@ -180,6 +180,13 @@ def _fit_and_score(folds, spec: ClassifierSpec, fold: int, features) -> tuple[fl
     return compute_metrics(classifiers.predict_scores(model, test), test.y).as_tuple()
 
 
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _run_tasks(tasks, folds) -> list[Metrics]:
     """Each (spec, fold index, features) task's metrics, in list order.
 
@@ -189,7 +196,7 @@ def _run_tasks(tasks, folds) -> list[Metrics]:
     raises, as it would in this process. A worker that dies raises a
     RuntimeError naming its exit status.
     """
-    count = min(neighbors._cpus(), len(tasks))
+    count = min(_cpus(), len(tasks))
     if count <= 1 or not hasattr(os, "fork"):
         return [Metrics(*_fit_and_score(folds, *task)) for task in tasks]
     order = sorted(range(len(tasks)), key=lambda i: _BY_FIT_TIME.index(tasks[i][0].kind))

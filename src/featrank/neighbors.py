@@ -3,12 +3,10 @@
 The single definition of the distance that Relief and SMOTE share: the sum over
 feature columns, in schema order, of |a - b| for numerics min-max normalized
 over the full table, and of a 0/1 mismatch for categoricals. `k_nearest` cuts
-the anchors into blocks and shares them among threads, one per CPU the
-process may use, each taking the next block from one lock-guarded iterator.
-Each thread holds at most BLOCK_CELLS distances at once, so memory is
-O(threads x block x candidates): about 1 MB of buffers per thread.
-Each anchor's neighbours depend only on its own row of distances, so the
-result does not depend on the number of threads or on which block each takes.
+the anchors into blocks and searches them one after another on the calling
+thread. A block holds at most BLOCK_CELLS distances, so memory is O(block x
+candidates): about 1 MB of buffers. Each anchor's neighbours depend only on
+its own row of distances, so the result does not depend on the block size.
 On a table with categoricals, a search of more than one block first settles
 most anchors among the rows with their own category codes (a bucket pass, see
 `k_nearest`), then, with two or more categoricals, most of the rest among the
@@ -19,24 +17,13 @@ all candidates: on a 3000-row default cohort, 0 to 16 of Relief's 6000.
 
 from __future__ import annotations
 
-import os
-import threading
-
 import numpy as np
 
 from .dataio import Table
 
-# Distances per block: each worker's distance and diff buffers (2 x 512 KB,
-# about 1 MB) fit a 2 MB L2 cache; larger blocks were measured slower at 3000
-# rows.
+# Distances per block: the distance and diff buffers (2 x 512 KB, about 1 MB)
+# fit a 2 MB L2 cache; larger blocks were measured slower at 3000 rows.
 BLOCK_CELLS = 2**16
-
-
-def _cpus() -> int:
-    """The number of CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def encode(table: Table) -> list[tuple[str, np.ndarray]]:
@@ -72,18 +59,17 @@ def k_nearest(features, anchors, candidates, k: int) -> np.ndarray:
     by (distance, row index).
 
     A search of more than one block on a table with a categorical feature
-    starts with a bucket pass on the calling thread: each anchor is searched
-    only among the candidates with its own tuple of category codes, and an
-    anchor whose k-th distance there is below 1.0 is final. On a table with
-    two or more categoricals, the anchors it leaves go on to a near pass, also
-    on the calling thread: they are grouped by their codes on every
-    categorical but the one with the most levels (the first such, on a tie),
-    and each group is searched, over all the features, among the candidates
-    whose codes on those categoricals differ from the group's in at most one
-    (its near set). An anchor whose k-th distance there is below 2.0 is
-    final. The others, and the anchors whose bucket or near set holds k or
-    fewer candidates, or whose near set holds every candidate, go on to the
-    search over all candidates. The result is exact:
+    starts with a bucket pass: each anchor is searched only among the
+    candidates with its own tuple of category codes, and an anchor whose k-th
+    distance there is below 1.0 is final. On a table with two or more
+    categoricals, the anchors it leaves go on to a near pass: they are grouped
+    by their codes on every categorical but the one with the most levels (the
+    first such, on a tie), and each group is searched, over all the features,
+    among the candidates whose codes on those categoricals differ from the
+    group's in at most one (its near set). An anchor whose k-th distance there
+    is below 2.0 is final. The others, and the anchors whose bucket or near set
+    holds k or fewer candidates, or whose near set holds every candidate, go on
+    to the search over all candidates. The result is exact:
 
     1. A pair whose category codes all match gets a bit-identical distance in
        a bucket block: its numerics go through the same elementwise float
@@ -105,9 +91,8 @@ def k_nearest(features, anchors, candidates, k: int) -> np.ndarray:
        any superset of an anchor's one-mismatch rows, so dropping any one
        categorical is exact; dropping the widest makes the fewest groups.
 
-    The search over all candidates splits its blocks across threads when it
-    has more than one. A search of one block skips both passes and runs on
-    the calling thread.
+    A search of one block skips both passes. Every pass and the search over
+    all candidates run on the calling thread.
     """
     anchors = np.asarray(anchors, dtype=np.intp)
     candidates = np.asarray(candidates, dtype=np.intp)
@@ -219,54 +204,21 @@ def _settle(arrays, anchors, at, a_ids, sets, k: int, bound: float, cells: int, 
     for g, rows, cand in sets:
         a0, a1 = int(a_end[g] - a_size[g]), int(a_end[g])
         step = max(1, BLOCK_CELLS // len(rows))
-        _search(arrays, cand, anchors[at[a_order[a0:a1]]], rows, k, step, found[a0:a1],
-                range(0, a1 - a0, step), scratch, kth[a0:a1])
+        _search(arrays, cand, anchors[at[a_order[a0:a1]]], rows, k, step, found[a0:a1], scratch,
+                kth[a0:a1])
     settled = kth < bound
     out[at[a_order[settled]]] = found[settled]
     return np.sort(at[a_order[~settled]])
 
 
 def _full_search(arrays, anchors, candidates, k: int, step: int, out) -> None:
-    """Each anchor's k nearest among all the candidates, into `out`. A search of
-    more than one block splits its blocks across threads."""
-    cand = [arr[candidates] for arr in arrays]
-    starts = range(0, len(anchors), step)
-    workers = min(_cpus(), len(starts))
-    if workers <= 1:
-        _search(arrays, cand, anchors, candidates, k, step, out, starts)
-        return
-    # Each thread takes the next whole block when it finishes one, so a thread
-    # whose CPU is taken away holds up one block rather than a fixed share.
-    lock = threading.Lock()
-    shared = iter(starts)
-    errors = []
-
-    def take():
-        with lock:
-            return next(shared, None)
-
-    def run():
-        try:
-            _search(arrays, cand, anchors, candidates, k, step, out, iter(take, None))
-        except Exception as exc:  # raised again on the calling thread
-            errors.append(exc)
-
-    threads = []
-    try:
-        for _ in range(workers):
-            thread = threading.Thread(target=run)
-            thread.start()
-            threads.append(thread)
-    finally:
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[0]
+    """Each anchor's k nearest among all the candidates, into `out`."""
+    _search(arrays, [arr[candidates] for arr in arrays], anchors, candidates, k, step, out)
 
 
-def _search(arrays, cand, anchors, candidates, k: int, step: int, out, starts, scratch=None,
+def _search(arrays, cand, anchors, candidates, k: int, step: int, out, scratch=None,
             kth_out=None) -> None:
-    """The blocked search for the blocks of `anchors` that begin at `starts`, each
+    """The blocked search of `anchors`, `step` of them at a time, each block
     into its own rows of `out` and, when given, of `kth_out` (each anchor's k-th
     distance). `scratch` holds the distance and diff buffers, each of at least
     one block's cells; without it they are sized to this search's blocks."""
@@ -276,7 +228,7 @@ def _search(arrays, cand, anchors, candidates, k: int, step: int, out, starts, s
         # `weigh` job took 1100-2300 minor page faults in most processes, as
         # one about 30 (getrusage around each job).
         scratch = np.empty((2, min(step, len(anchors)) * n))
-    for start in starts:
+    for start in range(0, len(anchors), step):
         block = anchors[start : start + step]
         rows = len(block)
         dist = scratch[0, : rows * n].reshape(rows, n)

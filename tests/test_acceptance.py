@@ -326,11 +326,9 @@ def test_09_group_attribute_ranks_high_only_when_planted():
 
 
 def test_10_repeated_ablation_runs_are_byte_identical(tmp_path):
-    # the neighbour search runs on several threads, each writing its own
-    # anchors' rows from their own distances, and the (classifier, fold, arm)
-    # fits run on several processes, whose metrics are gathered in task order;
-    # so scheduling cannot perturb results, and two full runs must agree byte
-    # for byte
+    # the (classifier, fold, arm) fits run on several processes, whose metrics
+    # are gathered in task order, so scheduling cannot perturb results, and
+    # two full runs must agree byte for byte
     cohort = tmp_path / "cohort"
     assert cli_main(["synth", "--rows", "400", "--seed", "4", "--out", str(cohort)]) == 0
     outs = [tmp_path / "run1", tmp_path / "run2"]

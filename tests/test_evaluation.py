@@ -292,7 +292,7 @@ class TestCrossValidate:
             seeds.append(spec.seed)
             return original(spec, *args, **kwargs)
 
-        monkeypatch.setattr(neighbors, "_cpus", lambda: 1)  # the fits run in this process
+        monkeypatch.setattr(evaluation, "_cpus", lambda: 1)  # the fits run in this process
         monkeypatch.setattr(classifiers, "fit", recorded)
         t = noisy_table(n=60, seed=10)
         cross_validate(t, ClassifierSpec(kind="glm", seed=4), stratified_folds(t, 3, seed=0))
@@ -577,9 +577,9 @@ class TestTaskRunner:
     @pytest.mark.parametrize("cpus", [2, 4])
     def test_workers_give_the_results_of_one(self, monkeypatch, cpus):
         table = self.grouped()
-        monkeypatch.setattr(neighbors, "_cpus", lambda: 1)
+        monkeypatch.setattr(evaluation, "_cpus", lambda: 1)
         serial = self.run_both(table)
-        monkeypatch.setattr(neighbors, "_cpus", lambda: cpus)
+        monkeypatch.setattr(evaluation, "_cpus", lambda: cpus)
         assert self.run_both(table) == serial
         assert_no_child()
 
@@ -589,7 +589,7 @@ class TestTaskRunner:
         data = ["--data", str(tmp_path / "c" / "cohort.csv"), "--schema", str(tmp_path / "c" / "schema.json")]
         jobs = {"ablate": ["--feature", "ethnicity"], "groups": []}
         for count in (1, cpus):
-            monkeypatch.setattr(neighbors, "_cpus", lambda: count)
+            monkeypatch.setattr(evaluation, "_cpus", lambda: count)
             for command, extra in jobs.items():
                 out = tmp_path / f"{command}-{count}"
                 assert main([command, *data, "--out", str(out), "--folds", "2", *extra]) == 0
@@ -614,7 +614,7 @@ class TestTaskRunner:
         data = ["--data", str(tmp_path / "c" / "cohort.csv"), "--schema", str(tmp_path / "c" / "schema.json")]
         errors = []
         for cpus in (1, 2):
-            monkeypatch.setattr(neighbors, "_cpus", lambda: cpus)
+            monkeypatch.setattr(evaluation, "_cpus", lambda: cpus)
             with pytest.raises(ValueError, match="planted fit failure"):
                 self.run_both(self.grouped())
             capsys.readouterr()
@@ -628,7 +628,7 @@ class TestTaskRunner:
         script = """
             import os, sys
             sys.path.insert(0, "tests")
-            from featrank import evaluation, neighbors
+            from featrank import evaluation
             from featrank.classifiers import ClassifierSpec
             from featrank.dataio import stratified_folds
             from helpers import make_table
@@ -641,9 +641,9 @@ class TestTaskRunner:
             t = make_table({"a": [y + i % 7 for i, y in enumerate(labels)], "b": [i % 5 for i in range(40)]}, labels)
             plan = stratified_folds(t, 2, seed=1)
             folds = evaluation._folds(t, plan, None)
-            neighbors._cpus = lambda: 8
+            evaluation._cpus = lambda: 8
             evaluation._run_tasks([(ClassifierSpec(kind="glm"), 0, None)], folds)
-            neighbors._cpus = lambda: 1
+            evaluation._cpus = lambda: 1
             evaluation.ablation(t, "b", [ClassifierSpec(kind="glm"), ClassifierSpec(kind="gbt")], plan)
             loaded = [m for m in ("multiprocessing", "concurrent.futures.process") if m in sys.modules]
             print(loaded)
@@ -662,11 +662,11 @@ class TestTaskRunner:
 
             labels = [i % 2 for i in range(40)]
             t = make_table({"a": [y + i % 7 for i, y in enumerate(labels)], "b": [i % 5 for i in range(40)]}, labels)
-            neighbors._cpus = lambda: 2
+            evaluation._cpus = lambda: 2
             neighbors.BLOCK_CELLS = 1
             evaluation.ablation(t, "b", [ClassifierSpec(kind="glm"), ClassifierSpec(kind="gbt")],
                                 stratified_folds(t, 2, seed=1))
-            neighbors.k_nearest(neighbors.encode(t), np.arange(40), np.arange(40), 3)  # 40 blocks on 2 threads
+            neighbors.k_nearest(neighbors.encode(t), np.arange(40), np.arange(40), 3)  # 40 blocks
             print([m for m in ("multiprocessing", "concurrent.futures") if m in sys.modules])
         """
         assert run_script(script) == "[]"
@@ -680,11 +680,11 @@ class TestTaskRunner:
             return real_fork()
 
         monkeypatch.setattr(os, "fork", recording_fork)
-        monkeypatch.setattr(neighbors, "_cpus", lambda: 2)
+        monkeypatch.setattr(evaluation, "_cpus", lambda: 2)
         monkeypatch.setattr(neighbors, "BLOCK_CELLS", 1)
         table = imbalanced_table(n=120, seed=32)
         features = neighbors.encode(table)
-        neighbors.k_nearest(features, np.arange(120), np.arange(120), 3)  # 120 blocks on 2 threads
+        neighbors.k_nearest(features, np.arange(120), np.arange(120), 3)  # 120 blocks
         plan = stratified_folds(table, 2, seed=1)
         ablation(table, "b", [ClassifierSpec(kind="glm"), ClassifierSpec(kind="decision_tree")], plan)
         assert threads == [1, 1]
@@ -702,7 +702,7 @@ class TestTaskRunner:
 
         monkeypatch.setattr(classifiers, "fit", failing_fit)
         for cpus in (1, 2):
-            monkeypatch.setattr(neighbors, "_cpus", lambda: cpus)
+            monkeypatch.setattr(evaluation, "_cpus", lambda: cpus)
             with pytest.raises(ValueError, match="planted glm failure"):
                 self.run_both(self.grouped())
         assert_no_child()
@@ -717,7 +717,7 @@ class TestTaskRunner:
             return real_fit(spec, train, features=features)
 
         monkeypatch.setattr(classifiers, "fit", dying_fit)
-        monkeypatch.setattr(neighbors, "_cpus", lambda: 2)
+        monkeypatch.setattr(evaluation, "_cpus", lambda: 2)
         with deadline(60), pytest.raises(RuntimeError, match="exit status 9"):
             self.run_both(self.grouped())
         assert_no_child()
@@ -727,7 +727,7 @@ class TestTaskRunner:
         specs = [ClassifierSpec(kind=kind) for kind in classifiers.CLASSIFIERS]
         tasks = [(specs[i % len(specs)], i, None) for i in range(20_000)]
         monkeypatch.setattr(evaluation, "_fit_and_score", lambda folds, spec, fold, features: (fold, 0, 0, 0))
-        monkeypatch.setattr(neighbors, "_cpus", lambda: 2)
+        monkeypatch.setattr(evaluation, "_cpus", lambda: 2)
         with deadline(60):
             metrics = evaluation._run_tasks(tasks, None)
         assert [m.accuracy for m in metrics] == list(range(20_000))
@@ -741,7 +741,7 @@ class TestTaskRunner:
             raise LocalError("planted")
 
         monkeypatch.setattr(evaluation, "_fit_and_score", failing_task)
-        monkeypatch.setattr(neighbors, "_cpus", lambda: 2)
+        monkeypatch.setattr(evaluation, "_cpus", lambda: 2)
         tasks = [(ClassifierSpec(kind="glm"), 0, None)] * 2
         with deadline(60), pytest.raises(RuntimeError, match="LocalError: planted"):
             evaluation._run_tasks(tasks, None)

@@ -1,7 +1,6 @@
 """The blocked k-nearest kernel shared by Relief and SMOTE: exact order, bounded memory."""
 
 import random
-import sys
 import threading
 import tracemalloc
 
@@ -238,99 +237,63 @@ def test_label_only_table_has_all_distances_zero(block_rows):
     assert anchor != neighbor and {anchor, neighbor} <= {0, 2, 5}
 
 
-def test_threaded_search_equals_oracles_under_frequent_switches(monkeypatch):
-    # more threads than CPUs, one anchor per block, a thread switch every microsecond
-    starts = []  # one entry per thread started
-    real_start = threading.Thread.start
-
-    def recording_start(thread):
-        starts.append(thread)
-        real_start(thread)
-
+def test_multi_block_search_equals_oracles(monkeypatch):
+    # one anchor per block
     searches = []  # blocks of each search over all candidates
-    started = []  # threads started by each search over all candidates
     full_search = neighbors._full_search
 
     def recording_full_search(arrays, anchors, candidates, k, step, out):
         searches.append(-(-len(anchors) // step))
-        before = len(starts)
         full_search(arrays, anchors, candidates, k, step, out)
-        started.append(len(starts) - before)
 
-    monkeypatch.setattr(neighbors, "_cpus", lambda: 8)
     monkeypatch.setattr(neighbors, "BLOCK_CELLS", 1)
     monkeypatch.setattr(neighbors, "_full_search", recording_full_search)
-    monkeypatch.setattr(threading.Thread, "start", recording_start)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for seed in range(3):
-            rng = np.random.default_rng(seed)
-            n = 60
-            codes = [("f%d" % i, rng.integers(0, 3, n)) for i in range(3)]
-            candidates = np.sort(rng.choice(n, size=40, replace=False))
-            anchors = rng.permutation(n)[:45]
-            dist = sum((c[anchors, None] != c[None, candidates]).astype(np.int64) for _, c in codes)
-            dist[anchors[:, None] == candidates[None, :]] = 99
-            for k in (1, 4, 39):
-                expected = candidates[np.argsort(dist, axis=1, kind="stable")[:, :k]]
-                assert (k_nearest(codes, anchors, candidates, k) == expected).all()
-        for t in (make(seed) for make in TABLES for seed in (0, 1)):
-            assert weight_relief(t, k_neighbors=3) == oracle_relief_argsort(t, 3)
-    finally:
-        sys.setswitchinterval(interval)
-    # The bucket pass may leave fewer than 8 blocks to a search; it then starts
-    # one thread per block.
-    pools = [count for count in started if count]
-    assert pools == [min(8, blocks) for blocks in searches if blocks > 1] and 8 in pools
+    for seed in range(3):
+        rng = np.random.default_rng(seed)
+        n = 60
+        codes = [("f%d" % i, rng.integers(0, 3, n)) for i in range(3)]
+        candidates = np.sort(rng.choice(n, size=40, replace=False))
+        anchors = rng.permutation(n)[:45]
+        dist = sum((c[anchors, None] != c[None, candidates]).astype(np.int64) for _, c in codes)
+        dist[anchors[:, None] == candidates[None, :]] = 99
+        for k in (1, 4, 39):
+            expected = candidates[np.argsort(dist, axis=1, kind="stable")[:, :k]]
+            assert (k_nearest(codes, anchors, candidates, k) == expected).all()
+    for t in (make(seed) for make in TABLES for seed in (0, 1)):
+        assert weight_relief(t, k_neighbors=3) == oracle_relief_argsort(t, 3)
+    assert max(searches) > 1
 
 
-def test_worker_exception_is_reraised(monkeypatch):
+def test_block_error_reaches_the_caller_with_its_type(monkeypatch):
+    class PlantedError(Exception):
+        pass
+
     n = 12
     rows = [("row", np.arange(n))]  # each row's own code, so diff sees the block's anchors
     real_diff = neighbors.diff
 
     def failing_diff(a, b, out=None):
         if (a == n - 1).any():  # only in the last block
-            raise RuntimeError("diff failed")
+            raise PlantedError("diff failed")
         return real_diff(a, b, out=out)
 
-    monkeypatch.setattr(neighbors, "_cpus", lambda: 2)
     monkeypatch.setattr(neighbors, "BLOCK_CELLS", 1)
     monkeypatch.setattr(neighbors, "diff", failing_diff)
-    with pytest.raises(RuntimeError, match="diff failed"):
+    with pytest.raises(PlantedError, match="diff failed"):
         k_nearest(rows, np.arange(n), np.arange(n), 2)
 
 
-def test_search_thread_error_raises_its_type_and_leaves_no_thread(monkeypatch):
-    class PlantedError(Exception):
-        pass
-
-    real_search = neighbors._search
-    threads = threading.active_count()
-
-    def failing_search(*args, **kwargs):
-        if threading.current_thread() is not threading.main_thread():
-            raise PlantedError("search thread failed")
-        return real_search(*args, **kwargs)
-
-    monkeypatch.setattr(neighbors, "_cpus", lambda: 4)
-    monkeypatch.setattr(neighbors, "BLOCK_CELLS", 1)
-    monkeypatch.setattr(neighbors, "_search", failing_search)
-    with pytest.raises(PlantedError, match="search thread failed"):
-        k_nearest([("x", np.arange(12.0))], np.arange(12), np.arange(12), 2)
-    assert threading.active_count() == threads
-
-
-def test_one_block_call_starts_no_thread(monkeypatch):
+def test_multi_block_numeric_search_starts_no_thread(monkeypatch):
+    # With no categorical there is no bucket or near pass, so each search
+    # below runs over all candidates in several blocks.
     def no_thread(thread):
-        raise AssertionError("a one-block call started a thread")
+        raise AssertionError("the neighbour search started a thread")
 
-    monkeypatch.setattr(neighbors, "_cpus", lambda: 8)
+    monkeypatch.setattr(neighbors, "BLOCK_CELLS", 7 * HALF)
     monkeypatch.setattr(threading.Thread, "start", no_thread)
-    t = rounded_mixed(0)
-    assert minority_search(t, 3) == oracle_minority_neighbors(t, 3)
-    assert weight_relief(t, k_neighbors=3) == oracle_relief_argsort(t, 3)
+    for t in (rounded_mixed(0).project(["u", "v", "const"]), one_numeric(1)):
+        assert minority_search(t, 3) == oracle_minority_neighbors(t, 3)
+        assert weight_relief(t, k_neighbors=3) == oracle_relief_argsort(t, 3)
 
 
 def test_encode_normalizes_numerics_and_codes_sorted_categories():

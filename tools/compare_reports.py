@@ -43,9 +43,9 @@ ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH = ROOT / "perfbench"
 # Shapes derived from each timed `rank` cohort, by how many of its categorical
 # feature and group columns each keeps (the first ones; the label stays): with
-# none, Relief's neighbour search has no bucket pass and runs the threaded
-# search over all candidates alone; with one, it has a bucket pass but no near
-# pass, which needs two categoricals.
+# none, Relief's neighbour search has no bucket pass and runs the search over
+# all candidates alone, over many blocks; with one, it has a bucket pass but no
+# near pass, which needs two categoricals.
 SHAPES = {"numeric": 0, "one-categorical": 1}
 
 

@@ -163,13 +163,13 @@ MUTANTS = (
         (f"{EVALUATION_TESTS}::TestTaskRunner::test_first_failing_task_in_list_order_raises",),
     ),
     Mutant(
-        "thread errors dropped after the join",
+        "the blocked search covers only its first block",
         "featrank/neighbors.py",
-        "raise errors[0]",
-        "pass",
+        "for start in range(0, len(anchors), step):",
+        "for start in range(0, len(anchors), step)[:1]:",
         (
-            f"{NEIGHBOR_TESTS}::test_worker_exception_is_reraised",
-            f"{NEIGHBOR_TESTS}::test_search_thread_error_raises_its_type_and_leaves_no_thread",
+            f"{NEIGHBOR_TESTS}::test_multi_block_search_equals_oracles",
+            f"{NEIGHBOR_TESTS}::test_multi_block_numeric_search_starts_no_thread",
         ),
     ),
     Mutant(
