@@ -264,23 +264,46 @@ def test_multi_block_search_equals_oracles(monkeypatch):
     assert max(searches) > 1
 
 
-def test_block_error_reaches_the_caller_with_its_type(monkeypatch):
-    class PlantedError(Exception):
-        pass
-
+def test_worker_exception_is_reraised(monkeypatch):
     n = 12
     rows = [("row", np.arange(n))]  # each row's own code, so diff sees the block's anchors
     real_diff = neighbors.diff
 
     def failing_diff(a, b, out=None):
         if (a == n - 1).any():  # only in the last block
-            raise PlantedError("diff failed")
+            raise RuntimeError("diff failed")
         return real_diff(a, b, out=out)
 
     monkeypatch.setattr(neighbors, "BLOCK_CELLS", 1)
     monkeypatch.setattr(neighbors, "diff", failing_diff)
-    with pytest.raises(PlantedError, match="diff failed"):
+    with pytest.raises(RuntimeError, match="diff failed"):
         k_nearest(rows, np.arange(n), np.arange(n), 2)
+
+
+def test_search_thread_error_raises_its_type_and_leaves_no_thread(monkeypatch):
+    # The failing block runs on the caller's thread, and its exception
+    # reaches the caller with its own type.
+    class PlantedError(Exception):
+        pass
+
+    n = 12
+    rows = [("row", np.arange(n))]
+    real_diff = neighbors.diff
+    threads = threading.active_count()
+    failed_on = []
+
+    def failing_diff(a, b, out=None):
+        if (a == n - 1).any():  # only in the last block
+            failed_on.append(threading.current_thread())
+            raise PlantedError("search block failed")
+        return real_diff(a, b, out=out)
+
+    monkeypatch.setattr(neighbors, "BLOCK_CELLS", 1)
+    monkeypatch.setattr(neighbors, "diff", failing_diff)
+    with pytest.raises(PlantedError, match="search block failed"):
+        k_nearest(rows, np.arange(n), np.arange(n), 2)
+    assert failed_on == [threading.current_thread()]
+    assert threading.active_count() == threads
 
 
 def test_multi_block_numeric_search_starts_no_thread(monkeypatch):
