@@ -22,7 +22,7 @@ from pathlib import Path
 from . import classifiers, synth
 from .classifiers import CLASSIFIERS, default_specs, model_to_json
 from .dataio import load_csv, load_schema_json, schema_to_json, stratified_folds
-from .evaluation import METRIC_NAMES, ablation, best_classifier_per_group, per_group_rankings
+from .evaluation import METRIC_NAMES, ablation, best_classifier_per_group, per_group_rankings, run_tasks
 from .reporting import (
     delta_rows,
     eval_report_rows,
@@ -192,7 +192,8 @@ def cmd_ablate(args) -> int:
     _features(table, (args.feature,), ConfigError)
     plan = stratified_folds(table, args.folds, derive_seed(args.seed, "folds"))
     report = ablation(table, args.feature, specs, plan, _smote_config(args))
-    models = [model_to_json(classifiers.fit(spec, table)) for spec in specs] if args.save_model else []
+    fits = [(spec.kind, classifiers.fit, (spec, table)) for spec in specs] if args.save_model else []
+    models = [model_to_json(model) for model in run_tasks(fits)]
     out_dir = _ensure_out(args.out)
     write_rows(out_dir / "without.csv", eval_report_rows(report.without_report))
     write_rows(out_dir / "with.csv", eval_report_rows(report.with_report))

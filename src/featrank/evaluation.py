@@ -10,12 +10,12 @@ fold alone, and it leaves the included feature as the arms' only difference.
 
 Cross-validation, ablation and the per-group winners build their folds first
 and then one flat list of (classifier, fold, features) tasks: both arms of an
-ablation, or every stratum of the per-group analysis, in one list. Each task
-depends only on its spec, its fold and its features, and the results are
-gathered in list order. So the list runs on one forked worker process per CPU
-the process may use (`_cpus`), each taking the next task index from
-one shared pipe, and the reports do not depend on how many there are. With one
-task or one CPU it runs in this process.
+ablation, or every stratum of the per-group analysis, in one list. `run_tasks`
+runs any list of independent (kind, function, args) tasks, these and the CLI's
+full-table fits alike, and gathers the outcomes in list order. So the list runs
+on one forked worker process per CPU the process may use (`_cpus`), each taking
+the next task index from one shared pipe, and the reports do not depend on how
+many there are. With one task or one CPU it runs in this process.
 """
 
 from __future__ import annotations
@@ -171,13 +171,13 @@ def _folds(table: Table, plan: FoldPlan, smote_cfg: SmoteConfig | None):
 _BY_FIT_TIME = ("gbt", "random_forest", "mlp", "rule_induction", "decision_tree", "glm")
 
 
-def _fit_and_score(folds, spec: ClassifierSpec, fold: int, features) -> tuple[float, ...]:
-    """The metrics of one task: `spec` fitted on the training split of
-    folds[fold], restricted to `features`, and scored on its test split."""
-    train, test, audit = folds[fold]
+def _fit_and_score(fold, spec: ClassifierSpec, features) -> Metrics:
+    """The metrics of `spec` fitted on the training split of `fold`, a (train,
+    test, audit) triple, restricted to `features`, and scored on its test split."""
+    train, test, audit = fold
     fold_spec = replace(spec, seed=derive_seed(spec.seed, "fold", audit.fold))
     model = classifiers.fit(fold_spec, train, features=features)
-    return compute_metrics(classifiers.predict_scores(model, test), test.y).as_tuple()
+    return compute_metrics(classifiers.predict_scores(model, test), test.y)
 
 
 def _cpus() -> int:
@@ -187,25 +187,26 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _run_tasks(tasks, folds) -> list[Metrics]:
-    """Each (spec, fold index, features) task's metrics, in list order.
+def run_tasks(tasks) -> list:
+    """`function(*args)` of each (kind, function, args) task, in list order.
 
     The tasks run on min(CPUs, tasks) forked worker processes, or in this
     process when that is one or the platform cannot fork. A task's exception
     reaches the caller with its type; the first failing task in list order
     raises, as it would in this process. A worker that dies raises a
-    RuntimeError naming its exit status.
+    RuntimeError naming its exit status. A worker sends its outcomes back
+    pickled; the longest kinds in `_BY_FIT_TIME` are dispatched first.
     """
     count = min(_cpus(), len(tasks))
     if count <= 1 or not hasattr(os, "fork"):
-        return [Metrics(*_fit_and_score(folds, *task)) for task in tasks]
-    order = sorted(range(len(tasks)), key=lambda i: _BY_FIT_TIME.index(tasks[i][0].kind))
+        return [function(*args) for _, function, args in tasks]
+    order = sorted(range(len(tasks)), key=lambda i: _BY_FIT_TIME.index(tasks[i][0]))
     feed_read, feed_write = os.pipe()
     workers = []
     try:
         try:
             for _ in range(count):
-                workers.append(_fork_worker(folds, tasks, feed_read, feed_write))
+                workers.append(_fork_worker(tasks, feed_read, feed_write))
         finally:
             # Closed before the feed is written: with no worker left to read
             # it, the write then fails rather than waits.
@@ -220,12 +221,12 @@ def _run_tasks(tasks, folds) -> list[Metrics]:
     errors = [outcome for outcome in per_task if isinstance(outcome, Exception)]
     if errors:
         raise errors[0]
-    return [Metrics(*outcome) for outcome in per_task]
+    return per_task
 
 
-def _fork_worker(folds, tasks, feed_read: int, feed_write: int) -> tuple[int, int]:
+def _fork_worker(tasks, feed_read: int, feed_write: int) -> tuple[int, int]:
     """Fork one worker (`_work`); its pid and the read end of its result pipe.
-    The worker inherits `folds` and `tasks`, so neither is pickled."""
+    The worker inherits `tasks`, so no task is pickled."""
     result_read, result_write = os.pipe()
     try:
         pid = os.fork()
@@ -234,15 +235,15 @@ def _fork_worker(folds, tasks, feed_read: int, feed_write: int) -> tuple[int, in
         os.close(result_write)
         raise
     if pid == 0:
-        _work(folds, tasks, feed_read, feed_write, result_write)
+        _work(tasks, feed_read, feed_write, result_write)
     os.close(result_write)
     return pid, result_read
 
 
-def _work(folds, tasks, feed_read: int, feed_write: int, result_write: int) -> None:
+def _work(tasks, feed_read: int, feed_write: int, result_write: int) -> None:
     """A forked worker's life, which ends in `os._exit`: run each task whose
     index it reads from the feed, one index at a time, and when the feed ends
-    write all its (index, metrics or exception) outcomes to its result pipe as
+    write all its (index, outcome or exception) pairs to its result pipe as
     one pickle. Holding them until then means the worker never blocks on a
     full result pipe while the parent is still writing the feed."""
     status = 1
@@ -251,8 +252,9 @@ def _work(folds, tasks, feed_read: int, feed_write: int, result_write: int) -> N
         outcomes = []
         while index := os.read(feed_read, 4):
             i = int.from_bytes(index, "little")
+            _, function, args = tasks[i]
             try:
-                outcomes.append((i, _fit_and_score(folds, *tasks[i])))
+                outcomes.append((i, function(*args)))
             except Exception as exc:
                 outcomes.append((i, _sendable(exc)))
         with open(result_write, "wb") as pipe:
@@ -305,8 +307,9 @@ def _gather(workers) -> tuple[dict, list[int]]:
 def _score(jobs, folds) -> list[CrossValResult]:
     """One CrossValResult per (spec, fold indices, features) job, with all
     jobs' (spec, fold) tasks run as one list."""
-    tasks = [(spec, fold, features) for spec, fold_ids, features in jobs for fold in fold_ids]
-    per_task = iter(_run_tasks(tasks, folds))
+    tasks = [(spec.kind, _fit_and_score, (folds[fold], spec, features))
+             for spec, fold_ids, features in jobs for fold in fold_ids]
+    per_task = iter(run_tasks(tasks))
     results = []
     for spec, fold_ids, _ in jobs:
         per_fold = tuple(next(per_task) for _ in fold_ids)

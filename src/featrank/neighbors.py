@@ -97,19 +97,23 @@ def k_nearest(features, anchors, candidates, k: int) -> np.ndarray:
     anchors = np.asarray(anchors, dtype=np.intp)
     candidates = np.asarray(candidates, dtype=np.intp)
     arrays = [arr for _, arr in features]
-    step = max(1, BLOCK_CELLS // len(candidates))
+    n = len(candidates)
+    step = max(1, BLOCK_CELLS // n)
     out = np.empty((len(anchors), k), dtype=np.intp)
+    # The distance and diff buffers of every pass's blocks, each at most
+    # max(BLOCK_CELLS, n) cells, in one allocation: as two 512 KB arrays, a
+    # 3000-row `weigh` job took 1100-2300 minor page faults in most processes,
+    # as one about 30 (getrusage around each job).
+    scratch = np.empty((2, min(len(anchors) * n, max(BLOCK_CELLS, n))))
     codes = [arr for arr in arrays if arr.dtype.kind != "f"]
     rest = np.arange(len(anchors))
     if len(anchors) > step and codes:
         numerics = [arr for arr in arrays if arr.dtype.kind == "f"]
-        rest = _bucket_pass(numerics, codes, anchors, candidates, k, out)
+        rest = _bucket_pass(numerics, codes, anchors, candidates, k, scratch, out)
         if len(rest) and len(codes) > 1:
-            rest = _near_pass(arrays, codes, anchors, rest, candidates, k, out)
+            rest = _near_pass(arrays, codes, anchors, rest, candidates, k, scratch, out)
     if len(rest):
-        found = np.empty((len(rest), k), dtype=np.intp)
-        _full_search(arrays, anchors[rest], candidates, k, step, found)
-        out[rest] = found
+        _full_search(arrays, anchors, rest, candidates, k, scratch, out)
     return out
 
 
@@ -129,7 +133,7 @@ def _signatures(codes, rows) -> np.ndarray:
     return ids
 
 
-def _bucket_pass(numerics, codes, anchors, candidates, k: int, out) -> np.ndarray:
+def _bucket_pass(numerics, codes, anchors, candidates, k: int, scratch, out) -> np.ndarray:
     """Search each anchor among the candidates with its own category codes, on
     the numeric features only, write the rows it settles into `out`, and return
     the ascending positions in `anchors` of the anchors it leaves to the next
@@ -143,8 +147,6 @@ def _bucket_pass(numerics, codes, anchors, candidates, k: int, out) -> np.ndarra
     c_size = np.bincount(c_ids, minlength=groups)
     c_end = np.cumsum(c_size)
     searched = np.flatnonzero((a_size > 0) & (c_size > k))
-    steps = np.maximum(1, BLOCK_CELLS // np.maximum(c_size, 1))
-    cells = int((np.minimum(steps, a_size) * c_size)[searched].max(initial=0))
     # Candidates grouped by id, each group in ascending row order, so that a
     # group's rows and feature values are slices.
     grouped = candidates[c_order]
@@ -156,10 +158,10 @@ def _bucket_pass(numerics, codes, anchors, candidates, k: int, out) -> np.ndarra
             c0 = c1 - int(c_size[g])
             yield g, grouped[c0:c1], [c[c0:c1] for c in cand]
 
-    return _settle(numerics, anchors, np.arange(len(anchors)), a_ids, sets(), k, 1.0, cells, out)
+    return _settle(numerics, anchors, np.arange(len(anchors)), a_ids, sets(), k, 1.0, scratch, out)
 
 
-def _near_pass(arrays, codes, anchors, at, candidates, k: int, out) -> np.ndarray:
+def _near_pass(arrays, codes, anchors, at, candidates, k: int, scratch, out) -> np.ndarray:
     """Search the anchors at the ascending positions `at` in `anchors`, grouped
     by their codes on every categorical but the widest, each group over all the
     features among its near set: the candidates whose codes on those
@@ -180,25 +182,20 @@ def _near_pass(arrays, codes, anchors, at, candidates, k: int, out) -> np.ndarra
             if k < len(near) < len(candidates):
                 yield g, near, [arr[near] for arr in arrays]
 
-    # A bound on any near block: a one-anchor block when one row's distances
-    # pass BLOCK_CELLS, otherwise at most BLOCK_CELLS, and never more than the
-    # largest group's anchors against every candidate.
-    cells = min(max(BLOCK_CELLS, len(candidates)), int(np.bincount(a_ids).max()) * len(candidates))
-    return _settle(arrays, anchors, at, a_ids, sets(), k, 2.0, cells, out)
+    return _settle(arrays, anchors, at, a_ids, sets(), k, 2.0, scratch, out)
 
 
-def _settle(arrays, anchors, at, a_ids, sets, k: int, bound: float, cells: int, out) -> np.ndarray:
+def _settle(arrays, anchors, at, a_ids, sets, k: int, bound: float, scratch, out) -> np.ndarray:
     """Search the anchors at positions `at` in `anchors` by group: for each (g,
     rows, cand) in `sets`, the anchors whose id in `a_ids` is g among the
     ascending candidate rows `rows` alone, whose values of `arrays` are `cand`.
     Write each anchor whose k-th distance there is below `bound` into its row
-    of `out`, and return the ascending positions of all the others. `cells`
-    bounds every group's block, and sizes the one scratch buffer."""
+    of `out`, and return the ascending positions of all the others. `scratch`
+    holds the distance and diff buffers of every group's blocks."""
     # A stable sort, so each group's anchors are a slice in the order of `at`.
     a_order = np.argsort(a_ids, kind="stable")
     a_size = np.bincount(a_ids)
     a_end = np.cumsum(a_size)
-    scratch = np.empty((2, cells))
     found = np.empty((len(at), k), dtype=np.intp)
     kth = np.full(len(at), np.inf)
     for g, rows, cand in sets:
@@ -211,23 +208,21 @@ def _settle(arrays, anchors, at, a_ids, sets, k: int, bound: float, cells: int, 
     return np.sort(at[a_order[~settled]])
 
 
-def _full_search(arrays, anchors, candidates, k: int, step: int, out) -> None:
-    """Each anchor's k nearest among all the candidates, into `out`."""
-    _search(arrays, [arr[candidates] for arr in arrays], anchors, candidates, k, step, out)
+def _full_search(arrays, anchors, at, candidates, k: int, scratch, out) -> None:
+    """The k nearest among all the candidates of each anchor at positions `at`
+    in `anchors`, into its row of `out`: one `_settle` group with bound inf.
+    That settles every anchor, since in a valid call each has at least k
+    other candidates, so its k-th distance is finite."""
+    group = (0, candidates, [arr[candidates] for arr in arrays])
+    _settle(arrays, anchors, at, np.zeros(len(at), dtype=np.intp), [group], k, np.inf, scratch, out)
 
 
-def _search(arrays, cand, anchors, candidates, k: int, step: int, out, scratch=None,
-            kth_out=None) -> None:
+def _search(arrays, cand, anchors, candidates, k: int, step: int, out, scratch, kth_out) -> None:
     """The blocked search of `anchors`, `step` of them at a time, each block
-    into its own rows of `out` and, when given, of `kth_out` (each anchor's k-th
-    distance). `scratch` holds the distance and diff buffers, each of at least
-    one block's cells; without it they are sized to this search's blocks."""
+    into its own rows of `out` and of `kth_out` (each anchor's k-th distance).
+    `scratch` holds the distance and diff buffers, each of at least one
+    block's cells."""
     n = len(candidates)
-    if scratch is None:
-        # One allocation for both buffers: as two 512 KB arrays, a 3000-row
-        # `weigh` job took 1100-2300 minor page faults in most processes, as
-        # one about 30 (getrusage around each job).
-        scratch = np.empty((2, min(step, len(anchors)) * n))
     for start in range(0, len(anchors), step):
         block = anchors[start : start + step]
         rows = len(block)
@@ -251,8 +246,7 @@ def _search(arrays, cand, anchors, candidates, k: int, step: int, out, scratch=N
         np.copyto(diffs, dist)
         diffs.partition(k - 1, axis=1)
         kth = diffs[:, k - 1 : k]
-        if kth_out is not None:
-            kth_out[start : start + rows] = kth[:, 0]
+        kth_out[start : start + rows] = kth[:, 0]
         keep = dist <= kth
         flat = np.flatnonzero(keep)
         if flat.size > rows * k:  # every row keeps at least k, so some row keeps more

@@ -548,7 +548,7 @@ class TestBestClassifierPerGroup:
 
 
 class TestTaskRunner:
-    """The (spec, fold, features) tasks give the same results on any number of
+    """The (kind, function, args) tasks give the same results on any number of
     worker processes, and leave no process or thread behind."""
 
     SPECS = [
@@ -571,7 +571,7 @@ class TestTaskRunner:
         )
 
     def test_dispatch_order_lists_every_kind_once(self):
-        # `_run_tasks` looks each task's kind up in it, on more than one CPU only
+        # `run_tasks` looks each task's kind up in it, on more than one CPU only
         assert sorted(evaluation._BY_FIT_TIME) == sorted(classifiers.CLASSIFIERS)
 
     @pytest.mark.parametrize("cpus", [2, 4])
@@ -587,16 +587,20 @@ class TestTaskRunner:
     def test_cli_reports_byte_equal(self, monkeypatch, tmp_path, cpus):
         assert main(["synth", "--rows", "200", "--seed", "4", "--out", str(tmp_path / "c")]) == 0
         data = ["--data", str(tmp_path / "c" / "cohort.csv"), "--schema", str(tmp_path / "c" / "schema.json")]
-        jobs = {"ablate": ["--feature", "ethnicity"], "groups": []}
+        jobs = {"ablate": ["--feature", "ethnicity", "--save-model"], "groups": []}
         for count in (1, cpus):
             monkeypatch.setattr(evaluation, "_cpus", lambda: count)
             for command, extra in jobs.items():
                 out = tmp_path / f"{command}-{count}"
                 assert main([command, *data, "--out", str(out), "--folds", "2", *extra]) == 0
+
+        def files(root):  # the reports, and the models under models/
+            return sorted(str(p.relative_to(root)) for p in root.rglob("*") if p.is_file())
+
         for command in jobs:
             one, many = tmp_path / f"{command}-1", tmp_path / f"{command}-{cpus}"
-            names = sorted(p.name for p in one.iterdir())
-            assert names == sorted(p.name for p in many.iterdir()) and names
+            names = files(one)
+            assert names == files(many) and len(names) == {"ablate": 9, "groups": 2}[command]
             for name in names:
                 assert (one / name).read_bytes() == (many / name).read_bytes(), (command, name)
         assert_no_child()
@@ -624,6 +628,30 @@ class TestTaskRunner:
             assert_no_child()
         assert errors[0] == errors[1] == "compute error: ValueError: planted fit failure\n"
 
+    def test_full_table_fit_error_exits_3_alike_on_any_cpu_count(self, monkeypatch, tmp_path, capsys):
+        # Only the --save-model fits get no feature list; the cross-validated ones all do.
+        real_fit = classifiers.fit
+
+        def failing_fit(spec, train, features=None):
+            if features is None and spec.kind == "mlp":
+                raise ValueError("planted full-table fit failure")
+            return real_fit(spec, train, features=features)
+
+        monkeypatch.setattr(classifiers, "fit", failing_fit)
+        assert main(["synth", "--rows", "200", "--seed", "4", "--out", str(tmp_path / "c")]) == 0
+        data = ["--data", str(tmp_path / "c" / "cohort.csv"), "--schema", str(tmp_path / "c" / "schema.json")]
+        errors = []
+        for cpus in (1, 2):
+            monkeypatch.setattr(evaluation, "_cpus", lambda: cpus)
+            capsys.readouterr()
+            out = tmp_path / f"out{cpus}"
+            argv = ["ablate", *data, "--out", str(out), "--feature", "ethnicity", "--folds", "2", "--save-model"]
+            assert main(argv) == 3
+            errors.append(capsys.readouterr().err)
+            assert_no_child()
+            assert not out.exists()  # no report is written when a model cannot be
+        assert errors[0] == errors[1] == "compute error: ValueError: planted full-table fit failure\n"
+
     def test_one_task_or_one_cpu_forks_nothing_and_imports_no_pool(self):
         script = """
             import os, sys
@@ -642,7 +670,7 @@ class TestTaskRunner:
             plan = stratified_folds(t, 2, seed=1)
             folds = evaluation._folds(t, plan, None)
             evaluation._cpus = lambda: 8
-            evaluation._run_tasks([(ClassifierSpec(kind="glm"), 0, None)], folds)
+            evaluation.run_tasks([("glm", evaluation._fit_and_score, (folds[0], ClassifierSpec(kind="glm"), None))])
             evaluation._cpus = lambda: 1
             evaluation.ablation(t, "b", [ClassifierSpec(kind="glm"), ClassifierSpec(kind="gbt")], plan)
             loaded = [m for m in ("multiprocessing", "concurrent.futures.process") if m in sys.modules]
@@ -724,12 +752,11 @@ class TestTaskRunner:
 
     def test_feed_longer_than_a_pipe_buffer_returns_in_list_order(self, monkeypatch):
         # 20,000 four-byte indices: 80,000 bytes of feed, more than one 64 KiB pipe buffer
-        specs = [ClassifierSpec(kind=kind) for kind in classifiers.CLASSIFIERS]
-        tasks = [(specs[i % len(specs)], i, None) for i in range(20_000)]
-        monkeypatch.setattr(evaluation, "_fit_and_score", lambda folds, spec, fold, features: (fold, 0, 0, 0))
+        kinds = list(classifiers.CLASSIFIERS)
+        tasks = [(kinds[i % len(kinds)], evaluation.Metrics, (i, 0, 0, 0)) for i in range(20_000)]
         monkeypatch.setattr(evaluation, "_cpus", lambda: 2)
         with deadline(60):
-            metrics = evaluation._run_tasks(tasks, None)
+            metrics = evaluation.run_tasks(tasks)
         assert [m.accuracy for m in metrics] == list(range(20_000))
         assert_no_child()
 
@@ -737,12 +764,11 @@ class TestTaskRunner:
         class LocalError(Exception):  # a local class: its instances cannot be pickled
             pass
 
-        def failing_task(folds, spec, fold, features):
+        def failing_task():
             raise LocalError("planted")
 
-        monkeypatch.setattr(evaluation, "_fit_and_score", failing_task)
         monkeypatch.setattr(evaluation, "_cpus", lambda: 2)
-        tasks = [(ClassifierSpec(kind="glm"), 0, None)] * 2
+        tasks = [("glm", failing_task, ())] * 2
         with deadline(60), pytest.raises(RuntimeError, match="LocalError: planted"):
-            evaluation._run_tasks(tasks, None)
+            evaluation.run_tasks(tasks)
         assert_no_child()

@@ -154,8 +154,8 @@ def test_k_nearest_equals_full_matrix_argsort_on_random_mixed_tables(seed, monke
     near_calls = []  # (anchors given, anchors left) of each near pass
     near_pass = neighbors._near_pass
 
-    def recording_near_pass(arrays, codes, anchors, at, candidates, k, out):
-        rest = near_pass(arrays, codes, anchors, at, candidates, k, out)
+    def recording_near_pass(arrays, codes, anchors, at, candidates, k, scratch, out):
+        rest = near_pass(arrays, codes, anchors, at, candidates, k, scratch, out)
         near_calls.append((len(at), len(rest)))
         return rest
 
@@ -242,9 +242,9 @@ def test_multi_block_search_equals_oracles(monkeypatch):
     searches = []  # blocks of each search over all candidates
     full_search = neighbors._full_search
 
-    def recording_full_search(arrays, anchors, candidates, k, step, out):
-        searches.append(-(-len(anchors) // step))
-        full_search(arrays, anchors, candidates, k, step, out)
+    def recording_full_search(arrays, anchors, at, candidates, k, scratch, out):
+        searches.append(-(-len(at) // max(1, neighbors.BLOCK_CELLS // len(candidates))))
+        full_search(arrays, anchors, at, candidates, k, scratch, out)
 
     monkeypatch.setattr(neighbors, "BLOCK_CELLS", 1)
     monkeypatch.setattr(neighbors, "_full_search", recording_full_search)

@@ -1,5 +1,5 @@
 """The tools that back "same results" and performance claims: the report diff,
-the alternating-pairs judge and the mutant list."""
+the alternating-pairs judge, the mutant list and the benchmark's tracer."""
 
 import importlib.util
 import json
@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from featrank import cli, neighbors, synth
+from featrank import cli, evaluation, neighbors, synth
 from featrank.dataio import load_csv, load_schema_json
 from featrank.weighting import weight_relief
 
@@ -146,9 +146,10 @@ def test_rows_option_resizes_the_timed_cohorts(tmp_path):
         assert not (cohorts / "001").exists()
 
 
-def load_tool(name):
-    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+def load_tool(name, directory="tools"):
+    spec = importlib.util.spec_from_file_location(name, ROOT / directory / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # where `dataclass` looks its module up
     spec.loader.exec_module(module)
     return module
 
@@ -182,6 +183,24 @@ def test_derived_shapes_take_their_search_paths(tmp_path, monkeypatch):
     for shape, keep in tool.SHAPES.items():
         tool.derive_shape(cohort, tmp_path / shape, keep)
         assert passes(tmp_path / shape) == expected[shape], shape
+
+
+def test_every_benchmark_call_site_is_traced(tmp_path, monkeypatch):
+    # The benchmark's tracer rebinds the names that featrank's modules look up;
+    # a renamed or bypassed call site records no span. The CLI never calls
+    # `cross_validate`, so its span is the one never recorded.
+    tracing = load_tool("tracing", "perfbench")
+    monkeypatch.setattr(evaluation, "_cpus", lambda: 1)  # every fit in this process
+    assert cli.main(["synth", "--rows", "200", "--seed", "3", "--out", str(tmp_path / "c")]) == 0
+    data = ["--data", str(tmp_path / "c" / "cohort.csv"), "--schema", str(tmp_path / "c" / "schema.json")]
+    tracer = tracing.Tracer()
+    with tracing.instrumented(tracer, tracing.JOB_POINTS):
+        for argv in (["weigh"], ["ablate", "--feature", "ethnicity", "--folds", "2", "--save-model"],
+                     ["groups", "--folds", "2"]):
+            assert cli.main([*argv, *data, "--out", str(tmp_path / argv[0])]) == 0
+    names = {name for _, _, name, _ in tracing.JOB_POINTS}
+    assert {span.name for span in tracer.spans} == names - {"evaluation.cross_validate"}
+    assert (tmp_path / "ablate" / "models" / "glm.json").exists()
 
 
 def test_pair_summary_applies_the_gain_rule_and_the_bound():

@@ -131,8 +131,8 @@ MUTANTS = (
     Mutant(
         "bucket pass settles an anchor at k-th distance 1.0",
         "featrank/neighbors.py",
-        "a_ids, sets(), k, 1.0, cells, out)",
-        "a_ids, sets(), k, np.nextafter(1.0, 2.0), cells, out)",
+        "a_ids, sets(), k, 1.0, scratch, out)",
+        "a_ids, sets(), k, np.nextafter(1.0, 2.0), scratch, out)",
         (
             f"{NEIGHBOR_TESTS}::test_bucket_kth_distance_of_one_takes_the_search_over_all_candidates",
             f"{NEIGHBOR_TESTS}::test_k_nearest_equals_full_matrix_argsort_on_random_mixed_tables",
@@ -303,8 +303,8 @@ MUTANTS = (
     Mutant(
         "bucket pass settles an anchor at k-th distance below 2.0",
         "featrank/neighbors.py",
-        "a_ids, sets(), k, 1.0, cells, out)",
-        "a_ids, sets(), k, 2.0, cells, out)",
+        "a_ids, sets(), k, 1.0, scratch, out)",
+        "a_ids, sets(), k, 2.0, scratch, out)",
         (RANDOM_MIXED,),
     ),
     Mutant(
@@ -319,8 +319,8 @@ MUTANTS = (
     Mutant(
         "near pass settles an anchor at k-th distance 2.0",
         "featrank/neighbors.py",
-        "a_ids, sets(), k, 2.0, cells, out)",
-        "a_ids, sets(), k, np.nextafter(2.0, 3.0), cells, out)",
+        "a_ids, sets(), k, 2.0, scratch, out)",
+        "a_ids, sets(), k, np.nextafter(2.0, 3.0), scratch, out)",
         (f"{NEIGHBOR_TESTS}::test_near_kth_distance_of_two_takes_the_search_over_all_candidates",
          RANDOM_MIXED),
     ),
